@@ -14,12 +14,12 @@ from typing import IO, Sequence
 
 from . import bijections, families, triangles, verify
 from .core import (
-    InvalidPermutationError,
-    InvalidTreeError,
     Tree,
     perm_from_text,
     perm_to_text,
     tree_from_literal,
+    tree_labels,
+    tree_spans_range,
     tree_to_json,
     tree_to_literal,
 )
@@ -42,10 +42,8 @@ _MAPS = {
 }
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class _CliError(ValueError):
+    """A usage error; like every ValueError it exits with code 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,10 +113,10 @@ def _object_json(obj):
 def _cmd_triangle(args, out: IO[str]) -> int:
     if args.n > TRIANGLE_N_CAP and not args.force:
         raise _CliError(
-            f"triangle rows capped at {TRIANGLE_N_CAP}; pass --force to override", 2
+            f"triangle rows capped at {TRIANGLE_N_CAP}; pass --force to override"
         )
     if args.n < 1:
-        raise _CliError("--n must be at least 1", 2)
+        raise _CliError("--n must be at least 1")
     table = (
         triangles.entringer_table(args.n)
         if args.kind == "entringer"
@@ -158,10 +156,22 @@ def _cmd_enumerate(args, out: IO[str]) -> int:
     return 0
 
 
+def _check_tree_labels(name: str, t: Tree) -> None:
+    # the library maps read any distinct labels; the CLI demands [n]
+    labels = tree_labels(t)
+    n = len(labels)
+    if name == "omega-signed":
+        if not tree_spans_range(t):
+            raise _CliError(f"{name} expects |labels| exactly 1..{n}, got {labels}")
+    elif labels != tuple(range(1, n + 1)):
+        raise _CliError(f"{name} expects labels exactly 1..{n}, got {labels}")
+
+
 def _cmd_map(args, out: IO[str]) -> int:
     func, domain = _MAPS[args.name]
     if domain == "tree":
         value = tree_from_literal(args.input)
+        _check_tree_labels(args.name, value)
     else:
         value = perm_from_text(args.input)
     trace = None
@@ -204,12 +214,9 @@ def _print_reports(reports, fmt: str, out: IO[str]) -> None:
 
 def _cmd_verify(args, out: IO[str]) -> int:
     selection = args.checks.split(",") if args.checks else None
-    try:
-        reports = verify.run_checks(
-            selection, args.n_max_a, args.n_max_b, force=args.force
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc), 2) from None
+    reports = verify.run_checks(
+        selection, args.n_max_a, args.n_max_b, force=args.force
+    )
     _print_reports(reports, args.format, out)
     return 0 if all(r.status == verify.PASS for r in reports) else 1
 
@@ -238,16 +245,15 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     }[args.command]
     try:
         if getattr(args, "output", None):
-            with open(args.output, "w", encoding="utf-8") as out:
+            try:
+                out = open(args.output, "w", encoding="utf-8")
+            except OSError as exc:
+                raise _CliError(f"cannot write {args.output}: {exc.strerror}") from None
+            with out:
                 return handler(args, out)
         return handler(args, sys.stdout)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except families.GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidPermutationError, InvalidTreeError, ValueError) as exc:
+    except ValueError as exc:
+        # usage, guard, and invalid permutation or tree errors alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

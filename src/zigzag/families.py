@@ -17,16 +17,34 @@ andre-h     Andre word with forced-positive suffix minima last entry
 simsun-b    Simsun word with forced-positive suffix mins  last entry
 ==========  ============================================  ==========
 
-Enumeration is deliberately oracle-grade: permutation families filter the
-full symmetric (or signed symmetric) group in lexicographic order, and
-tree families are generated by inserting each new largest label at every
-node with a free child slot.  Guards keep accidental huge enumerations
-out; pass ``force=True`` to override them.
+Permutation families are generated directly, never by a bijection, and
+come out in lexicographic order of their entry tuples (signed entries in
+signed order):
+
+- alt, alt-b and snake come from one lexicographic backtracker that
+  drops any step breaking down-up alternation.  It streams in O(n)
+  memory.
+- andre and simsun come from inserting the values 1, 2, ..., n in
+  increasing order and keeping a word only while it avoids double
+  descents (and, for Andre, ends in an ascent): the intermediate words
+  are exactly the bottom-k subwords the definitions constrain.
+- andre-b relabels every Andre word onto each of the 2^n sign sets;
+  andre-h and simsun-b free the signs off the suffix minima of every
+  Andre or Simsun word.
+
+These five families are materialized and sorted once, so memory grows
+with the family size: E_{n+1} words for simsun at n, for example.  Tree
+families are generated by inserting each new largest label at every node
+with a free child slot, then sorted by inorder word.  The predicates
+filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
+remain the oracle the tests compare the generators against.  Guards keep
+accidental huge enumerations out; pass ``force=True`` to override them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from typing import Iterable, Iterator
 
@@ -217,6 +235,86 @@ def iter_signed_permutations(n: int) -> Iterator[Word]:
     return rec()
 
 
+# ---------------------------------------------------------------------------
+# permutation family generators; each yields what filtering the raw stream
+# through _PREDICATES yields, in the same order
+
+
+def _iter_alternating(tag: FamilyTag, n: int, k: int | None) -> Iterator[Word]:
+    """Down-up words in lexicographic order, by pruned backtracking."""
+    if tag is FamilyTag.ALT:
+        values = list(range(1, n + 1))
+    else:
+        values = list(range(-n, 0)) + list(range(1, n + 1))
+    rank = {v: i for i, v in enumerate(values)}
+    first = [v for v in values if k is None or v == k]
+    if tag is FamilyTag.SNAKE:
+        first = [v for v in first if v > 0]
+    used = [False] * (n + 1)
+    prefix: list[int] = []
+
+    def extend(candidates: list[int]) -> Iterator[Word]:
+        for v in candidates:
+            if used[abs(v)]:
+                continue
+            if len(prefix) == n - 1:
+                yield (*prefix, v)
+                continue
+            used[abs(v)] = True
+            prefix.append(v)
+            # the entry after an even (0-indexed) position is smaller
+            i = rank[v]
+            yield from extend(values[:i] if len(prefix) % 2 else values[i + 1 :])
+            prefix.pop()
+            used[abs(v)] = False
+
+    return extend(first)
+
+
+def _iter_bottom_up(n: int, andre: bool) -> Iterator[Word]:
+    """Unordered stream of Simsun (or, if ``andre``, Andre) words of [n].
+
+    Inserting the values 1, 2, ..., n in increasing order passes through
+    every bottom-k subword, so a word is kept while it has no double
+    descent and, for Andre, ends in an ascent.  The largest value starts
+    a double descent exactly when it goes right before a descent, and
+    ends the word in a descent exactly when it goes second to last.
+    """
+    stack: list[Word] = [(1,)]
+    while stack:
+        w = stack.pop()
+        m = len(w)
+        if m == n:
+            yield w
+            continue
+        v = m + 1
+        stack.append(w + (v,))
+        if not andre:
+            stack.append(w[:-1] + (v, w[-1]))
+        stack.extend(w[:j] + (v,) + w[j:] for j in range(m - 1) if w[j] < w[j + 1])
+
+
+def _free_signs(words: Iterable[Word]) -> list[Word]:
+    """Every signing of each word that keeps its suffix minima positive."""
+    out: list[Word] = []
+    for w in words:
+        fixed = set(rtl_min_positions(w))
+        choices = [(v,) if i in fixed else (-v, v) for i, v in enumerate(w, 1)]
+        out.extend(itertools.product(*choices))
+    return sorted(out)
+
+
+def _signed_andre(n: int) -> list[Word]:
+    # the Andre condition sees only relative order, so every signed Andre
+    # word is an Andre word relabeled onto one of the 2^n sign sets
+    base = list(_iter_bottom_up(n, andre=True))
+    out: list[Word] = []
+    for signs in itertools.product((1, -1), repeat=n):
+        target = sorted(s * v for s, v in zip(signs, range(1, n + 1)))
+        out.extend(tuple(target[v - 1] for v in w) for w in base)
+    return sorted(out)
+
+
 def _attach(t: Tree, at: int, label: int) -> Tree:
     # label exceeds every label in t, so it lands right of an existing child
     if t.label == at:
@@ -289,6 +387,17 @@ def iter_signed_trees(n: int) -> Iterator[Tree]:
 # family enumeration
 
 
+_BUILDERS = {
+    FamilyTag.TREE: iter_trees,
+    FamilyTag.TREE_B: iter_signed_trees,
+    FamilyTag.ANDRE: lambda n: sorted(_iter_bottom_up(n, andre=True)),
+    FamilyTag.SIMSUN: lambda n: sorted(_iter_bottom_up(n, andre=False)),
+    FamilyTag.ANDRE_B: _signed_andre,
+    FamilyTag.ANDRE_H: lambda n: _free_signs(_iter_bottom_up(n, andre=True)),
+    FamilyTag.SIMSUN_B: lambda n: _free_signs(_iter_bottom_up(n, andre=False)),
+}
+
+
 def refinement_statistic(tag: FamilyTag | str, obj) -> int:
     """The statistic a family is refined by: first entry, last entry, or pleaf."""
     tag = FamilyTag(tag)
@@ -333,17 +442,10 @@ def iter_family(
     tag = FamilyTag(tag)
     _check_guard(tag, n, force)
     _check_k(tag, n, k)
-    if tag is FamilyTag.TREE:
-        objs: Iterable = iter_trees(n)
-    elif tag is FamilyTag.TREE_B:
-        objs = iter_signed_trees(n)
-    elif tag in _SIGNED_TAGS:
-        pred = _PREDICATES[tag]
-        objs = (p for p in iter_signed_permutations(n) if pred(p))
-    else:
-        pred = _PREDICATES[tag]
-        objs = (p for p in iter_permutations(n) if pred(p))
-    for obj in objs:
+    if tag in _FIRST_TAGS:
+        yield from _iter_alternating(tag, n, k)
+        return
+    for obj in _BUILDERS[tag](n):
         if k is None or refinement_statistic(tag, obj) == k:
             yield obj
 
@@ -367,8 +469,8 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
 
     Signs are forced positive exactly at the suffix-minimum positions of
     the underlying Andre word and free elsewhere, so each Andre word with
-    r suffix minima contributes 2^(n-r).  Only plain permutations of [n]
-    are enumerated, which is what makes this fast.
+    r suffix minima contributes 2^(n-r).  The whole last-entry row for n
+    comes from one pass over the generated Andre words and is cached.
     """
     if n < 1:
         raise ValueError("families start at n = 1")
@@ -379,8 +481,12 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
         )
     if not 1 <= k <= n:
         raise ValueError(f"refinement k must satisfy 1 <= k <= {n}, got {k}")
-    total = 0
-    for p in iter_permutations(n):
-        if p[-1] == k and is_andre(p):
-            total += 2 ** (n - len(rtl_min_positions(p)))
-    return total
+    return _hetyei_row(n)[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _hetyei_row(n: int) -> tuple[int, ...]:
+    row = [0] * (n + 1)
+    for w in _iter_bottom_up(n, andre=True):
+        row[w[-1]] += 1 << (n - len(rtl_min_positions(w)))
+    return tuple(row)

@@ -7,7 +7,9 @@ sweep are kept separate: a conjecture counterexample is a finding to
 report, not a defect in this package.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
-n = 6, the conjecture sweep to n = 6.
+n = 6, the conjecture sweep to n = 9.  A check that raises is reported as
+a FAIL whose witness names the exception, so one broken check does not
+end the run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .families import FamilyTag
 
 DEFAULT_N_MAX_A = 8
 DEFAULT_N_MAX_B = 6
-DEFAULT_N_MAX_CONJECTURE = 6
+DEFAULT_N_MAX_CONJECTURE = 9
 EXTENDED_N_MAX_A = 9
 EXTENDED_N_MAX_B = 7
 
@@ -423,6 +425,8 @@ def run_checks(
             status, witness = PASS, None
         except _Failure as failure:
             counts, status, witness = {}, FAIL, failure.witness
+        except Exception as exc:
+            counts, status, witness = {}, FAIL, f"{type(exc).__name__}: {exc}"
         reports.append(
             CheckReport(
                 check_id=check_id,

@@ -128,6 +128,22 @@ def test_map_bad_input_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "name, literal",
+    [
+        ("omega", "2(5)"),
+        ("chuang-phi", "3(7,9)"),
+        ("psi-inv", "2(3)"),
+        ("omega-signed", "-2(1,5)"),
+    ],
+)
+def test_map_rejects_labels_other_than_one_to_n(capsys, name, literal):
+    code, out, err = run(capsys, "map", name, f"--input={literal}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} expects") and "exactly 1.." in err
+
+
 def test_verify_json_exit_zero(capsys):
     code, out, _ = run(
         capsys,
@@ -198,3 +214,13 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "3,2,1" in target.read_text().splitlines()
+
+
+def test_output_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(
+        capsys, "enumerate", "andre", "--n", "3", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")

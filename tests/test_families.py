@@ -1,9 +1,18 @@
+import ast
 import itertools
 
 import pytest
 
-from zigzag.core import Tree, inorder, perm_from_text, pleaf, tree_from_literal
+from zigzag.core import (
+    Tree,
+    inorder,
+    perm_from_text,
+    pleaf,
+    rtl_min_positions,
+    tree_from_literal,
+)
 from zigzag.families import (
+    _PREDICATES,
     FamilyTag,
     GuardExceededError,
     count_family,
@@ -18,6 +27,7 @@ from zigzag.families import (
     is_simsun,
     is_snake,
     iter_family,
+    iter_permutations,
     iter_signed_permutations,
     refinement_statistic,
 )
@@ -221,6 +231,71 @@ class TestEnumeration:
         assert refinement_statistic("tree", tree_from_literal("1(2)")) == 2
 
 
+UNSIGNED_PERM_TAGS = [FamilyTag.ALT, FamilyTag.ANDRE, FamilyTag.SIMSUN]
+SIGNED_PERM_TAGS = [
+    FamilyTag.ALT_B,
+    FamilyTag.SNAKE,
+    FamilyTag.ANDRE_B,
+    FamilyTag.ANDRE_H,
+    FamilyTag.SIMSUN_B,
+]
+
+
+def _filtered(tag, n, k=None):
+    raw = iter_signed_permutations(n) if tag in SIGNED_PERM_TAGS else iter_permutations(n)
+    return [
+        p
+        for p in raw
+        if _PREDICATES[tag](p) and (k is None or refinement_statistic(tag, p) == k)
+    ]
+
+
+class TestGeneratorOracle:
+    """The generators yield exactly the filtered streams, order included."""
+
+    @pytest.mark.parametrize("tag", UNSIGNED_PERM_TAGS, ids=lambda t: t.value)
+    def test_unsigned_matches_filter(self, tag):
+        for n in range(1, 9):
+            assert list(iter_family(tag, n)) == _filtered(tag, n)
+
+    @pytest.mark.parametrize("tag", SIGNED_PERM_TAGS, ids=lambda t: t.value)
+    def test_signed_matches_filter(self, tag):
+        for n in range(1, 6):
+            assert list(iter_family(tag, n)) == _filtered(tag, n)
+
+    @pytest.mark.parametrize(
+        "tag, n, k",
+        [
+            ("alt", 6, 4),
+            ("andre", 6, 6),
+            ("simsun", 6, 1),
+            ("alt-b", 4, -2),
+            ("snake", 4, 3),
+            ("snake", 4, -2),
+            ("andre-b", 4, -1),
+            ("andre-h", 5, 5),
+            ("andre-h", 5, -5),
+            ("simsun-b", 4, 2),
+        ],
+    )
+    def test_refined_matches_filter(self, tag, n, k):
+        assert list(iter_family(tag, n, k)) == _filtered(FamilyTag(tag), n, k)
+
+    def test_generators_never_touch_the_bijections(self):
+        import zigzag.families as module
+
+        with open(module.__file__, encoding="utf-8") as src:
+            tree = ast.parse(src.read())
+        imported = set()
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom):
+                imported.add(stmt.module or "")
+                imported.update(alias.name for alias in stmt.names)
+            elif isinstance(stmt, ast.Import):
+                imported.update(alias.name for alias in stmt.names)
+        assert not any("bijections" in name for name in imported)
+
+
 class TestTreeOracle:
     """Cross-check the tree generator against an unrelated construction."""
 
@@ -275,6 +350,15 @@ class TestCounts:
         assert count_hetyei_fast(4, 4) == 3
         assert count_hetyei_fast(4, 3) == 4
         assert count_hetyei_fast(4, 2) == 4
+
+    def test_hetyei_fast_matches_brute_force(self):
+        # weighted count over all of S_n, independent of the generators
+        for n in range(1, 9):
+            row = [0] * (n + 1)
+            for p in iter_permutations(n):
+                if is_andre(p):
+                    row[p[-1]] += 2 ** (n - len(rtl_min_positions(p)))
+            assert [count_hetyei_fast(n, k) for k in range(1, n + 1)] == row[1:]
 
     def test_hetyei_fast_matches_enumeration(self):
         for n in range(1, 7):

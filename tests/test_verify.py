@@ -3,7 +3,10 @@ import json
 import pytest
 
 from zigzag.families import GuardExceededError
+from zigzag import verify
 from zigzag.verify import (
+    DEFAULT_N_MAX_CONJECTURE,
+    FAIL,
     PASS,
     CheckReport,
     check_conjecture,
@@ -72,7 +75,20 @@ def test_conjecture_sweep_small():
 
 def test_conjecture_guard():
     with pytest.raises(GuardExceededError):
-        check_conjecture(7)
+        check_conjecture(DEFAULT_N_MAX_CONJECTURE + 1)
+
+
+def test_check_that_raises_is_a_fail_report(monkeypatch):
+    def broken(n_max_a, n_max_b):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(verify._CHECKS, "psi-equality", broken)
+    reports = run_checks(["psi-equality", "entringer-families"], n_max_a=4, n_max_b=3)
+    by_id = {r.check_id: r for r in reports}
+    assert by_id["psi-equality"].status == FAIL
+    assert by_id["psi-equality"].counterexample == "ZeroDivisionError: division by zero"
+    assert by_id["psi-equality"].counts == {}
+    assert by_id["entringer-families"].status == PASS
 
 
 def test_report_as_dict_shape():
