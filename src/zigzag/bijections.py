@@ -9,13 +9,18 @@ The maps and their statistic bookkeeping:
   value 1 drops out) and everything shrinks by one.  The last entry
   drops by exactly one.
 - ``psi_c``: alternating permutation -> tree, grafting pairs of entries
-  from the back of the permutation to the front.  After every step the
-  pleaf of the intermediate tree is the first entry of the pair just
-  placed, so the final pleaf is the permutation's first entry.  The
-  grafting decisions are recorded in an :class:`AlgoCTrace`.
-- ``psi_b``: the same bijection computed recursively instead, by
-  reducing either the length (when the two largest values are adjacent
-  up front) or the first entry (by swapping the two largest values).
+  from the back of the permutation to the front.  The grafting works on
+  child maps keyed by label, and ``_graft_states`` yields those maps
+  after every step; the pleaf of each intermediate state is the first
+  entry of the pair just placed, so the final pleaf is the
+  permutation's first entry.  The grafting decisions are recorded in an
+  :class:`AlgoCTrace`.
+- ``psi_b``: the same bijection computed independently, by a reduction
+  replayed backwards.  Walking the word forward, each step either
+  strips the first two entries (when the second is the next smaller
+  remaining label) or swaps the first entry with that label; replaying
+  the steps in reverse on child and parent maps grows the tree.  Both
+  phases are loops, so deep inputs raise no ``RecursionError``.
 - ``psi_signed``, ``omega_signed``, ``phi_signed``: the signed-label
   versions.  The first two conjugate the unsigned maps by the unique
   order isomorphism onto [n]; ``omega_signed`` also equals plain reverse
@@ -38,8 +43,6 @@ from .core import (
     Tree,
     Word,
     inorder,
-    minimal_path,
-    node,
     order_relabel,
     perm_from_sequence,
     pleaf,
@@ -208,8 +211,32 @@ def phi_signed(p: Sequence[int]) -> Word:
 # psi: the grafting construction (two equivalent algorithms)
 
 
-def _graft_states(p: Word) -> Iterator[tuple[int, int, int | None, str, Tree]]:
-    """Run the grafting construction, yielding the state after each step."""
+def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
+    """Freeze child maps into a :class:`Tree` without recursion.
+
+    Labels increase away from the root, so building nodes from the
+    largest label down finishes every child before its parent.
+    """
+    built: dict[int, Tree] = {}
+    for v in sorted({root, *left.values(), *right.values()}, reverse=True):
+        lk, rk = left.get(v), right.get(v)
+        built[v] = Tree(
+            v,
+            None if lk is None else built.pop(lk),
+            None if rk is None else built.pop(rk),
+        )
+    return built[root]
+
+
+def _graft_states(
+    p: Word,
+) -> Iterator[tuple[int, int, int | None, str, int, dict[int, int], dict[int, int]]]:
+    """Run the grafting construction, yielding the link maps after each step.
+
+    Each item is ``(i, a, b, case, root, left, right)``.  The two child
+    maps are the same dicts every time and change once the generator
+    resumes, so read a state before asking for the next one.
+    """
     n = len(p)
     m = (n + 1) // 2
     left: dict[int, int] = {}
@@ -217,11 +244,6 @@ def _graft_states(p: Word) -> Iterator[tuple[int, int, int | None, str, Tree]]:
     root = p[-1]
     if n % 2 == 0:
         left[root] = p[-2]
-
-    def build(v: int) -> Tree:
-        lk = build(left[v]) if v in left else None
-        rk = build(right[v]) if v in right else None
-        return Tree(v, lk, rk)
 
     for i in range(m - 1, 0, -1):
         x, y = p[2 * i - 2], p[2 * i - 1]
@@ -259,7 +281,7 @@ def _graft_states(p: Word) -> Iterator[tuple[int, int, int | None, str, Tree]]:
             root = y
         else:
             left[parent] = y
-        yield i, a, brec, case, build(root)
+        yield i, a, brec, case, root, left, right
 
 
 def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
@@ -276,9 +298,10 @@ def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
     n = len(p)
     tree = Tree(p[-1]) if n % 2 == 1 else Tree(p[-1], Tree(p[-2]))
     steps = []
-    for i, a, b, case, state in _graft_states(p):
-        tree = state
+    for i, a, b, case, root, left, right in _graft_states(p):
         steps.append(AlgoCStep(i, a, b, case))
+    if steps:
+        tree = _link_tree(root, left, right)
     validate_tree(tree)
     return tree, AlgoCTrace(tuple(steps))
 
@@ -288,88 +311,84 @@ def psi(p: Sequence[int]) -> Tree:
     return psi_c(p)[0]
 
 
-def _subtree(t: Tree, label: int) -> Tree | None:
-    if t.label == label:
-        return t
-    for child in (t.left, t.right):
-        if child is not None:
-            found = _subtree(child, label)
-            if found is not None:
-                return found
-    return None
-
-
-def _parent_label(t: Tree, label: int) -> int | None:
-    for child in (t.left, t.right):
-        if child is not None:
-            if child.label == label:
-                return t.label
-            found = _parent_label(child, label)
-            if found is not None:
-                return found
-    return None
-
-
-def _replace_subtree(t: Tree, at: int, new: Tree) -> Tree:
-    if t.label == at:
-        return new
-    kids = [
-        _replace_subtree(c, at, new) if c is not None and at in tree_labels(c) else c
-        for c in (t.left, t.right)
-    ]
-    return node(t.label, *kids)
-
-
-def _swap_labels(t: Tree, u: int, v: int) -> Tree:
-    mapping = {u: v, v: u}
-
-    def rebuild(cur: Tree) -> Tree:
-        kids = [rebuild(c) for c in (cur.left, cur.right) if c is not None]
-        return node(mapping.get(cur.label, cur.label), *kids)
-
-    return rebuild(t)
-
-
 def psi_b(p: Sequence[int]) -> Tree:
-    """Recursive computation of the same bijection as :func:`psi_c`.
+    """The same bijection as :func:`psi_c`, by reduction and replay.
 
-    With k the first entry: if the second entry is k-1, strip both and
-    recurse on the relabeled remainder, then splice k-1 and k back onto
-    the minimal path.  Otherwise swap the values k-1 and k, recurse, and
-    either swap the two labels back or, when they ended up siblings,
-    rotate k under k-1.
+    Reduce: with k the first entry and j the next smaller label still in
+    the word, strip the first two entries if the second is j, otherwise
+    swap the values j and k.  Repeat until at most two entries remain,
+    which give the starting tree.  Replay the steps in reverse: a strip
+    splices j onto the minimal path, at the first vertex above k, with k
+    as its leaf; a swap either exchanges the labels j and k or, when
+    they are siblings, rotates k under j.  Neither phase recurses, and
+    nothing here goes through the grafting construction.
     """
     p = perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi_b requires an alternating permutation")
-    return _psi_b(p)
-
-
-def _psi_b(p: Word) -> Tree:
     n = len(p)
-    if n == 1:
-        return Tree(1)
-    if n == 2:
-        return Tree(1, Tree(2))
-    k = p[0]
-    if p[1] == k - 1:
-        reduced = order_relabel(p[2:], range(1, n - 1))
-        small = _psi_b(reduced)
-        target = [*range(1, k - 1), *range(k + 1, n + 1)]
-        grown = order_relabel(small, target)
-        m = min(v for v in minimal_path(grown) if v > k)
-        spliced = node(k - 1, Tree(k), _subtree(grown, m))
-        if m == grown.label:
-            return spliced
-        return _replace_subtree(grown, m, spliced)
-    swapped = tuple(k if v == k - 1 else k - 1 if v == k else v for v in p)
-    t = _psi_b(swapped)
-    if _parent_label(t, k) == _parent_label(t, k - 1):
-        ell = _parent_label(t, k)
-        knode = _subtree(t, k)
-        rebuilt = node(ell, node(k - 1, Tree(k), knode.right), knode.left)
-        return _replace_subtree(t, ell, rebuilt)
-    return _swap_labels(t, k - 1, k)
+    word = list(p)
+    at = {v: i for i, v in enumerate(word)}
+    below = list(range(-1, n + 1))  # below[v]: next smaller label still present
+    above = list(range(1, n + 3))
+    steps: list[tuple[bool, int, int]] = []
+    s = 0
+    while n - s > 2:
+        k = word[s]
+        j = below[k]
+        if word[s + 1] == j:
+            steps.append((True, j, k))
+            lo, hi = below[j], above[k]
+            above[lo], below[hi] = hi, lo
+            s += 2
+        else:
+            steps.append((False, j, k))
+            q = at[j]
+            word[s], word[q] = j, k
+            at[j], at[k] = s, q
+
+    root = word[-1]
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    if n - s == 2:
+        left[root], parent[word[s]] = word[s], root
+    for strip, j, k in reversed(steps):
+        if strip:
+            m = root
+            while m < k:
+                m = left[m]
+            up = parent.get(m)
+            left[j], right[j] = k, m
+            parent[k] = parent[m] = j
+            if up is None:
+                root = j
+            else:
+                left[up], parent[j] = j, up
+        elif parent[j] == parent[k]:
+            # j is the leaf left of its sibling k: k becomes j's leaf, k's
+            # right child moves under j and its left child takes k's place
+            ell = parent[j]
+            kl, kr = left.pop(k, None), right.pop(k, None)
+            left[j], parent[k] = k, j
+            if kr is not None:
+                right[j], parent[kr] = kr, j
+            if kl is None:
+                del right[ell]
+            else:
+                right[ell], parent[kl] = kl, ell
+        else:
+            # j is a leaf, so exchanging the labels only moves k's links
+            pj, pk = parent[j], parent[k]
+            for u, old, new in ((pj, j, k), (pk, k, j)):
+                kids = left if left[u] == old else right
+                kids[u] = new
+            parent[j], parent[k] = pk, pj
+            for kids in (left, right):
+                if k in kids:
+                    c = kids[j] = kids.pop(k)
+                    parent[c] = j
+    return _link_tree(root, left, right)
 
 
 @lru_cache(maxsize=None)

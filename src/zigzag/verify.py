@@ -205,9 +205,11 @@ def _check_psi(n_max_a: int, n_max_b: int) -> dict:
             _expect(
                 pleaf(t) == p[0], f"psi pleaf mismatch on {perm_to_text(p)}"
             )
-            for i, _a, _b, _case, state in bijections._graft_states(p):
+            for i, _a, _b, _case, v, left, _right in bijections._graft_states(p):
+                while v in left:
+                    v = left[v]
                 _expect(
-                    pleaf(state) == p[2 * i - 2],
+                    v == p[2 * i - 2],
                     f"psi step invariant broken at i={i} on {perm_to_text(p)}",
                 )
             _expect(
@@ -411,6 +413,10 @@ def run_checks(
         unknown = [c for c in chosen if c not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    if n_max_a < 1 or n_max_b < 1:
+        raise ValueError(
+            f"check caps must be at least 1, got n_max_a={n_max_a}, n_max_b={n_max_b}"
+        )
     if not force and (n_max_a > EXTENDED_N_MAX_A or n_max_b > EXTENDED_N_MAX_B):
         raise families.GuardExceededError(
             f"check caps are n_max_a <= {EXTENDED_N_MAX_A}, "

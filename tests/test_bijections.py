@@ -1,5 +1,9 @@
+import random
+from functools import lru_cache
+
 import pytest
 
+from zigzag import bijections
 from zigzag.bijections import (
     chuang_phi,
     omega,
@@ -14,8 +18,23 @@ from zigzag.bijections import (
     psi_inv,
     psi_signed,
 )
-from zigzag.core import perm_from_text, pleaf, tree_from_literal, tree_to_literal
-from zigzag.families import iter_family
+from zigzag.cli import dispatch
+from zigzag.core import (
+    Tree,
+    Word,
+    minimal_path,
+    node,
+    order_relabel,
+    perm_from_text,
+    perm_to_text,
+    pleaf,
+    tree_from_literal,
+    tree_labels,
+    tree_to_literal,
+    validate_tree,
+)
+from zigzag.families import is_alternating, iter_family
+from zigzag.triangles import entringer_table
 
 RUNNING_TREE = tree_from_literal("1(2(3(7,9)),4(5,6(8)))")
 SIGNED_TREE = tree_from_literal("-8(-4(-3(6,9)),-1(2,5(7)))")
@@ -167,6 +186,164 @@ class TestPsi:
             psi_c((1, 2, 3))
         with pytest.raises(ValueError):
             psi_b((1, 2, 3))
+
+
+# The recursive psi_b that the iterative one replaced, kept as its oracle.
+
+
+def _subtree(t: Tree, label: int) -> Tree | None:
+    if t.label == label:
+        return t
+    for child in (t.left, t.right):
+        if child is not None:
+            found = _subtree(child, label)
+            if found is not None:
+                return found
+    return None
+
+
+def _parent_label(t: Tree, label: int) -> int | None:
+    for child in (t.left, t.right):
+        if child is not None:
+            if child.label == label:
+                return t.label
+            found = _parent_label(child, label)
+            if found is not None:
+                return found
+    return None
+
+
+def _replace_subtree(t: Tree, at: int, new: Tree) -> Tree:
+    if t.label == at:
+        return new
+    kids = [
+        _replace_subtree(c, at, new) if c is not None and at in tree_labels(c) else c
+        for c in (t.left, t.right)
+    ]
+    return node(t.label, *kids)
+
+
+def _swap_labels(t: Tree, u: int, v: int) -> Tree:
+    mapping = {u: v, v: u}
+
+    def rebuild(cur: Tree) -> Tree:
+        kids = [rebuild(c) for c in (cur.left, cur.right) if c is not None]
+        return node(mapping.get(cur.label, cur.label), *kids)
+
+    return rebuild(t)
+
+
+def _psi_b(p: Word) -> Tree:
+    n = len(p)
+    if n == 1:
+        return Tree(1)
+    if n == 2:
+        return Tree(1, Tree(2))
+    k = p[0]
+    if p[1] == k - 1:
+        reduced = order_relabel(p[2:], range(1, n - 1))
+        small = _psi_b(reduced)
+        target = [*range(1, k - 1), *range(k + 1, n + 1)]
+        grown = order_relabel(small, target)
+        m = min(v for v in minimal_path(grown) if v > k)
+        spliced = node(k - 1, Tree(k), _subtree(grown, m))
+        if m == grown.label:
+            return spliced
+        return _replace_subtree(grown, m, spliced)
+    swapped = tuple(k if v == k - 1 else k - 1 if v == k else v for v in p)
+    t = _psi_b(swapped)
+    if _parent_label(t, k) == _parent_label(t, k - 1):
+        ell = _parent_label(t, k)
+        knode = _subtree(t, k)
+        rebuilt = node(ell, node(k - 1, Tree(k), knode.right), knode.left)
+        return _replace_subtree(t, ell, rebuilt)
+    return _swap_labels(t, k - 1, k)
+
+
+@lru_cache(maxsize=None)
+def _entringer(n_max: int):
+    return entringer_table(n_max)
+
+
+def _sample_alternating(n: int, seed: int) -> tuple[int, ...]:
+    """A uniformly random down-up permutation of [n], one entry at a time.
+
+    A down-up word of size s whose first entry has rank k continues,
+    after complementing the rest, as a down-up word of size s - 1 whose
+    first entry has rank at least s + 1 - k.  Each entry is drawn over
+    its allowed ranks with weight E(s, k), so every word is equally
+    likely.
+    """
+    table = _entringer(n)
+    rng = random.Random(seed)
+    remaining = list(range(1, n + 1))
+    flipped = False
+    lo = 1
+    out = []
+    for s in range(n, 0, -1):
+        ks = range(lo, s + 1)
+        x = rng.randrange(sum(table.value(s, k) for k in ks))
+        for k in ks:
+            x -= table.value(s, k)
+            if x < 0:
+                break
+        out.append(remaining.pop(s - k if flipped else k - 1))
+        flipped = not flipped
+        lo = s + 1 - k
+    return tuple(out)
+
+
+class TestPsiB:
+    def test_matches_recursive_oracle_exhaustively(self):
+        for n in range(1, 10):
+            for p in iter_family("alt", n):
+                assert psi_b(p) == _psi_b(p)
+
+    def test_does_not_go_through_grafting(self, monkeypatch):
+        perms = [p for n in range(1, 8) for p in iter_family("alt", n)]
+        perms.append(_sample_alternating(60, seed=7))
+        expected = [psi_c(p)[0] for p in perms]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_b must not use the grafting construction")
+
+        monkeypatch.setattr(bijections, "psi_c", refuse)
+        monkeypatch.setattr(bijections, "_graft_states", refuse)
+        assert [psi_b(p) for p in perms] == expected
+
+    def test_graft_states_keep_the_pleaf_sequence(self):
+        for n in range(1, 8):
+            for p in iter_family("alt", n):
+                leaves = []
+                for i, _a, _b, _case, root, left, right in bijections._graft_states(p):
+                    state = bijections._link_tree(root, left, right)
+                    validate_tree(state)
+                    v = root
+                    while v in left:
+                        v = left[v]
+                    assert v == pleaf(state)
+                    leaves.append(v)
+                m = (n + 1) // 2
+                assert leaves == [p[2 * i - 2] for i in range(m - 1, 0, -1)]
+
+    def test_sampler_draws_alternating_words(self):
+        seen = {_sample_alternating(5, seed) for seed in range(300)}
+        assert seen == set(iter_family("alt", 5))
+        assert is_alternating(_sample_alternating(200, seed=3))
+
+    @pytest.mark.parametrize("n, seed", [(150, 1), (400, 2)])
+    def test_large_random_inputs_match_psi_c(self, n, seed):
+        p = _sample_alternating(n, seed)
+        t = psi_b(p)
+        assert t == psi_c(p)[0]
+        assert pleaf(t) == p[0]
+
+    def test_cli_map_psi_b_at_n_150(self, capsys):
+        text = perm_to_text(_sample_alternating(150, seed=1))
+        assert dispatch(["map", "psi-b", "--input", text]) == 0
+        via_b = capsys.readouterr().out
+        assert dispatch(["map", "psi", "--input", text]) == 0
+        assert capsys.readouterr().out == via_b
 
 
 class TestChainTables:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,16 @@ def test_verify_text_format(capsys):
     assert out.startswith("PASS  psi-equality")
 
 
+def test_verify_caps_below_one_are_usage_errors(capsys):
+    code, out, err = run(
+        capsys, "verify", "--n-max-a", "0", "--n-max-b", "0",
+        "--checks", "psi-equality", "--format", "text",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: check caps must be at least 1")
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--checks", "bogus")
     assert code == 2
@@ -224,3 +238,15 @@ def test_output_to_missing_directory(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zigzag", "triangle", "entringer", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "n=3: 0 1 1 | 2"

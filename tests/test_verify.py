@@ -47,6 +47,12 @@ def test_size_caps_enforced():
         run_checks(["psi-equality"], n_max_a=5, n_max_b=8)
 
 
+@pytest.mark.parametrize("n_max_a, n_max_b", [(0, 0), (0, 3), (4, 0), (-1, 2)])
+def test_caps_below_one_rejected(n_max_a, n_max_b):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_checks(["psi-equality"], n_max_a=n_max_a, n_max_b=n_max_b)
+
+
 def test_counts_are_reported():
     (report,) = run_checks(["psi-equality"], n_max_a=4, n_max_b=3)
     # one object per alternating permutation of sizes 1..4
