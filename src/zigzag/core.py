@@ -171,9 +171,14 @@ def rtl_min_positions(w: Sequence[int]) -> tuple[int, ...]:
 # increasing 1-2 trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """One node of an increasing 1-2 tree, in canonical orientation."""
+    """One node of an increasing 1-2 tree, in canonical orientation.
+
+    Equality and hashing are structural, as for a frozen dataclass, but
+    walk the tree with a stack, so chains deeper than the recursion
+    limit compare and hash too.
+    """
 
     label: int
     left: Tree | None = None
@@ -181,6 +186,34 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree[{tree_to_literal(self)}]"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack: list[tuple[Tree | None, Tree | None]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a is None or b is None or a.label != b.label:
+                return False
+            stack.append((a.left, b.left))
+            stack.append((a.right, b.right))
+        return True
+
+    def __hash__(self) -> int:
+        # the labels in breadth-first order, with None for every missing
+        # child, determine the tree
+        key: list[int | None] = [self.label]
+        order = [self]
+        for cur in order:
+            for child in (cur.left, cur.right):
+                if child is None:
+                    key.append(None)
+                else:
+                    key.append(child.label)
+                    order.append(child)
+        return hash(tuple(key))
 
 
 def node(label: int, *children: Tree | None) -> Tree:
@@ -431,12 +464,15 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
         )
     mapping = dict(zip(current, sorted(target)))
     if isinstance(obj, Tree):
-
-        def rebuild(cur: Tree) -> Tree:
-            kids = [rebuild(c) for c in (cur.left, cur.right) if c is not None]
-            return node(mapping[cur.label], *kids)
-
-        return rebuild(obj)
+        # children before parents: the reverse of a preorder walk
+        built: dict[int, Tree] = {}
+        for cur in reversed(list(_walk(obj))):
+            built[cur.label] = Tree(
+                mapping[cur.label],
+                None if cur.left is None else built.pop(cur.left.label),
+                None if cur.right is None else built.pop(cur.right.label),
+            )
+        return built[obj.label]
     return tuple(mapping[v] for v in obj)
 
 

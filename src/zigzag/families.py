@@ -35,10 +35,21 @@ signed order):
 These five families are materialized and sorted once, so memory grows
 with the family size: E_{n+1} words for simsun at n, for example.  Tree
 families are generated by inserting each new largest label at every node
-with a free child slot, then sorted by inorder word.  The predicates
+with a free child slot, then sorted by inorder word.  The definitions
 filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
-remain the oracle the tests compare the generators against.  Guards keep
-accidental huge enumerations out; pass ``force=True`` to override them.
+(``_PREDICATES``) remain the oracle the tests compare the generators
+against.  Guards keep accidental huge enumerations out; pass
+``force=True`` to override them.
+
+:func:`is_andre` and :func:`is_simsun` rest on the same insertion fact,
+run backwards: they sort the positions by value once and delete entries
+from the largest down on a doubly linked list of positions, looking only
+at the two live entries after each maximum, in O(n log n) time.  The
+subword definitions they replace, ``_andre_by_subwords`` and
+``_simsun_by_subwords``, sort the word once for every k.  They stay as the
+oracle the tests compare the one-pass predicates against, and they are
+what ``_PREDICATES`` filters through, so the generator oracle does not
+rest on the argument the generators use.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Tree,
@@ -116,6 +127,53 @@ def is_snake(p: Word) -> bool:
     return bool(p) and p[0] > 0 and is_alternating(p)
 
 
+def _andre_by_subwords(p: Word) -> bool:
+    """The definition: every bottom-k subword avoids double descents and
+    ends ascending.  Kept as the oracle :func:`is_andre` is tested against."""
+    for k in range(2, len(p) + 1):
+        w = subword_smallest(p, k)
+        if not ends_with_ascent(w) or has_double_descent(w):
+            return False
+    return True
+
+
+def _simsun_by_subwords(p: Word) -> bool:
+    """The definition: every bottom-k subword avoids double descents.
+    Kept as the oracle :func:`is_simsun` is tested against."""
+    for k in range(3, len(p) + 1):
+        if has_double_descent(subword_smallest(p, k)):
+            return False
+    return True
+
+
+def _bottom_up_ok(p: Word, andre: bool) -> bool:
+    """Check every bottom-k subword in one pass, deleting the largest first.
+
+    Before the current maximum is deleted, the live entries form the
+    bottom-k subword.  If the bottom-(k-1) subword is fine, a double
+    descent of the bottom-k one can only start at the maximum, and the
+    word can only stop ending in an ascent if the maximum is second to
+    last.  So it suffices to look at the two live entries after each
+    maximum, kept in a doubly linked list of positions.
+    """
+    n = len(p)
+    after = list(range(1, n + 1))  # next live position; n is past the end
+    before = list(range(-1, n - 1))  # previous live position; -1 is none
+    for i in sorted(range(n), key=p.__getitem__, reverse=True):
+        r = after[i]
+        if r < n:
+            s = after[r]
+            if s < n:
+                if p[r] > p[s]:
+                    return False
+            elif andre:
+                return False
+            before[r] = before[i]
+        if before[i] >= 0:
+            after[before[i]] = r
+    return True
+
+
 def is_andre(p: Word) -> bool:
     """Every bottom-k subword avoids double descents and ends ascending.
 
@@ -124,11 +182,7 @@ def is_andre(p: Word) -> bool:
     >>> is_andre((4, 3, 5, 1, 2))
     False
     """
-    for k in range(2, len(p) + 1):
-        w = subword_smallest(p, k)
-        if not ends_with_ascent(w) or has_double_descent(w):
-            return False
-    return True
+    return _bottom_up_ok(p, andre=True)
 
 
 def is_andre_valley(p: Word) -> bool:
@@ -166,10 +220,7 @@ def is_simsun(p: Word) -> bool:
     >>> is_simsun((3, 2, 1))
     False
     """
-    for k in range(3, len(p) + 1):
-        if has_double_descent(subword_smallest(p, k)):
-            return False
-    return True
+    return _bottom_up_ok(p, andre=False)
 
 
 def is_signed_andre_b(p: Word) -> bool:
@@ -177,31 +228,35 @@ def is_signed_andre_b(p: Word) -> bool:
     return is_andre(p)
 
 
-def is_hetyei_andre(p: Word) -> bool:
-    """Absolute word is Andre and every suffix minimum carries a plus sign."""
+def _forced_signs(p: Word, absolute_ok: Callable[[Word], bool]) -> bool:
     absw = tuple(abs(v) for v in p)
-    if not is_andre(absw):
+    if not absolute_ok(absw):
         return False
     return all(p[i - 1] > 0 for i in rtl_min_positions(absw))
+
+
+def is_hetyei_andre(p: Word) -> bool:
+    """Absolute word is Andre and every suffix minimum carries a plus sign."""
+    return _forced_signs(p, is_andre)
 
 
 def is_signed_simsun(p: Word) -> bool:
     """Absolute word is Simsun and every suffix minimum carries a plus sign."""
-    absw = tuple(abs(v) for v in p)
-    if not is_simsun(absw):
-        return False
-    return all(p[i - 1] > 0 for i in rtl_min_positions(absw))
+    return _forced_signs(p, is_simsun)
 
 
+# the generator oracle filters through the subword definitions, not the
+# one-pass predicates, which rest on the same insertion fact as the
+# generators
 _PREDICATES = {
     FamilyTag.ALT: is_alternating,
     FamilyTag.ALT_B: is_alternating,
     FamilyTag.SNAKE: is_snake,
-    FamilyTag.ANDRE: is_andre,
-    FamilyTag.SIMSUN: is_simsun,
-    FamilyTag.ANDRE_B: is_signed_andre_b,
-    FamilyTag.ANDRE_H: is_hetyei_andre,
-    FamilyTag.SIMSUN_B: is_signed_simsun,
+    FamilyTag.ANDRE: _andre_by_subwords,
+    FamilyTag.SIMSUN: _simsun_by_subwords,
+    FamilyTag.ANDRE_B: _andre_by_subwords,
+    FamilyTag.ANDRE_H: lambda p: _forced_signs(p, _andre_by_subwords),
+    FamilyTag.SIMSUN_B: lambda p: _forced_signs(p, _simsun_by_subwords),
 }
 
 

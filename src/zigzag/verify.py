@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
-from .core import Tree, order_relabel, perm_to_text, pleaf, tree_to_literal
+from .core import order_relabel, perm_to_text, pleaf, tree_to_literal
 from .families import FamilyTag
 
 DEFAULT_N_MAX_A = 8
@@ -58,12 +58,6 @@ class _Failure(Exception):
         self.witness = witness
 
 
-def _obj_text(obj) -> str:
-    if isinstance(obj, Tree):
-        return tree_to_literal(obj)
-    return perm_to_text(obj)
-
-
 @lru_cache(maxsize=None)
 def _family(tag: FamilyTag, n: int) -> tuple:
     return tuple(families.iter_family(tag, n))
@@ -77,9 +71,10 @@ def _counts_by_stat(tag: FamilyTag, n: int) -> dict[int, int]:
     return out
 
 
-def _expect(condition: bool, witness: str) -> None:
+def _expect(condition: bool, witness: Callable[[], str]) -> None:
+    # the witness text is built only on failure
     if not condition:
-        raise _Failure(witness)
+        raise _Failure(witness())
 
 
 def _compare_counts(
@@ -87,7 +82,7 @@ def _compare_counts(
 ) -> None:
     for k in sorted(set(expected) | set(actual)):
         e, a = expected.get(k, 0), actual.get(k, 0)
-        _expect(e == a, f"{label}: n={n} k={k} expected={e} actual={a}")
+        _expect(e == a, lambda: f"{label}: n={n} k={k} expected={e} actual={a}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,7 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
             shifted = {k - 1: v for k, v in hetyei.items()}
             _compare_counts("simsun-b vs andre-h", n - 1, shifted, signed_simsun)
         else:
-            _expect(hetyei == {1: 1}, f"andre-h: n=1 counts {hetyei}")
+            _expect(hetyei == {1: 1}, lambda: f"andre-h: n=1 counts {hetyei}")
     return {"objects": objects, "rows": n_max_b}
 
 
@@ -149,20 +144,20 @@ def _check_omega(n_max_a: int, n_max_b: int) -> dict:
             w = bijections.omega(t)
             objects += 1
             _expect(
-                families.is_andre(w), f"omega({tree_to_literal(t)}) not Andre"
+                families.is_andre(w), lambda: f"omega({tree_to_literal(t)}) not Andre"
             )
             _expect(
                 w[-1] == pleaf(t),
-                f"omega last entry mismatch on {tree_to_literal(t)}",
+                lambda: f"omega last entry mismatch on {tree_to_literal(t)}",
             )
             _expect(
                 bijections.omega_inv(w) == t,
-                f"omega_inv round trip failed on {tree_to_literal(t)}",
+                lambda: f"omega_inv round trip failed on {tree_to_literal(t)}",
             )
             images.append(w)
         _expect(
             sorted(images) == sorted(_family(FamilyTag.ANDRE, n)),
-            f"omega images at n={n} are not exactly the Andre permutations",
+            lambda: f"omega images at n={n} are not exactly the Andre permutations",
         )
     return {"objects": objects}
 
@@ -175,22 +170,25 @@ def _check_phi(n_max_a: int, n_max_b: int) -> dict:
             s = bijections.phi(p)
             objects += 1
             if n == 1:
-                _expect(s == (), "phi of the singleton must be empty")
+                _expect(s == (), lambda: "phi of the singleton must be empty")
             else:
-                _expect(families.is_simsun(s), f"phi({perm_to_text(p)}) not Simsun")
+                _expect(
+                    families.is_simsun(s),
+                    lambda: f"phi({perm_to_text(p)}) not Simsun",
+                )
                 _expect(
                     s[-1] == p[-1] - 1,
-                    f"phi last entry mismatch on {perm_to_text(p)}",
+                    lambda: f"phi last entry mismatch on {perm_to_text(p)}",
                 )
             _expect(
                 bijections.phi_inv(s) == p,
-                f"phi_inv round trip failed on {perm_to_text(p)}",
+                lambda: f"phi_inv round trip failed on {perm_to_text(p)}",
             )
             images.append(s)
         if n >= 2:
             _expect(
                 sorted(images) == sorted(_family(FamilyTag.SIMSUN, n - 1)),
-                f"phi images at n={n} are not exactly the Simsun permutations",
+                lambda: f"phi images at n={n} are not exactly the Simsun permutations",
             )
     return {"objects": objects}
 
@@ -203,24 +201,24 @@ def _check_psi(n_max_a: int, n_max_b: int) -> dict:
             t, _ = bijections.psi_c(p)
             objects += 1
             _expect(
-                pleaf(t) == p[0], f"psi pleaf mismatch on {perm_to_text(p)}"
+                pleaf(t) == p[0], lambda: f"psi pleaf mismatch on {perm_to_text(p)}"
             )
             for i, _a, _b, _case, v, left, _right in bijections._graft_states(p):
                 while v in left:
                     v = left[v]
                 _expect(
                     v == p[2 * i - 2],
-                    f"psi step invariant broken at i={i} on {perm_to_text(p)}",
+                    lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
                 )
             _expect(
                 bijections.psi_inv(t) == p,
-                f"psi_inv round trip failed on {perm_to_text(p)}",
+                lambda: f"psi_inv round trip failed on {perm_to_text(p)}",
             )
             images.append(t)
         _expect(
             sorted(images, key=tree_to_literal)
             == sorted(_family(FamilyTag.TREE, n), key=tree_to_literal),
-            f"psi images at n={n} are not exactly the trees",
+            lambda: f"psi images at n={n} are not exactly the trees",
         )
     return {"objects": objects}
 
@@ -232,7 +230,7 @@ def _check_psi_equality(n_max_a: int, n_max_b: int) -> dict:
             objects += 1
             _expect(
                 bijections.psi_b(p) == bijections.psi_c(p)[0],
-                f"psi_b and psi_c disagree on {perm_to_text(p)}",
+                lambda: f"psi_b and psi_c disagree on {perm_to_text(p)}",
             )
     return {"objects": objects}
 
@@ -245,13 +243,14 @@ def _check_psi_signed(n_max_a: int, n_max_b: int) -> dict:
             t = bijections.psi_signed(p)
             objects += 1
             _expect(
-                pleaf(t) == p[0], f"psi_signed pleaf mismatch on {perm_to_text(p)}"
+                pleaf(t) == p[0],
+                lambda: f"psi_signed pleaf mismatch on {perm_to_text(p)}",
             )
             images.append(t)
         _expect(
             sorted(images, key=tree_to_literal)
             == sorted(_family(FamilyTag.TREE_B, n), key=tree_to_literal),
-            f"psi_signed images at n={n} are not exactly the signed trees",
+            lambda: f"psi_signed images at n={n} are not exactly the signed trees",
         )
     return {"objects": objects}
 
@@ -265,16 +264,16 @@ def _check_omega_signed(n_max_a: int, n_max_b: int) -> dict:
             objects += 1
             _expect(
                 families.is_signed_andre_b(w),
-                f"omega_signed({tree_to_literal(t)}) not signed Andre",
+                lambda: f"omega_signed({tree_to_literal(t)}) not signed Andre",
             )
             _expect(
                 w[-1] == pleaf(t),
-                f"omega_signed last entry mismatch on {tree_to_literal(t)}",
+                lambda: f"omega_signed last entry mismatch on {tree_to_literal(t)}",
             )
             images.append(w)
         _expect(
             sorted(images) == sorted(_family(FamilyTag.ANDRE_B, n)),
-            f"omega_signed images at n={n} are not the signed Andre family",
+            lambda: f"omega_signed images at n={n} are not the signed Andre family",
         )
     return {"objects": objects}
 
@@ -287,21 +286,21 @@ def _check_phi_signed(n_max_a: int, n_max_b: int) -> dict:
             s = bijections.phi_signed(p)
             objects += 1
             if n == 1:
-                _expect(s == (), "phi_signed of the singleton must be empty")
+                _expect(s == (), lambda: "phi_signed of the singleton must be empty")
             else:
                 _expect(
                     families.is_signed_simsun(s),
-                    f"phi_signed({perm_to_text(p)}) not signed Simsun",
+                    lambda: f"phi_signed({perm_to_text(p)}) not signed Simsun",
                 )
                 _expect(
                     s[-1] == p[-1] - 1,
-                    f"phi_signed last entry mismatch on {perm_to_text(p)}",
+                    lambda: f"phi_signed last entry mismatch on {perm_to_text(p)}",
                 )
             images.append(s)
         if n >= 2:
             _expect(
                 sorted(images) == sorted(_family(FamilyTag.SIMSUN_B, n - 1)),
-                f"phi_signed images at n={n} are not the signed Simsun family",
+                lambda: f"phi_signed images at n={n} are not the signed Simsun family",
             )
     return {"objects": objects}
 
@@ -313,7 +312,7 @@ def _check_chuang_factorization(n_max_a: int, n_max_b: int) -> dict:
             objects += 1
             _expect(
                 bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
-                f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
+                lambda: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
             )
     return {"objects": objects}
 
@@ -326,7 +325,7 @@ def _check_cd_preservation(n_max_a: int, n_max_b: int) -> dict:
             _expect(
                 cdindex.reduced_variation_andre(p)
                 == cdindex.reduced_variation_simsun(bijections.phi(p)),
-                f"reduced variation not preserved on {perm_to_text(p)}",
+                lambda: f"reduced variation not preserved on {perm_to_text(p)}",
             )
     return {"objects": objects}
 
@@ -339,7 +338,7 @@ def _check_andre_implies_simsun(n_max_a: int, n_max_b: int) -> dict:
             if families.is_andre(p):
                 _expect(
                     families.is_simsun(p),
-                    f"Andre permutation {perm_to_text(p)} is not Simsun",
+                    lambda: f"Andre permutation {perm_to_text(p)} is not Simsun",
                 )
     return {"objects": objects}
 
@@ -352,7 +351,7 @@ def _check_valley_equivalence(n_max_a: int, n_max_b: int) -> dict:
             objects += 1
             _expect(
                 families.is_andre(p) == families.is_andre_valley(p),
-                f"valley characterization disagrees on {perm_to_text(p)}",
+                lambda: f"valley characterization disagrees on {perm_to_text(p)}",
             )
     return {"objects": objects}
 
@@ -365,13 +364,17 @@ def _check_conjugation_diagram(n_max_a: int, n_max_b: int) -> dict:
             objects += 1
             lhs = order_relabel(bijections.psi_signed(p), ident)
             rhs = bijections.psi_c(order_relabel(p, ident))[0]
-            _expect(lhs == rhs, f"psi conjugation square fails on {perm_to_text(p)}")
+            _expect(
+                lhs == rhs,
+                lambda: f"psi conjugation square fails on {perm_to_text(p)}",
+            )
         for t in _family(FamilyTag.TREE_B, n):
             objects += 1
             lhs = order_relabel(bijections.omega_signed(t), ident)
             rhs = bijections.omega(order_relabel(t, ident))
             _expect(
-                lhs == rhs, f"omega conjugation square fails on {tree_to_literal(t)}"
+                lhs == rhs,
+                lambda: f"omega conjugation square fails on {tree_to_literal(t)}",
             )
     return {"objects": objects}
 

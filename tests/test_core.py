@@ -27,6 +27,7 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
+from zigzag.bijections import _link_tree
 
 RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
 SIGNED_TREE = "-8(-4(-3(6,9)),-1(2,5(7)))"
@@ -288,6 +289,46 @@ class TestOrderRelabel:
         relabeled = order_relabel(t, target)
         assert inorder(relabeled) == order_relabel(inorder(t), target)
         assert pleaf(relabeled) == order_relabel(inorder(t), target)[0]
+
+
+class TestDeepTrees:
+    """Equality, hashing and relabeling walk the tree without recursion."""
+
+    N = 3000
+
+    @staticmethod
+    def _chain(n, last=None):
+        left = {v: v + 1 for v in range(1, n)}
+        if last is not None:
+            left[n - 1] = last
+        return _link_tree(1, left, {})
+
+    def test_equality_and_hash_on_a_deep_chain(self):
+        a, b = self._chain(self.N), self._chain(self.N)
+        changed = self._chain(self.N, last=self.N + 1)
+        assert a is not b
+        assert a == b
+        assert not a != b
+        assert hash(a) == hash(b)
+        assert a != changed
+        assert not a == changed
+        assert len({a, b, changed}) == 2
+
+    def test_order_relabel_on_a_deep_chain(self):
+        shifted = order_relabel(self._chain(self.N), range(2, self.N + 2))
+        assert minimal_path(shifted) == tuple(range(2, self.N + 2))
+
+    @given(trees(signed=True), trees(signed=True))
+    def test_equality_is_structural(self, s, t):
+        assert (s == t) == (tree_to_literal(s) == tree_to_literal(t))
+        assert (s != t) == (tree_to_literal(s) != tree_to_literal(t))
+        rebuilt = tree_from_literal(tree_to_literal(t))
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+
+    def test_comparison_with_other_types(self):
+        assert Tree(1) != 1
+        assert Tree(1) != (1, None, None)
+        assert Tree(1, Tree(2)) != Tree(1, None, Tree(2))
 
 
 class TestNodeBuilder:

@@ -1,8 +1,11 @@
 import ast
 import itertools
+import random
 
 import pytest
 
+from zigzag import families
+from zigzag.bijections import _link_tree, omega, phi
 from zigzag.core import (
     Tree,
     inorder,
@@ -13,6 +16,8 @@ from zigzag.core import (
 )
 from zigzag.families import (
     _PREDICATES,
+    _andre_by_subwords,
+    _simsun_by_subwords,
     FamilyTag,
     GuardExceededError,
     count_family,
@@ -137,6 +142,78 @@ class TestPredicates:
         assert is_signed_simsun((2, -3, 1))
         assert not is_signed_simsun((-1, 2, 3))
         assert not is_signed_simsun((1, -2, 3))
+
+
+class TestFastPredicateOracle:
+    """The one-pass predicates agree with the subword definitions."""
+
+    @staticmethod
+    def _agree(p):
+        assert is_andre(p) == _andre_by_subwords(p), p
+        assert is_simsun(p) == _simsun_by_subwords(p), p
+
+    def test_every_permutation_up_to_eight(self):
+        for n in range(0, 9):
+            for p in iter_permutations(n):
+                self._agree(p)
+
+    def test_every_signed_permutation_up_to_five(self):
+        for n in range(1, 6):
+            for p in iter_signed_permutations(n):
+                self._agree(p)
+
+    @staticmethod
+    def _random_tree(rng, n):
+        # each new largest label goes into a random free child slot
+        left, right, free = {}, {}, [1]
+        for v in range(2, n + 1):
+            at = rng.choice(free)
+            if at in left:
+                right[at] = v
+                free.remove(at)
+            else:
+                left[at] = v
+            free.append(v)
+        return _link_tree(1, left, right)
+
+    def test_random_large_words_and_near_misses(self):
+        outcomes = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            n = rng.randint(40, 200)
+            andre = omega(self._random_tree(rng, n))
+            simsun = phi(andre)
+            assert is_andre(andre) and _andre_by_subwords(andre)
+            assert is_simsun(simsun) and _simsun_by_subwords(simsun)
+            for word in (andre, simsun):
+                # the last two entries, then random adjacent pairs
+                spots = [len(word) - 2]
+                spots += [rng.randrange(len(word) - 1) for _ in range(6)]
+                for j in spots:
+                    near = (*word[:j], word[j + 1], word[j], *word[j + 2 :])
+                    self._agree(near)
+                    outcomes.add((is_andre(near), is_simsun(near)))
+        # the near misses include Andre words, Simsun-only words and neither
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_generator_oracle_filters_through_the_definitions(self):
+        assert _PREDICATES[FamilyTag.ANDRE] is _andre_by_subwords
+        assert _PREDICATES[FamilyTag.SIMSUN] is _simsun_by_subwords
+        assert _PREDICATES[FamilyTag.ANDRE_B] is _andre_by_subwords
+
+    def test_fast_predicates_never_build_subwords(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("subword_smallest called")
+
+        monkeypatch.setattr(families, "subword_smallest", refuse)
+        assert is_andre((6, 8, 4, 5, 1, 2, 9, 3, 7))
+        assert not is_andre((4, 3, 5, 1, 2))
+        assert is_simsun((2, 5, 1, 3, 4))
+        assert not is_simsun((3, 2, 1))
+        assert is_hetyei_andre((-3, 1, 2, 4))
+        assert is_signed_simsun((2, -3, 1))
+        with pytest.raises(AssertionError):
+            _andre_by_subwords((2, 1, 3))
 
 
 class TestEnumeration:

@@ -102,3 +102,24 @@ def test_report_as_dict_shape():
     assert set(report.as_dict()) == {
         "check_id", "params", "status", "counts", "counterexample", "elapsed",
     }
+
+
+def test_passing_checks_build_no_witness_text(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "perm_to_text", lambda p: calls.append(p) or "")
+    checks = [
+        "phi-bijection", "psi-equality", "cd-preservation", "andre-implies-simsun",
+    ]
+    reports = run_checks(checks, n_max_a=5, n_max_b=3)
+    assert all(r.status == PASS for r in reports)
+    assert calls == []
+
+
+def test_failing_check_keeps_its_witness_text(monkeypatch):
+    monkeypatch.setattr(verify.families, "is_andre", lambda p: False)
+    (report,) = run_checks(["omega-bijection"], n_max_a=3, n_max_b=1)
+    assert report.status == FAIL
+    assert report.counterexample == "omega(1) not Andre"
+    monkeypatch.setattr(verify.families, "is_simsun", lambda p: False)
+    (report,) = run_checks(["phi-bijection"], n_max_a=3, n_max_b=1)
+    assert report.counterexample == "phi(12) not Simsun"
