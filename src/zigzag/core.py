@@ -353,12 +353,35 @@ def tree_from_literal(text: str) -> Tree:
 
 
 def tree_to_literal(t: Tree) -> str:
-    """Render a tree in the literal grammar, canonical orientation."""
-    if t.left is None and t.right is None:
-        return str(t.label)
-    if t.right is None:
-        return f"{t.label}({tree_to_literal(t.left)})"
-    return f"{t.label}({tree_to_literal(t.left)},{tree_to_literal(t.right)})"
+    """Render a tree in the literal grammar, canonical orientation.
+
+    The walk keeps a stack instead of recursing, so chains deeper than
+    the recursion limit render too.
+
+    >>> tree_to_literal(Tree(1, Tree(2, Tree(4)), Tree(3)))
+    '1(2(4),3)'
+    """
+    out: list[str] = []
+    # per open node: its right child still to render, then None for ")"
+    stack: list[Tree | None] = []
+    cur = t
+    while True:
+        while cur.left is not None:
+            out.append(f"{cur.label}(")
+            stack.append(cur.right)
+            cur = cur.left
+        out.append(str(cur.label))
+        while stack:
+            right = stack.pop()
+            if right is None:
+                out.append(")")
+            else:
+                out.append(",")
+                stack.append(None)
+                cur = right
+                break
+        else:
+            return "".join(out)
 
 
 def tree_to_json(t: Tree) -> dict:
@@ -384,22 +407,26 @@ def tree_from_json(obj: dict) -> Tree:
 
 
 def inorder(t: Tree) -> Word:
-    """Left subtree, node, right subtree, recursively.
+    """Left subtree, node, right subtree, walked with a stack.
 
     >>> inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 2, 1, 5, 4, 8, 6)
     """
     out: list[int] = []
-
-    def visit(cur: Tree) -> None:
-        if cur.left is not None:
-            visit(cur.left)
+    stack: list[Tree] = []
+    cur: Tree | None = t
+    while True:
+        while cur.left is not None:
+            stack.append(cur)
+            cur = cur.left
         out.append(cur.label)
-        if cur.right is not None:
-            visit(cur.right)
-
-    visit(t)
-    return tuple(out)
+        cur = cur.right
+        while cur is None:
+            if not stack:
+                return tuple(out)
+            cur = stack.pop()
+            out.append(cur.label)
+            cur = cur.right
 
 
 def minimal_path(t: Tree) -> tuple[int, ...]:

@@ -50,6 +50,17 @@ subword definitions they replace, ``_andre_by_subwords`` and
 oracle the tests compare the one-pass predicates against, and they are
 what ``_PREDICATES`` filters through, so the generator oracle does not
 rest on the argument the generators use.
+
+:func:`count_hetyei_fast`, the count behind the conjecture sweep, visits
+no word.  Reverse inorder reading (``omega``) is a bijection from trees
+onto Andre words; the last entry of the image is the tree's pleaf, and
+its number of suffix minima is the length of the tree's minimal path,
+the spine.  So the forced-sign Andre words of [n] ending in k number the
+sum of 2^(n - spine) over the trees with pleaf k.  A dynamic program
+sums that by attaching one largest label at a time, with state (pleaf,
+leaves), in O(n^3) big-int operations per row.  The enumeration over the
+generated Andre words, ``_hetyei_row_by_words``, stays as the oracle the
+tests compare it against for n <= 10.
 """
 
 from __future__ import annotations
@@ -524,8 +535,23 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
 
     Signs are forced positive exactly at the suffix-minimum positions of
     the underlying Andre word and free elsewhere, so each Andre word with
-    r suffix minima contributes 2^(n-r).  The whole last-entry row for n
-    comes from one pass over the generated Andre words and is cached.
+    r suffix minima contributes 2^(n-r).  The count visits no word.  It
+    rests on three facts about ``omega``, the reverse inorder reading,
+    which is a bijection from the increasing 1-2 trees on [n] onto the
+    Andre words:
+
+    - the last entry of ``omega(t)`` is ``pleaf(t)``;
+    - the number of suffix minima of ``omega(t)`` is the length of
+      ``minimal_path(t)``, the spine;
+    - so the count is the sum, over trees with pleaf k, of 2^(n - spine).
+
+    :func:`_hetyei_row` sums that by growing trees, in O(n^3) big-int
+    operations, and caches the whole row for n.  The enumeration over
+    Andre words, ``_hetyei_row_by_words``, is the oracle the tests compare
+    it against for n <= 10.
+
+    >>> [count_hetyei_fast(4, k) for k in range(1, 5)]
+    [0, 4, 4, 3]
     """
     if n < 1:
         raise ValueError("families start at n = 1")
@@ -541,6 +567,39 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _hetyei_row(n: int) -> tuple[int, ...]:
+    """Row n of :func:`count_hetyei_fast`, index k, by tree growth.
+
+    A tree on [m] grows into one on [m+1] by attaching the new largest
+    label m+1 as a leaf, under a leaf or under a node with one child (a
+    unary node).  ``w[k-1][L]`` sums 2^(m - spine) over the trees on [m]
+    with pleaf k and L leaves; such a tree has U = m - 2L + 1 unary
+    nodes.  Attaching under the pleaf lengthens the spine and makes m+1
+    the pleaf, so the weight stays.  Attaching under one of the other
+    L - 1 leaves, or under one of the U unary nodes (the new child goes
+    right), keeps the spine and the pleaf and doubles the weight; only
+    the second adds a leaf.
+    """
+    w = [[0, 1]]  # the one tree on [1]: pleaf 1, one leaf, spine 1
+    for m in range(1, n):
+        grown = [[0] * ((m + 2) // 2 + 1) for _ in range(m + 1)]
+        new_pleaf = grown[m]
+        for counts, out in zip(w, grown):
+            for leaves, c in enumerate(counts):
+                if c:
+                    new_pleaf[leaves] += c
+                    out[leaves] += 2 * (leaves - 1) * c
+                    unary = m - 2 * leaves + 1
+                    if unary:
+                        out[leaves + 1] += 2 * unary * c
+        w = grown
+    return (0, *map(sum, w))
+
+
+def _hetyei_row_by_words(n: int) -> tuple[int, ...]:
+    """Row n of :func:`count_hetyei_fast` from one pass over the Andre words.
+
+    Kept as the oracle :func:`_hetyei_row` is tested against.
+    """
     row = [0] * (n + 1)
     for w in _iter_bottom_up(n, andre=True):
         row[w[-1]] += 1 << (n - len(rtl_min_positions(w)))

@@ -7,7 +7,7 @@ sweep are kept separate: a conjecture counterexample is a finding to
 report, not a defect in this package.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
-n = 6, the conjecture sweep to n = 9.  A check that raises is reported as
+n = 6, the conjecture sweep to n = 40.  A check that raises is reported as
 a FAIL whose witness names the exception, so one broken check does not
 end the run.
 """
@@ -20,12 +20,19 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
-from .core import order_relabel, perm_to_text, pleaf, tree_to_literal
+from .core import (
+    minimal_path,
+    order_relabel,
+    perm_to_text,
+    pleaf,
+    rtl_min_positions,
+    tree_to_literal,
+)
 from .families import FamilyTag
 
 DEFAULT_N_MAX_A = 8
 DEFAULT_N_MAX_B = 6
-DEFAULT_N_MAX_CONJECTURE = 9
+DEFAULT_N_MAX_CONJECTURE = 40
 EXTENDED_N_MAX_A = 9
 EXTENDED_N_MAX_B = 7
 
@@ -149,6 +156,11 @@ def _check_omega(n_max_a: int, n_max_b: int) -> dict:
             _expect(
                 w[-1] == pleaf(t),
                 lambda: f"omega last entry mismatch on {tree_to_literal(t)}",
+            )
+            # the spine identity count_hetyei_fast rests on
+            _expect(
+                len(rtl_min_positions(w)) == len(minimal_path(t)),
+                lambda: f"omega suffix minima miss the spine of {tree_to_literal(t)}",
             )
             _expect(
                 bijections.omega_inv(w) == t,
@@ -457,7 +469,9 @@ def check_conjecture(
     For every 1 <= k <= n <= n_max the Arnold number S(n, k) is compared
     with the number of forced-sign Andre words of [n+1] ending in
     n+2-k.  One report per n; a FAIL means a counterexample to an open
-    conjecture and carries the witness.
+    conjecture and carries the witness.  The sweep cap is checked here, so
+    the counts run past the enumeration guard of
+    :func:`families.count_hetyei_fast`, which counts without enumerating.
     """
     if n_max > DEFAULT_N_MAX_CONJECTURE and not force:
         raise families.GuardExceededError(
@@ -472,7 +486,7 @@ def check_conjecture(
         compared = 0
         for k in range(1, n + 1):
             lhs = table.value(n, k)
-            rhs = families.count_hetyei_fast(n + 1, n + 2 - k, force=force)
+            rhs = families.count_hetyei_fast(n + 1, n + 2 - k, force=True)
             compared += 1
             if lhs != rhs:
                 status = FAIL

@@ -28,6 +28,7 @@ from zigzag.core import (
     perm_from_text,
     perm_to_text,
     pleaf,
+    rtl_min_positions,
     tree_from_literal,
     tree_labels,
     tree_to_literal,
@@ -101,6 +102,14 @@ class TestOmega:
     def test_inverse_rejects_non_andre(self):
         with pytest.raises(ValueError):
             omega_inv(perm_from_text("4351 2".replace(" ", "")))
+
+    def test_suffix_minima_are_the_spine_exhaustive(self):
+        # the identity count_hetyei_fast rests on, from the trees themselves
+        for n in range(1, 9):
+            for t in iter_family("tree", n):
+                w = omega(t)
+                assert w[-1] == pleaf(t)
+                assert len(rtl_min_positions(w)) == len(minimal_path(t)), t
 
 
 class TestPhi:

@@ -27,7 +27,8 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.bijections import _link_tree
+from zigzag.bijections import _link_tree, omega, omega_signed
+from zigzag.families import iter_family
 
 RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
 SIGNED_TREE = "-8(-4(-3(6,9)),-1(2,5(7)))"
@@ -317,6 +318,39 @@ class TestDeepTrees:
     def test_order_relabel_on_a_deep_chain(self):
         shifted = order_relabel(self._chain(self.N), range(2, self.N + 2))
         assert minimal_path(shifted) == tuple(range(2, self.N + 2))
+
+    def test_inorder_and_literal_on_a_deep_chain(self):
+        chain = self._chain(self.N)
+        assert inorder(chain) == tuple(range(self.N, 0, -1))
+        text = tree_to_literal(chain)
+        assert text == "(".join(map(str, range(1, self.N + 1))) + ")" * (self.N - 1)
+        assert repr(chain) == f"Tree[{text}]"
+
+    def test_omega_on_deep_chains(self):
+        chain = self._chain(self.N)
+        assert omega(chain) == tuple(range(1, self.N + 1))
+        # a chain hanging off the right child of the root: 1(2, 3(4(...)))
+        left = {v: v + 1 for v in range(3, self.N)}
+        left[1] = 2
+        right_chain = _link_tree(1, left, {1: 3})
+        assert omega(right_chain) == (*range(3, self.N + 1), 1, 2)
+        signed = order_relabel(chain, [-v for v in range(1, self.N + 1)])
+        assert omega_signed(signed) == tuple(range(-self.N, 0))
+
+    def test_literal_matches_recursive_rendering(self):
+        def rendered(t):
+            if t.left is None:
+                return str(t.label)
+            if t.right is None:
+                return f"{t.label}({rendered(t.left)})"
+            return f"{t.label}({rendered(t.left)},{rendered(t.right)})"
+
+        for n in range(1, 7):
+            for t in iter_family("tree", n):
+                assert tree_to_literal(t) == rendered(t)
+        for n in range(1, 4):
+            for t in iter_family("tree-b", n):
+                assert tree_to_literal(t) == rendered(t)
 
     @given(trees(signed=True), trees(signed=True))
     def test_equality_is_structural(self, s, t):

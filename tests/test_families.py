@@ -447,3 +447,22 @@ class TestCounts:
             count_hetyei_fast(13, 1)
         with pytest.raises(ValueError):
             count_hetyei_fast(4, 0)
+
+    def test_hetyei_growth_matches_word_oracle(self):
+        for n in range(1, 11):
+            assert families._hetyei_row(n) == families._hetyei_row_by_words(n), n
+
+    def test_hetyei_fast_visits_no_word(self, monkeypatch):
+        expected = {n: families._hetyei_row_by_words(n) for n in range(1, 9)}
+
+        def no_words(*args, **kwargs):
+            raise AssertionError("count_hetyei_fast enumerated Andre words")
+
+        monkeypatch.setattr(families, "_iter_bottom_up", no_words)
+        families._hetyei_row.cache_clear()
+        try:
+            for n, row in expected.items():
+                counts = tuple(count_hetyei_fast(n, k) for k in range(1, n + 1))
+                assert counts == row[1:]
+        finally:
+            families._hetyei_row.cache_clear()

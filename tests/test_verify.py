@@ -79,9 +79,30 @@ def test_conjecture_sweep_small():
     assert [r.counts["compared"] for r in reports] == [1, 2, 3, 4]
 
 
+def test_conjecture_default_sweep_reaches_forty():
+    reports = check_conjecture()
+    assert DEFAULT_N_MAX_CONJECTURE == 40
+    assert [r.params["n"] for r in reports] == list(range(1, 41))
+    assert all(r.status == PASS for r in reports)
+    assert [r.counts["compared"] for r in reports] == list(range(1, 41))
+
+
 def test_conjecture_guard():
     with pytest.raises(GuardExceededError):
         check_conjecture(DEFAULT_N_MAX_CONJECTURE + 1)
+
+
+def test_spine_identity_failure_names_the_tree(monkeypatch):
+    monkeypatch.setattr(verify, "minimal_path", lambda t: ())
+    (report,) = run_checks(["omega-bijection"], n_max_a=3, n_max_b=1)
+    assert report.status == FAIL
+    assert report.counterexample == "omega suffix minima miss the spine of 1"
+
+
+def test_omega_check_counts_unchanged():
+    (report,) = run_checks(["omega-bijection"], n_max_a=7, n_max_b=1)
+    assert report.status == PASS
+    assert report.counts == {"objects": 358}
 
 
 def test_check_that_raises_is_a_fail_report(monkeypatch):
