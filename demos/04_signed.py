@@ -1,8 +1,9 @@
 """The signed (type B) side of the story.
 
-Signed zigzags map to signed trees by conjugating the unsigned grafting
-map with the order isomorphism onto [n]; reverse inorder then lands in
-the signed Andre family.  A separate shrink map takes forced-sign Andre
+Signed zigzags map to signed trees by grafting the signed labels
+directly, which equals conjugating the unsigned grafting map with the
+order isomorphism onto [n]; reverse inorder then lands in the signed
+Andre family.  A separate shrink map takes forced-sign Andre
 words to signed Simsun words.
 """
 
@@ -14,6 +15,7 @@ from zigzag import (
     perm_to_text,
     phi_signed,
     pleaf,
+    psi,
     psi_signed,
     tree_to_literal,
 )
@@ -25,10 +27,13 @@ print("signed alternating permutation:", perm_to_text(snake))
 plain = order_relabel(snake, range(1, 10))
 print("order-isomorphic plain zigzag: ", perm_to_text(plain))
 
-# The signed grafting map is the unsigned one conjugated by that map.
+# The grafting only compares labels, so it runs on the signed labels as
+# they are; relabeling the plain zigzag's tree back gives the same tree.
 tree = psi_signed(snake)
 print("\nsigned tree:", tree_to_literal(tree))
 print("  minimal leaf:", pleaf(tree), "= first entry", snake[0])
+print("  same as relabeling psi of the plain zigzag:",
+      order_relabel(psi(plain), sorted(snake)) == tree)
 
 word = omega_signed(tree)
 print("reverse inorder reading:", perm_to_text(word))

@@ -13,8 +13,11 @@ The maps and their statistic bookkeeping:
   child maps keyed by label, and ``_graft_states`` yields those maps
   after every step; the pleaf of each intermediate state is the first
   entry of the pair just placed, so the final pleaf is the
-  permutation's first entry.  The grafting decisions are recorded in an
-  :class:`AlgoCTrace`.
+  permutation's first entry.  ``_psi_tree`` runs the grafting and
+  freezes the last state; ``psi``, ``psi_signed`` and the checks call
+  it, and only ``psi_c`` records the decisions in an
+  :class:`AlgoCTrace`.  ``_link_tree``, which freezes child maps into a
+  :class:`Tree`, checks every tree invariant as it links.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -22,11 +25,14 @@ The maps and their statistic bookkeeping:
   the steps in reverse on child and parent maps grows the tree.  Both
   phases are loops, so deep inputs raise no ``RecursionError``.
 - ``psi_signed``, ``omega_signed``, ``phi_signed``: the signed-label
-  versions.  The first two conjugate the unsigned maps by the unique
-  order isomorphism onto [n]; ``omega_signed`` also equals plain reverse
-  inorder, which is how it is implemented.  ``phi_signed`` moves the
-  suffix minima of the absolute-value word exactly as ``phi`` does and
-  shrinks absolute values by one, keeping every other entry's sign.
+  versions.  The first two equal the unsigned maps conjugated by the
+  unique order isomorphism onto [n], but neither relabels: the grafting
+  only compares labels, so ``psi_signed`` grafts the signed labels
+  directly, and ``omega_signed`` is plain reverse inorder.  The
+  ``conjugation-diagram`` check compares each against the conjugation
+  route.  ``phi_signed`` moves the suffix minima of the absolute-value
+  word exactly as ``phi`` does and shrinks absolute values by one,
+  keeping every other entry's sign.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
 - ``psi_inv``: inverse of ``psi_c`` by a memoized forward sweep over the
@@ -40,10 +46,10 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (
+    InvalidTreeError,
     Tree,
     Word,
     inorder,
-    order_relabel,
     perm_from_sequence,
     pleaf,
     rtl_min_positions,
@@ -104,22 +110,27 @@ def omega_inv(p: Sequence[int]) -> Tree:
     """Rebuild the tree whose reverse inorder reading is ``p``.
 
     The reversed word splits at its minimum into left subtree, root,
-    right subtree, recursively.
+    right subtree, and so on down.  One pass with a stack builds that
+    min-split (Cartesian) tree: the stack holds the right spine so far,
+    and each new entry takes the larger entries it pops as its left
+    subtree and hangs as the right child of what stays on top.
     """
     p = perm_from_sequence(p)
     if not is_andre(p):
         raise ValueError("omega_inv requires an Andre permutation")
-    word = tuple(reversed(p))
-
-    def build(seg: Word) -> Tree | None:
-        if not seg:
-            return None
-        i = seg.index(min(seg))
-        return Tree(seg[i], build(seg[:i]), build(seg[i + 1 :]))
-
-    t = build(word)
-    validate_tree(t)
-    return t
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    spine: list[int] = []
+    for v in reversed(p):
+        popped = None
+        while spine and spine[-1] > v:
+            popped = spine.pop()
+        if popped is not None:
+            left[v] = popped
+        if spine:
+            right[spine[-1]] = v
+        spine.append(v)
+    return _link_tree(spine[0], left, right)
 
 
 def omega_signed(t: Tree) -> Word:
@@ -214,17 +225,44 @@ def phi_signed(p: Sequence[int]) -> Word:
 def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
     """Freeze child maps into a :class:`Tree` without recursion.
 
-    Labels increase away from the root, so building nodes from the
-    largest label down finishes every child before its parent.
+    Labels must increase away from the root, so building nodes from the
+    largest label down finishes every child before its parent.  Every
+    invariant :func:`validate_tree` checks is checked on the way, and a
+    violation raises :class:`InvalidTreeError`: a right child without a
+    left one, a child not above its parent, children out of canonical
+    order, a child linked twice, maps that are not one tree rooted at
+    ``root``, and the label 0.
     """
+    labels = {root, *left.values(), *right.values()}
+    if 0 in labels:
+        raise InvalidTreeError("label 0 is not allowed")
     built: dict[int, Tree] = {}
-    for v in sorted({root, *left.values(), *right.values()}, reverse=True):
+    for v in sorted(labels, reverse=True):
         lk, rk = left.get(v), right.get(v)
+        if lk is None:
+            if rk is not None:
+                raise InvalidTreeError(
+                    f"node {v} has a right child but no left child"
+                )
+            built[v] = Tree(v)
+            continue
+        if lk <= v or (rk is not None and rk <= v):
+            raise InvalidTreeError(f"children of {v} must be greater than {v}")
+        if rk is not None and rk < lk:
+            raise InvalidTreeError(
+                f"children of {v} are not in canonical order: {lk} before {rk}"
+            )
+        # a child linked twice is gone already; the edge count below
+        # rejects the maps then
         built[v] = Tree(
-            v,
-            None if lk is None else built.pop(lk),
-            None if rk is None else built.pop(rk),
+            v, built.pop(lk, None), None if rk is None else built.pop(rk, None)
         )
+    # every map entry is one edge, and one tree on these labels has one
+    # edge fewer than nodes; an edge out of a node not in the tree, or a
+    # child linked twice, breaks that count
+    edges = len(left) + len(right)
+    if root not in built or len(built) != 1 or edges != len(labels) - 1:
+        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
     return built[root]
 
 
@@ -284,6 +322,22 @@ def _graft_states(
         yield i, a, brec, case, root, left, right
 
 
+def _psi_tree(p: Word, steps: list[AlgoCStep] | None = None) -> Tree:
+    """The grafting construction's tree; the input is not checked.
+
+    ``p`` must be an alternating word of distinct nonzero labels.  The
+    grafting only compares labels, so signed words graft as they are.
+    The decisions are recorded only when a ``steps`` list is passed.
+    """
+    root, left, right = p[-1], {}, {}
+    if len(p) == 2:
+        left[root] = p[0]
+    for i, a, b, case, root, left, right in _graft_states(p):
+        if steps is not None:
+            steps.append(AlgoCStep(i, a, b, case))
+    return _link_tree(root, left, right)
+
+
 def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
     """Alternating permutation -> tree by iterated grafting, with trace.
 
@@ -295,20 +349,17 @@ def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
     p = perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi_c requires an alternating permutation")
-    n = len(p)
-    tree = Tree(p[-1]) if n % 2 == 1 else Tree(p[-1], Tree(p[-2]))
-    steps = []
-    for i, a, b, case, root, left, right in _graft_states(p):
-        steps.append(AlgoCStep(i, a, b, case))
-    if steps:
-        tree = _link_tree(root, left, right)
-    validate_tree(tree)
+    steps: list[AlgoCStep] = []
+    tree = _psi_tree(p, steps)
     return tree, AlgoCTrace(tuple(steps))
 
 
 def psi(p: Sequence[int]) -> Tree:
     """The tree image of an alternating permutation; pleaf = first entry."""
-    return psi_c(p)[0]
+    p = perm_from_sequence(p)
+    if not is_alternating(p):
+        raise ValueError("psi requires an alternating permutation")
+    return _psi_tree(p)
 
 
 def psi_b(p: Sequence[int]) -> Tree:
@@ -393,7 +444,7 @@ def psi_b(p: Sequence[int]) -> Tree:
 
 @lru_cache(maxsize=None)
 def _psi_table(n: int) -> dict[Tree, Word]:
-    return {psi_c(p)[0]: p for p in iter_family(FamilyTag.ALT, n)}
+    return {_psi_tree(p): p for p in iter_family(FamilyTag.ALT, n)}
 
 
 def psi_inv(t: Tree, force: bool = False) -> Word:
@@ -415,18 +466,20 @@ def psi_inv(t: Tree, force: bool = False) -> Word:
 
 
 def psi_signed(p: Sequence[int]) -> Tree:
-    """Signed alternating permutation -> signed tree, by conjugation.
+    """Signed alternating permutation -> signed tree, by direct grafting.
 
-    Relabel the entries onto [n] order-preservingly, apply the unsigned
-    grafting map, and relabel the tree back.
+    The grafting only compares labels, so it runs on the signed labels
+    as they are.  The result equals relabeling the entries onto [n]
+    order-preservingly, grafting, and relabeling the tree back.
+
+    >>> from zigzag.core import tree_to_literal
+    >>> tree_to_literal(psi_signed((6, -3, 9, -8, 2, -1, 7, -4, 5)))
+    '-8(-4(-3(6,9)),-1(2,5(7)))'
     """
     p = signed_perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi_signed requires an alternating signed permutation")
-    n = len(p)
-    unsigned = order_relabel(p, range(1, n + 1))
-    tree = psi_c(unsigned)[0]
-    return order_relabel(tree, sorted(p))
+    return _psi_tree(p)
 
 
 # ---------------------------------------------------------------------------

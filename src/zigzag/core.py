@@ -311,6 +311,8 @@ def tree_from_literal(text: str) -> Tree:
 
     The one-child form means a left child; two children are listed left
     then right.  The parsed tree is validated, not silently reordered.
+    Open nodes wait on a stack instead of the call stack, so chains
+    deeper than the recursion limit parse too.
 
     >>> tree_from_literal("1(2,3)")
     Tree[1(2,3)]
@@ -326,7 +328,9 @@ def tree_from_literal(text: str) -> Tree:
         pos += 1
         return tok
 
-    def parse() -> Tree:
+    # per open node: its label and the subtrees parsed so far
+    stack: list[tuple[int, list[Tree]]] = []
+    while True:
         tok = take()
         try:
             label = int(tok)
@@ -334,22 +338,25 @@ def tree_from_literal(text: str) -> Tree:
             raise TreeParseError(f"expected a label, got {tok!r}") from None
         if pos < len(tokens) and tokens[pos] == "(":
             take()
-            first = parse()
-            second = None
+            stack.append((label, []))
+            continue
+        done = Tree(label)
+        while stack:
+            kids = stack[-1][1]
+            kids.append(done)
             tok = take()
-            if tok == ",":
-                second = parse()
-                tok = take()
+            if tok == "," and len(kids) == 1:
+                break
             if tok != ")":
                 raise TreeParseError(f"expected ')', got {tok!r}")
-            return Tree(label, first, second)
-        return Tree(label)
-
-    result = parse()
+            label, kids = stack.pop()
+            done = Tree(label, *kids)
+        else:
+            break
     if pos != len(tokens):
         raise TreeParseError(f"trailing text in tree literal {text!r}")
-    validate_tree(result)
-    return result
+    validate_tree(done)
+    return done
 
 
 def tree_to_literal(t: Tree) -> str:
@@ -385,23 +392,41 @@ def tree_to_literal(t: Tree) -> str:
 
 
 def tree_to_json(t: Tree) -> dict:
-    """JSON-friendly form: {label, left, right} with null for absent children."""
-    return {
-        "label": t.label,
-        "left": tree_to_json(t.left) if t.left is not None else None,
-        "right": tree_to_json(t.right) if t.right is not None else None,
-    }
+    """JSON-friendly form: {label, left, right} with null for absent children.
+
+    The dicts are filled from the root down with a stack, so chains
+    deeper than the recursion limit convert too.
+    """
+    top = {"label": t.label, "left": None, "right": None}
+    stack = [(t, top)]
+    while stack:
+        cur, doc = stack.pop()
+        for side, child in (("left", cur.left), ("right", cur.right)):
+            if child is not None:
+                doc[side] = {"label": child.label, "left": None, "right": None}
+                stack.append((child, doc[side]))
+    return top
 
 
 def tree_from_json(obj: dict) -> Tree:
-    """Inverse of :func:`tree_to_json`; the result is validated."""
+    """Inverse of :func:`tree_to_json`; the result is validated.
 
-    def build(d: dict) -> Tree:
-        left = build(d["left"]) if d.get("left") is not None else None
-        right = build(d["right"]) if d.get("right") is not None else None
-        return Tree(int(d["label"]), left, right)
-
-    result = build(obj)
+    The dicts are listed breadth first, so every child comes after its
+    parent, and the nodes are built from the end of that list without
+    recursion.
+    """
+    docs = [obj]
+    for doc in docs:
+        docs.extend(c for c in (doc.get("left"), doc.get("right")) if c is not None)
+    built: dict[int, Tree] = {}
+    for doc in reversed(docs):
+        left, right = doc.get("left"), doc.get("right")
+        built[id(doc)] = Tree(
+            int(doc["label"]),
+            None if left is None else built[id(left)],
+            None if right is None else built[id(right)],
+        )
+    result = built[id(obj)]
     validate_tree(result)
     return result
 
@@ -481,9 +506,10 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
     if len(set(target)) != len(target):
         raise ValueError("target labels must be pairwise distinct")
     if isinstance(obj, Tree):
-        current = tree_labels(obj)
+        nodes = list(_walk(obj))
+        current = sorted(cur.label for cur in nodes)
     else:
-        current = tuple(sorted(obj))
+        current = sorted(obj)
     if len(current) != len(target):
         raise ValueError(
             f"size mismatch: object has {len(current)} labels, "
@@ -493,7 +519,7 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
     if isinstance(obj, Tree):
         # children before parents: the reverse of a preorder walk
         built: dict[int, Tree] = {}
-        for cur in reversed(list(_walk(obj))):
+        for cur in reversed(nodes):
             built[cur.label] = Tree(
                 mapping[cur.label],
                 None if cur.left is None else built.pop(cur.left.label),

@@ -58,15 +58,16 @@ its number of suffix minima is the length of the tree's minimal path,
 the spine.  So the forced-sign Andre words of [n] ending in k number the
 sum of 2^(n - spine) over the trees with pleaf k.  A dynamic program
 sums that by attaching one largest label at a time, with state (pleaf,
-leaves), in O(n^3) big-int operations per row.  The enumeration over the
-generated Andre words, ``_hetyei_row_by_words``, stays as the oracle the
-tests compare it against for n <= 10.
+leaves), in O(m^2) big-int operations per step from [m] to [m+1].  It
+keeps its last state and every row it has passed, so a sweep over n
+costs O(n^3) in all.  The enumeration over the generated Andre words,
+``_hetyei_row_by_words``, stays as the oracle the tests compare it
+against for n <= 10.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from typing import Callable, Iterable, Iterator
 
@@ -546,7 +547,7 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
     - so the count is the sum, over trees with pleaf k, of 2^(n - spine).
 
     :func:`_hetyei_row` sums that by growing trees, in O(n^3) big-int
-    operations, and caches the whole row for n.  The enumeration over
+    operations, and keeps every row it passes.  The enumeration over
     Andre words, ``_hetyei_row_by_words``, is the oracle the tests compare
     it against for n <= 10.
 
@@ -565,8 +566,7 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
     return _hetyei_row(n)[k]
 
 
-@functools.lru_cache(maxsize=None)
-def _hetyei_row(n: int) -> tuple[int, ...]:
+class _HetyeiRows:
     """Row n of :func:`count_hetyei_fast`, index k, by tree growth.
 
     A tree on [m] grows into one on [m+1] by attaching the new largest
@@ -578,21 +578,40 @@ def _hetyei_row(n: int) -> tuple[int, ...]:
     L - 1 leaves, or under one of the U unary nodes (the new child goes
     right), keeps the spine and the pleaf and doubles the weight; only
     the second adds a leaf.
+
+    The state ``w`` of the largest size reached stays, and so does every
+    row on the way, so a call in any order either reads a kept row or
+    grows on from the largest one.
     """
-    w = [[0, 1]]  # the one tree on [1]: pleaf 1, one leaf, spine 1
-    for m in range(1, n):
-        grown = [[0] * ((m + 2) // 2 + 1) for _ in range(m + 1)]
-        new_pleaf = grown[m]
-        for counts, out in zip(w, grown):
-            for leaves, c in enumerate(counts):
-                if c:
-                    new_pleaf[leaves] += c
-                    out[leaves] += 2 * (leaves - 1) * c
-                    unary = m - 2 * leaves + 1
-                    if unary:
-                        out[leaves + 1] += 2 * unary * c
-        w = grown
-    return (0, *map(sum, w))
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        """Forget every row and start again from the one tree on [1]."""
+        self._w = [[0, 1]]  # pleaf 1, one leaf, spine 1
+        self._rows: list[tuple[int, ...]] = [(), (0, 1)]
+
+    def __call__(self, n: int) -> tuple[int, ...]:
+        rows = self._rows
+        while len(rows) <= n:
+            m = len(rows) - 1
+            grown = [[0] * ((m + 2) // 2 + 1) for _ in range(m + 1)]
+            new_pleaf = grown[m]
+            for counts, out in zip(self._w, grown):
+                for leaves, c in enumerate(counts):
+                    if c:
+                        new_pleaf[leaves] += c
+                        out[leaves] += 2 * (leaves - 1) * c
+                        unary = m - 2 * leaves + 1
+                        if unary:
+                            out[leaves + 1] += 2 * unary * c
+            self._w = grown
+            rows.append((0, *map(sum, grown)))
+        return rows[n]
+
+
+_hetyei_row = _HetyeiRows()
 
 
 def _hetyei_row_by_words(n: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 
@@ -5,6 +6,7 @@ import pytest
 
 from zigzag import bijections
 from zigzag.bijections import (
+    _link_tree,
     chuang_phi,
     omega,
     omega_inv,
@@ -20,6 +22,7 @@ from zigzag.bijections import (
 )
 from zigzag.cli import dispatch
 from zigzag.core import (
+    InvalidTreeError,
     Tree,
     Word,
     minimal_path,
@@ -195,6 +198,69 @@ class TestPsi:
             psi_c((1, 2, 3))
         with pytest.raises(ValueError):
             psi_b((1, 2, 3))
+        with pytest.raises(ValueError):
+            psi((1, 2, 3))
+
+    def test_trees_and_traces_unchanged_through_n8(self):
+        # pinned from psi_c as it stood when it re-validated every tree
+        # after linking and psi went through it
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 9):
+            for p in iter_family("alt", n):
+                t, trace = psi_c(p)
+                assert psi(p) == t
+                line = f"{tree_to_literal(t)};{'|'.join(trace.lines())}\n"
+                digest.update(line.encode())
+                count += 1
+        assert count == 1743
+        assert digest.hexdigest() == (
+            "9bd291e7a522fe6ab3431f4b7c7b260b4b51eabececcad40828f95228898d601"
+        )
+
+    def test_maps_check_trees_while_linking(self, monkeypatch):
+        expected = [psi_c(p)[0] for p in iter_family("alt", 6)]
+
+        def refuse(t):
+            raise AssertionError("the tree was walked again after linking")
+
+        monkeypatch.setattr(bijections, "validate_tree", refuse)
+        assert [psi_c(p)[0] for p in iter_family("alt", 6)] == expected
+        assert [psi(p) for p in iter_family("alt", 6)] == expected
+        assert [psi_b(p) for p in iter_family("alt", 6)] == expected
+        assert omega_inv(perm_from_text("684512937")) == RUNNING_TREE
+        assert psi_signed(perm_from_text("6 -3 9 -8 2 -1 7 -4 5")) == SIGNED_TREE
+
+
+class TestLinkTree:
+    """``_link_tree`` checks every tree invariant as it links."""
+
+    def test_links_valid_maps(self):
+        assert _link_tree(1, {1: 2, 2: 3}, {1: 4}) == tree_from_literal("1(2(3),4)")
+        assert _link_tree(-2, {-2: 1}, {-2: 3}) == tree_from_literal("-2(1,3)")
+        assert _link_tree(5, {}, {}) == Tree(5)
+
+    @pytest.mark.parametrize(
+        "root, left, right",
+        [
+            pytest.param(1, {}, {1: 2}, id="right-child-without-left"),
+            pytest.param(2, {2: 1}, {}, id="left-child-below-parent"),
+            pytest.param(2, {2: 3}, {2: 1}, id="right-child-below-parent"),
+            pytest.param(2, {2: 2}, {}, id="child-equal-to-parent"),
+            pytest.param(1, {1: 3}, {1: 2}, id="children-out-of-order"),
+            pytest.param(1, {1: 2}, {1: 2}, id="one-child-twice"),
+            pytest.param(1, {1: 2, 2: 4, 3: 4}, {1: 3}, id="child-of-two-parents"),
+            pytest.param(1, {1: 2, 3: 4}, {}, id="two-trees"),
+            pytest.param(2, {1: 2}, {}, id="root-has-a-parent"),
+            pytest.param(2, {2: 3}, {1: 4}, id="edge-from-a-missing-node"),
+            pytest.param(1, {1: 3, 3: 4}, {1: 5, 2: 6}, id="dangling-subtree"),
+            pytest.param(0, {0: 1}, {}, id="label-zero-at-root"),
+            pytest.param(-1, {-1: 0}, {}, id="label-zero-as-child"),
+        ],
+    )
+    def test_rejects_malformed_maps(self, root, left, right):
+        with pytest.raises(InvalidTreeError):
+            _link_tree(root, left, right)
 
 
 # The recursive psi_b that the iterative one replaced, kept as its oracle.
@@ -374,7 +440,32 @@ class TestChainTables:
             assert phi_signed(perm_from_text(source)) == perm_from_text(image)
 
 
+def _psi_signed_by_conjugation(p: Word) -> Tree:
+    """psi_signed as first defined: relabel onto [n], graft, relabel back."""
+    tree = psi_c(order_relabel(p, range(1, len(p) + 1)))[0]
+    return order_relabel(tree, sorted(p))
+
+
 class TestSignedMaps:
+    def test_psi_signed_matches_conjugation_exhaustively(self):
+        count = 0
+        for n in range(1, 7):
+            for p in iter_family("alt-b", n):
+                assert psi_signed(p) == _psi_signed_by_conjugation(p), p
+                count += 1
+        assert count == 4518
+
+    def test_psi_signed_grafts_without_the_unsigned_maps(self, monkeypatch):
+        perms = [p for n in range(1, 6) for p in iter_family("alt-b", n)]
+        expected = [_psi_signed_by_conjugation(p) for p in perms]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_signed must graft the signed labels itself")
+
+        monkeypatch.setattr(bijections, "psi_c", refuse)
+        monkeypatch.setattr(bijections, "psi", refuse)
+        assert [psi_signed(p) for p in perms] == expected
+
     def test_psi_signed_running_example(self):
         p = perm_from_text("6 -3 9 -8 2 -1 7 -4 5")
         assert psi_signed(p) == SIGNED_TREE
@@ -403,6 +494,36 @@ class TestSignedMaps:
             psi_signed((1, 2))
         with pytest.raises(ValueError):
             phi_signed((-1, 2))
+
+
+class TestDeepInputs:
+    N = 3000
+    CHAIN = "(".join(map(str, range(1, N + 1))) + ")" * (N - 1)
+    IDENTITY = " ".join(map(str, range(1, N + 1)))
+
+    def test_omega_inv_of_a_long_identity_is_the_chain(self):
+        t = omega_inv(range(1, self.N + 1))
+        assert minimal_path(t) == tuple(range(1, self.N + 1))
+
+    def test_omega_inv_round_trip_on_a_deep_caterpillar(self):
+        # 1(2,3(4,5(6,...))): each spine node has a leaf left, the rest right
+        spine = range(1, self.N - 1, 2)
+        t = _link_tree(1, {v: v + 1 for v in spine}, {v: v + 2 for v in spine})
+        assert omega_inv(omega(t)) == t
+
+    @pytest.mark.parametrize(
+        "name, text, image",
+        [
+            pytest.param("omega", CHAIN, IDENTITY, id="omega"),
+            pytest.param(
+                "chuang-phi", CHAIN, " ".join(map(str, range(1, N))), id="chuang-phi"
+            ),
+            pytest.param("omega-inv", IDENTITY, CHAIN, id="omega-inv"),
+        ],
+    )
+    def test_cli_maps_on_deep_inputs(self, name, text, image, capsys):
+        assert dispatch(["map", name, "--input", text]) == 0
+        assert capsys.readouterr().out == image + "\n"
 
 
 class TestChuangPhi:

@@ -195,13 +195,13 @@ def test_conjecture_default_sweep(capsys):
     code, out, _ = run(capsys, "conjecture", "--format", "text")
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 40
+    assert len(lines) == 100
     assert all(line.startswith("PASS  conjecture n=") for line in lines)
-    assert "n=40" in lines[-1]
+    assert "n=100" in lines[-1]
 
 
 def test_conjecture_past_the_cap_needs_force(capsys):
-    code, out, err = run(capsys, "conjecture", "--n-max", "41")
+    code, out, err = run(capsys, "conjecture", "--n-max", "101")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -336,6 +338,41 @@ class TestDeepTrees:
         assert omega(right_chain) == (*range(3, self.N + 1), 1, 2)
         signed = order_relabel(chain, [-v for v in range(1, self.N + 1)])
         assert omega_signed(signed) == tuple(range(-self.N, 0))
+
+    def test_literal_parser_on_a_deep_chain(self):
+        text = "(".join(map(str, range(1, self.N + 1))) + ")" * (self.N - 1)
+        assert tree_from_literal(text) == self._chain(self.N)
+        with pytest.raises(TreeParseError):
+            tree_from_literal(text[:-1])
+        with pytest.raises(InvalidTreeError):
+            tree_from_literal(text.replace(f"({self.N})", "(1)"))
+
+    def test_json_round_trip_on_a_deep_chain(self):
+        chain = self._chain(self.N)
+        doc = tree_to_json(chain)
+        depth, cur = 1, doc
+        while cur["left"] is not None:
+            assert cur["right"] is None
+            depth, cur = depth + 1, cur["left"]
+        assert depth == self.N
+        assert tree_from_json(doc) == chain
+
+    def test_json_matches_recursive_form(self):
+        def recursive(t):
+            return {
+                "label": t.label,
+                "left": None if t.left is None else recursive(t.left),
+                "right": None if t.right is None else recursive(t.right),
+            }
+
+        for tag, n_max in (("tree", 6), ("tree-b", 3)):
+            for n in range(1, n_max + 1):
+                for t in iter_family(tag, n):
+                    doc = tree_to_json(t)
+                    assert json.dumps(doc, indent=2) == json.dumps(
+                        recursive(t), indent=2
+                    )
+                    assert tree_from_json(json.loads(json.dumps(doc))) == t
 
     def test_literal_matches_recursive_rendering(self):
         def rendered(t):

@@ -452,6 +452,16 @@ class TestCounts:
         for n in range(1, 11):
             assert families._hetyei_row(n) == families._hetyei_row_by_words(n), n
 
+    def test_hetyei_growth_resumes_in_any_call_order(self):
+        expected = {n: families._hetyei_row_by_words(n) for n in range(1, 11)}
+        for order in (range(1, 11), range(10, 0, -1), (4, 2, 9, 1, 10, 3)):
+            families._hetyei_row.cache_clear()
+            try:
+                for n in order:
+                    assert families._hetyei_row(n) == expected[n], (order, n)
+            finally:
+                families._hetyei_row.cache_clear()
+
     def test_hetyei_fast_visits_no_word(self, monkeypatch):
         expected = {n: families._hetyei_row_by_words(n) for n in range(1, 9)}
 

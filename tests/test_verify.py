@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zigzag.core import Tree, order_relabel
 from zigzag.families import GuardExceededError
 from zigzag import verify
 from zigzag.verify import (
@@ -79,12 +80,12 @@ def test_conjecture_sweep_small():
     assert [r.counts["compared"] for r in reports] == [1, 2, 3, 4]
 
 
-def test_conjecture_default_sweep_reaches_forty():
+def test_conjecture_default_sweep_reaches_one_hundred():
     reports = check_conjecture()
-    assert DEFAULT_N_MAX_CONJECTURE == 40
-    assert [r.params["n"] for r in reports] == list(range(1, 41))
+    assert DEFAULT_N_MAX_CONJECTURE == 100
+    assert [r.params["n"] for r in reports] == list(range(1, 101))
     assert all(r.status == PASS for r in reports)
-    assert [r.counts["compared"] for r in reports] == list(range(1, 41))
+    assert [r.counts["compared"] for r in reports] == list(range(1, 101))
 
 
 def test_conjecture_guard():
@@ -144,3 +145,40 @@ def test_failing_check_keeps_its_witness_text(monkeypatch):
     monkeypatch.setattr(verify.families, "is_simsun", lambda p: False)
     (report,) = run_checks(["phi-bijection"], n_max_a=3, n_max_b=1)
     assert report.counterexample == "phi(12) not Simsun"
+
+
+def test_conjugation_diagram_compares_two_routes(monkeypatch):
+    # psi_signed grafts the signed labels directly.  Relabeling the
+    # unsigned tree back by absolute value instead of signed order is a
+    # wrong route, and the check must see it.
+    def by_absolute_value(p):
+        back = dict(zip(range(1, len(p) + 1), sorted(p, key=abs)))
+
+        def relabel(t):
+            if t is None:
+                return None
+            return Tree(back[t.label], relabel(t.left), relabel(t.right))
+
+        return relabel(verify.bijections.psi(order_relabel(p, range(1, len(p) + 1))))
+
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
+    assert report.status == PASS
+    monkeypatch.setattr(verify.bijections, "psi_signed", by_absolute_value)
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == "psi conjugation square fails on -1 -2"
+
+
+def test_psi_signed_image_set_is_compared(monkeypatch):
+    # one image replaced by another with the same pleaf: only the image
+    # set comparison can see it
+    real = verify.bijections.psi_signed
+    swapped = {(2, -3, 1): (2, -3, -1)}
+    monkeypatch.setattr(
+        verify.bijections, "psi_signed", lambda p: real(swapped.get(p, p))
+    )
+    (report,) = run_checks(["psi-signed-bijection"], n_max_a=1, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == (
+        "psi_signed images at n=3 are not exactly the signed trees"
+    )
