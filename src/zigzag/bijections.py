@@ -28,7 +28,7 @@ The maps and their statistic bookkeeping:
   versions.  The first two equal the unsigned maps conjugated by the
   unique order isomorphism onto [n], but neither relabels: the grafting
   only compares labels, so ``psi_signed`` grafts the signed labels
-  directly, and ``omega_signed`` is plain reverse inorder.  The
+  directly, and ``omega_signed`` is ``omega`` itself.  The
   ``conjugation-diagram`` check compares each against the conjugation
   route.  ``phi_signed`` moves the suffix minima of the absolute-value
   word exactly as ``phi`` does and shrinks absolute values by one,
@@ -133,9 +133,9 @@ def omega_inv(p: Sequence[int]) -> Tree:
     return _link_tree(spine[0], left, right)
 
 
-def omega_signed(t: Tree) -> Word:
-    """Reverse inorder reading of a signed tree."""
-    return tuple(reversed(inorder(t)))
+# reverse inorder reading never looks at label values, so it reads
+# signed trees as they are
+omega_signed = omega
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,14 @@ def _cmd_map(args, out: IO[str]) -> int:
                 {"i": s.index, "a": s.a, "b": s.b, "case": s.case}
                 for s in trace.steps
             ]
-        print(json.dumps(doc, indent=2), file=out)
+        try:
+            text = json.dumps(doc, indent=2)
+        except RecursionError:
+            # the encoder recurses once per tree level
+            raise _CliError(
+                "tree too deep for --format json; use --format text"
+            ) from None
+        print(text, file=out)
     else:
         print(_object_out(result), file=out)
         if trace is not None:

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -235,9 +236,9 @@ def is_simsun(p: Word) -> bool:
     return _bottom_up_ok(p, andre=False)
 
 
-def is_signed_andre_b(p: Word) -> bool:
-    """Andre condition on a signed word, subwords taken in signed order."""
-    return is_andre(p)
+# is_andre only compares entries, so on a signed word it takes the
+# subwords in signed order: the signed Andre condition is the same test
+is_signed_andre_b = is_andre
 
 
 def _forced_signs(p: Word, absolute_ok: Callable[[Word], bool]) -> bool:
@@ -467,12 +468,14 @@ _BUILDERS = {
 
 def refinement_statistic(tag: FamilyTag | str, obj) -> int:
     """The statistic a family is refined by: first entry, last entry, or pleaf."""
-    tag = FamilyTag(tag)
+    return _statistic(FamilyTag(tag))(obj)
+
+
+def _statistic(tag: FamilyTag) -> Callable[..., int]:
+    # resolved once per family, for callers that read many objects
     if tag in _TREE_TAGS:
-        return pleaf(obj)
-    if tag in _FIRST_TAGS:
-        return obj[0]
-    return obj[-1]
+        return pleaf
+    return operator.itemgetter(0 if tag in _FIRST_TAGS else -1)
 
 
 def _check_guard(tag: FamilyTag, n: int, force: bool) -> None:
@@ -512,8 +515,9 @@ def iter_family(
     if tag in _FIRST_TAGS:
         yield from _iter_alternating(tag, n, k)
         return
+    statistic = _statistic(tag)
     for obj in _BUILDERS[tag](n):
-        if k is None or refinement_statistic(tag, obj) == k:
+        if k is None or statistic(obj) == k:
             yield obj
 
 

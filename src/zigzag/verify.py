@@ -6,6 +6,12 @@ the smallest witness encountered.  Theorem checks and the open-conjecture
 sweep are kept separate: a conjecture counterexample is a finding to
 report, not a defect in this package.
 
+The six bijection checks, omega, phi, psi and their signed versions, are
+rows of one table run by :func:`_check_bijection`.  A row maps family F(n)
+onto G(n - shift); each image is checked for membership in G, the
+statistic carried over less the shift, the row's extra invariant and the
+inverse round trip, and at each n the sorted images must be G(n - shift).
+
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
 n = 6, the conjecture sweep to n = 100.  A check that raises is reported as
 a FAIL whose witness names the exception, so one broken check does not
@@ -15,8 +21,9 @@ end the run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
@@ -25,7 +32,6 @@ from .core import (
     minimal_path,
     order_relabel,
     perm_to_text,
-    pleaf,
     rtl_min_positions,
     tree_to_literal,
 )
@@ -51,14 +57,7 @@ class CheckReport:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "status": self.status,
-            "counts": self.counts,
-            "counterexample": self.counterexample,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 class _Failure(Exception):
@@ -72,11 +71,7 @@ def _family(tag: FamilyTag, n: int) -> tuple:
 
 
 def _counts_by_stat(tag: FamilyTag, n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for obj in _family(tag, n):
-        k = families.refinement_statistic(tag, obj)
-        out[k] = out.get(k, 0) + 1
-    return out
+    return dict(Counter(map(families._statistic(tag), _family(tag, n))))
 
 
 def _expect(condition: bool, witness: Callable[[], str]) -> None:
@@ -144,98 +139,123 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
     return {"objects": objects, "rows": n_max_b}
 
 
-def _check_omega(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        images = []
-        for t in _family(FamilyTag.TREE, n):
-            w = bijections.omega(t)
-            objects += 1
-            _expect(
-                families.is_andre(w), lambda: f"omega({tree_to_literal(t)}) not Andre"
-            )
-            _expect(
-                w[-1] == pleaf(t),
-                lambda: f"omega last entry mismatch on {tree_to_literal(t)}",
-            )
-            # the spine identity count_hetyei_fast rests on
-            _expect(
-                len(rtl_min_positions(w)) == len(minimal_path(t)),
-                lambda: f"omega suffix minima miss the spine of {tree_to_literal(t)}",
-            )
-            _expect(
-                bijections.omega_inv(w) == t,
-                lambda: f"omega_inv round trip failed on {tree_to_literal(t)}",
-            )
-            images.append(w)
-        _expect(
-            sorted(images) == sorted(_family(FamilyTag.ANDRE, n)),
-            lambda: f"omega images at n={n} are not exactly the Andre permutations",
-        )
-    return {"objects": objects}
+@dataclass(frozen=True)
+class _Bijection:
+    """One row of the bijection table; ``name`` is the map in witnesses.
+
+    The map, inverse and predicate are attribute names on ``bijections``
+    and ``families``, looked up when the check runs.
+    """
+
+    name: str
+    func: str
+    source: FamilyTag
+    target: FamilyTag
+    image_set: str
+    signed: bool = False  # capped by n_max_b instead of n_max_a
+    shift: int = 0
+    member: str | None = None
+    noun: str = ""
+    inverse: str | None = None
+    extra: Callable[[object, object], None] | None = None
 
 
-def _check_phi(n_max_a: int, n_max_b: int) -> dict:
+def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
+    func = getattr(bijections, row.func)
+    member = getattr(families, row.member) if row.member else None
+    inverse = getattr(bijections, row.inverse) if row.inverse else None
+    source_stat = families._statistic(row.source)
+    target_stat = families._statistic(row.target)
+    trees = families._TREE_TAGS
+    stat_name = "pleaf" if row.target in trees else "last entry"
+    text = tree_to_literal if row.source in trees else perm_to_text
+    # the trees are checked as they are linked, and inorder is injective
+    # on increasing binary trees
+    word = inorder if row.target in trees else tuple
+    shift, extra = row.shift, row.extra
     objects = 0
-    for n in range(1, n_max_a + 1):
+    for n in range(1, (n_max_b if row.signed else n_max_a) + 1):
+        size = n - shift
         images = []
-        for p in _family(FamilyTag.ANDRE, n):
-            s = bijections.phi(p)
+        for x in _family(row.source, n):
+            y = func(x)
             objects += 1
-            if n == 1:
-                _expect(s == (), lambda: "phi of the singleton must be empty")
+            if size == 0:
+                _expect(y == (), lambda: f"{row.name} of the singleton must be empty")
             else:
+                if member is not None:
+                    _expect(
+                        member(y), lambda: f"{row.name}({text(x)}) not {row.noun}"
+                    )
                 _expect(
-                    families.is_simsun(s),
-                    lambda: f"phi({perm_to_text(p)}) not Simsun",
+                    target_stat(y) == source_stat(x) - shift,
+                    lambda: f"{row.name} {stat_name} mismatch on {text(x)}",
                 )
+                if extra is not None:
+                    extra(x, y)
+            if inverse is not None:
                 _expect(
-                    s[-1] == p[-1] - 1,
-                    lambda: f"phi last entry mismatch on {perm_to_text(p)}",
+                    inverse(y) == x,
+                    lambda: f"{row.inverse} round trip failed on {text(x)}",
                 )
+            images.append(y)
+        if size:
             _expect(
-                bijections.phi_inv(s) == p,
-                lambda: f"phi_inv round trip failed on {perm_to_text(p)}",
-            )
-            images.append(s)
-        if n >= 2:
-            _expect(
-                sorted(images) == sorted(_family(FamilyTag.SIMSUN, n - 1)),
-                lambda: f"phi images at n={n} are not exactly the Simsun permutations",
+                sorted(map(word, images))
+                == sorted(map(word, _family(row.target, size))),
+                lambda: f"{row.name} images at n={n} are not {row.image_set}",
             )
     return {"objects": objects}
 
 
-def _check_psi(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        images = []
-        for p in _family(FamilyTag.ALT, n):
-            t = bijections._psi_tree(p)
-            objects += 1
-            _expect(
-                pleaf(t) == p[0], lambda: f"psi pleaf mismatch on {perm_to_text(p)}"
-            )
-            for i, _a, _b, _case, v, left, _right in bijections._graft_states(p):
-                while v in left:
-                    v = left[v]
-                _expect(
-                    v == p[2 * i - 2],
-                    lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
-                )
-            _expect(
-                bijections.psi_inv(t) == p,
-                lambda: f"psi_inv round trip failed on {perm_to_text(p)}",
-            )
-            images.append(t)
-        # the trees are checked as they are linked, and inorder is
-        # injective on increasing binary trees
+def _spine_identity(t, w) -> None:
+    # the spine identity count_hetyei_fast rests on
+    _expect(
+        len(rtl_min_positions(w)) == len(minimal_path(t)),
+        lambda: f"omega suffix minima miss the spine of {tree_to_literal(t)}",
+    )
+
+
+def _graft_step_invariant(p, _t) -> None:
+    for i, _a, _b, _case, v, left, _right in bijections._graft_states(p):
+        while v in left:
+            v = left[v]
         _expect(
-            sorted(map(inorder, images))
-            == sorted(map(inorder, _family(FamilyTag.TREE, n))),
-            lambda: f"psi images at n={n} are not exactly the trees",
+            v == p[2 * i - 2],
+            lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
         )
-    return {"objects": objects}
+
+
+_BIJECTIONS = {
+    "omega-bijection": _Bijection(
+        "omega", "omega", FamilyTag.TREE, FamilyTag.ANDRE,
+        "exactly the Andre permutations",
+        member="is_andre", noun="Andre", inverse="omega_inv", extra=_spine_identity,
+    ),
+    "phi-bijection": _Bijection(
+        "phi", "phi", FamilyTag.ANDRE, FamilyTag.SIMSUN,
+        "exactly the Simsun permutations",
+        shift=1, member="is_simsun", noun="Simsun", inverse="phi_inv",
+    ),
+    "psi-bijection": _Bijection(
+        "psi", "_psi_tree", FamilyTag.ALT, FamilyTag.TREE, "exactly the trees",
+        inverse="psi_inv", extra=_graft_step_invariant,
+    ),
+    "psi-signed-bijection": _Bijection(
+        "psi_signed", "psi_signed", FamilyTag.ALT_B, FamilyTag.TREE_B,
+        "exactly the signed trees", signed=True,
+    ),
+    "omega-signed-bijection": _Bijection(
+        "omega_signed", "omega_signed", FamilyTag.TREE_B, FamilyTag.ANDRE_B,
+        "the signed Andre family",
+        signed=True, member="is_signed_andre_b", noun="signed Andre",
+    ),
+    "phi-signed-bijection": _Bijection(
+        "phi_signed", "phi_signed", FamilyTag.ANDRE_H, FamilyTag.SIMSUN_B,
+        "the signed Simsun family",
+        signed=True, shift=1, member="is_signed_simsun", noun="signed Simsun",
+    ),
+}
 
 
 def _check_psi_equality(n_max_a: int, n_max_b: int) -> dict:
@@ -246,76 +266,6 @@ def _check_psi_equality(n_max_a: int, n_max_b: int) -> dict:
             _expect(
                 bijections.psi_b(p) == bijections.psi(p),
                 lambda: f"psi_b and psi_c disagree on {perm_to_text(p)}",
-            )
-    return {"objects": objects}
-
-
-def _check_psi_signed(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_b + 1):
-        images = []
-        for p in _family(FamilyTag.ALT_B, n):
-            t = bijections.psi_signed(p)
-            objects += 1
-            _expect(
-                pleaf(t) == p[0],
-                lambda: f"psi_signed pleaf mismatch on {perm_to_text(p)}",
-            )
-            images.append(t)
-        _expect(
-            sorted(map(inorder, images))
-            == sorted(map(inorder, _family(FamilyTag.TREE_B, n))),
-            lambda: f"psi_signed images at n={n} are not exactly the signed trees",
-        )
-    return {"objects": objects}
-
-
-def _check_omega_signed(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_b + 1):
-        images = []
-        for t in _family(FamilyTag.TREE_B, n):
-            w = bijections.omega_signed(t)
-            objects += 1
-            _expect(
-                families.is_signed_andre_b(w),
-                lambda: f"omega_signed({tree_to_literal(t)}) not signed Andre",
-            )
-            _expect(
-                w[-1] == pleaf(t),
-                lambda: f"omega_signed last entry mismatch on {tree_to_literal(t)}",
-            )
-            images.append(w)
-        _expect(
-            sorted(images) == sorted(_family(FamilyTag.ANDRE_B, n)),
-            lambda: f"omega_signed images at n={n} are not the signed Andre family",
-        )
-    return {"objects": objects}
-
-
-def _check_phi_signed(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_b + 1):
-        images = []
-        for p in _family(FamilyTag.ANDRE_H, n):
-            s = bijections.phi_signed(p)
-            objects += 1
-            if n == 1:
-                _expect(s == (), lambda: "phi_signed of the singleton must be empty")
-            else:
-                _expect(
-                    families.is_signed_simsun(s),
-                    lambda: f"phi_signed({perm_to_text(p)}) not signed Simsun",
-                )
-                _expect(
-                    s[-1] == p[-1] - 1,
-                    lambda: f"phi_signed last entry mismatch on {perm_to_text(p)}",
-                )
-            images.append(s)
-        if n >= 2:
-            _expect(
-                sorted(images) == sorted(_family(FamilyTag.SIMSUN_B, n - 1)),
-                lambda: f"phi_signed images at n={n} are not the signed Simsun family",
             )
     return {"objects": objects}
 
@@ -397,15 +347,10 @@ def _check_conjugation_diagram(n_max_a: int, n_max_b: int) -> dict:
 
 
 _CHECKS: dict[str, Callable[[int, int], dict]] = {
+    **{cid: partial(_check_bijection, row) for cid, row in _BIJECTIONS.items()},
     "entringer-families": _check_entringer_families,
     "arnold-families": _check_arnold_families,
-    "omega-bijection": _check_omega,
-    "phi-bijection": _check_phi,
-    "psi-bijection": _check_psi,
     "psi-equality": _check_psi_equality,
-    "psi-signed-bijection": _check_psi_signed,
-    "omega-signed-bijection": _check_omega_signed,
-    "phi-signed-bijection": _check_phi_signed,
     "chuang-factorization": _check_chuang_factorization,
     "cd-preservation": _check_cd_preservation,
     "andre-implies-simsun": _check_andre_implies_simsun,

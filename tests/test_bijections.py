@@ -525,6 +525,15 @@ class TestDeepInputs:
         assert dispatch(["map", name, "--input", text]) == 0
         assert capsys.readouterr().out == image + "\n"
 
+    def test_cli_json_of_a_deep_tree_is_a_usage_error(self, capsys):
+        argv = ["map", "omega-inv", "--input", self.IDENTITY, "--format", "json"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tree too deep for --format json; use --format text\n"
+        )
+
 
 class TestChuangPhi:
     def test_running_example(self):

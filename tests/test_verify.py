@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zigzag.core import Tree, order_relabel
+from zigzag.core import Tree, order_relabel, tree_from_literal
 from zigzag.families import GuardExceededError
 from zigzag import verify
 from zigzag.verify import (
@@ -182,3 +182,158 @@ def test_psi_signed_image_set_is_compared(monkeypatch):
     assert report.counterexample == (
         "psi_signed images at n=3 are not exactly the signed trees"
     )
+
+
+_OBJECTS = {
+    (4, 3): {
+        "andre-implies-simsun": 33, "arnold-families": 90, "cd-preservation": 9,
+        "chuang-factorization": 9, "conjugation-diagram": 44,
+        "entringer-families": 35, "omega-bijection": 9,
+        "omega-signed-bijection": 22, "phi-bijection": 9, "phi-signed-bijection": 5,
+        "psi-bijection": 9, "psi-equality": 9, "psi-signed-bijection": 22,
+        "valley-equivalence": 33,
+    },
+    (7, 5): {
+        "andre-implies-simsun": 5913, "arnold-families": 2420,
+        "cd-preservation": 358, "chuang-factorization": 358,
+        "conjugation-diagram": 1228, "entringer-families": 1431,
+        "omega-bijection": 358, "omega-signed-bijection": 614,
+        "phi-bijection": 358, "phi-signed-bijection": 73, "psi-bijection": 358,
+        "psi-equality": 358, "psi-signed-bijection": 614, "valley-equivalence": 5913,
+    },
+}
+
+
+@pytest.mark.parametrize("caps", sorted(_OBJECTS))
+def test_every_check_keeps_its_object_count(caps):
+    reports = run_checks(n_max_a=caps[0], n_max_b=caps[1])
+    assert all(r.status == PASS for r in reports)
+    assert {r.check_id: r.counts["objects"] for r in reports} == _OBJECTS[caps]
+
+
+def _never(real):
+    return lambda x: False
+
+
+def _none(real):
+    return lambda x: None
+
+
+def _nonempty(real):
+    return lambda p: (1,) if len(p) == 1 else real(p)
+
+
+def _replace(a, b):
+    # object a takes the image of object b
+    return lambda real: lambda x: real(b if x == a else x)
+
+
+_T = tree_from_literal
+# (check, module, name, fault, witness); a replacement between objects
+# with different statistics is a statistic fault, one between objects
+# sharing a statistic is caught by the round trip where there is an
+# inverse and by the image-set comparison where there is none
+_BIJECTION_FAULTS = [
+    ("omega-bijection", "families", "is_andre", _never, "omega(1) not Andre"),
+    (
+        "omega-bijection", "bijections", "omega",
+        _replace(_T("1(2,3)"), _T("1(2(3))")),
+        "omega last entry mismatch on 1(2,3)",
+    ),
+    (
+        "omega-bijection", "bijections", "omega",
+        _replace(_T("1(2(3),4)"), _T("1(2(3,4))")),
+        "omega_inv round trip failed on 1(2(3),4)",
+    ),
+    (
+        "omega-bijection", "bijections", "omega_inv", _none,
+        "omega_inv round trip failed on 1",
+    ),
+    ("phi-bijection", "families", "is_simsun", _never, "phi(12) not Simsun"),
+    (
+        "phi-bijection", "bijections", "phi", _replace((1, 2, 3), (3, 1, 2)),
+        "phi last entry mismatch on 123",
+    ),
+    (
+        "phi-bijection", "bijections", "phi", _replace((1, 4, 2, 3), (4, 1, 2, 3)),
+        "phi_inv round trip failed on 1423",
+    ),
+    (
+        "phi-bijection", "bijections", "phi_inv", _none,
+        "phi_inv round trip failed on 1",
+    ),
+    (
+        "phi-bijection", "bijections", "phi", _nonempty,
+        "phi of the singleton must be empty",
+    ),
+    (
+        "psi-bijection", "bijections", "_psi_tree", _replace((2, 1, 3), (3, 1, 2)),
+        "psi pleaf mismatch on 213",
+    ),
+    (
+        "psi-bijection", "bijections", "_psi_tree",
+        _replace((3, 1, 4, 2), (3, 2, 4, 1)),
+        "psi_inv round trip failed on 3142",
+    ),
+    (
+        "psi-bijection", "bijections", "psi_inv", _none,
+        "psi_inv round trip failed on 1",
+    ),
+    (
+        "psi-signed-bijection", "bijections", "psi_signed",
+        _replace((-1, -2), (1, -2)),
+        "psi_signed pleaf mismatch on -1 -2",
+    ),
+    (
+        "psi-signed-bijection", "bijections", "psi_signed",
+        _replace((-2, -3, -1), (-2, -3, 1)),
+        "psi_signed images at n=3 are not exactly the signed trees",
+    ),
+    (
+        "omega-signed-bijection", "families", "is_signed_andre_b", _never,
+        "omega_signed(-1) not signed Andre",
+    ),
+    (
+        "omega-signed-bijection", "bijections", "omega_signed",
+        _replace(_T("-2(-1)"), _T("-2(1)")),
+        "omega_signed last entry mismatch on -2(-1)",
+    ),
+    (
+        "omega-signed-bijection", "bijections", "omega_signed",
+        _replace(_T("-3(-2,-1)"), _T("-3(-2,1)")),
+        "omega_signed images at n=3 are not the signed Andre family",
+    ),
+    (
+        "phi-signed-bijection", "families", "is_signed_simsun", _never,
+        "phi_signed(12) not signed Simsun",
+    ),
+    (
+        "phi-signed-bijection", "bijections", "phi_signed",
+        _replace((-3, 1, 2), (1, 2, 3)),
+        "phi_signed last entry mismatch on -3 1 2",
+    ),
+    (
+        "phi-signed-bijection", "bijections", "phi_signed",
+        _replace((-3, 1, 2), (3, 1, 2)),
+        "phi_signed images at n=3 are not the signed Simsun family",
+    ),
+    (
+        "phi-signed-bijection", "bijections", "phi_signed", _nonempty,
+        "phi_signed of the singleton must be empty",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name, fault, witness",
+    _BIJECTION_FAULTS,
+    ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(_BIJECTION_FAULTS)],
+)
+def test_bijection_fault_gives_its_witness(
+    monkeypatch, check_id, module, name, fault, witness
+):
+    target = getattr(verify, module)
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
+    (report,) = run_checks([check_id], n_max_a=4, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == witness
