@@ -7,7 +7,9 @@ The maps and their statistic bookkeeping:
 - ``phi``: Andre -> Simsun one letter shorter.  Each right-to-left
   minimum moves to the previous right-to-left minimum's position (the
   value 1 drops out) and everything shrinks by one.  The last entry
-  drops by exactly one.
+  drops by exactly one.  ``phi`` and ``phi_signed`` each validate their
+  own input, then run one kernel, ``_shrink``, which works on the
+  absolute values and keeps signs; on an unsigned word it is ``phi``.
 - ``psi_c``: alternating permutation -> tree, grafting pairs of entries
   from the back of the permutation to the front.  The grafting works on
   child maps keyed by label, and ``_graft_states`` yields those maps
@@ -32,7 +34,7 @@ The maps and their statistic bookkeeping:
   ``conjugation-diagram`` check compares each against the conjugation
   route.  ``phi_signed`` moves the suffix minima of the absolute-value
   word exactly as ``phi`` does and shrinks absolute values by one,
-  keeping every other entry's sign.
+  keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
 - ``psi_inv``: inverse of ``psi_c`` by a memoized forward sweep over the
@@ -151,17 +153,26 @@ def phi(p: Sequence[int]) -> Word:
     p = perm_from_sequence(p)
     if not is_andre(p):
         raise ValueError("phi requires an Andre permutation")
+    return _shrink(p)
+
+
+def _shrink(p: Word) -> Word:
+    # each suffix minimum of the absolute-value word takes the next one's
+    # value less one, so the value 1 and the last position drop out;
+    # every other entry keeps its sign while its absolute value shrinks
     n = len(p)
     if n == 1:
         return ()
-    mins = rtl_min_positions(p)
+    absw = tuple(abs(v) for v in p)
+    mins = rtl_min_positions(absw)
     out: list[int] = [0] * (n - 1)
     skip = set(mins)
     for i in range(1, n):
         if i not in skip:
-            out[i - 1] = p[i - 1] - 1
+            v = p[i - 1]
+            out[i - 1] = v - 1 if v > 0 else v + 1
     for t in range(1, len(mins)):
-        out[mins[t - 1] - 1] = p[mins[t] - 1] - 1
+        out[mins[t - 1] - 1] = absw[mins[t] - 1] - 1
     return tuple(out)
 
 
@@ -202,20 +213,7 @@ def phi_signed(p: Sequence[int]) -> Word:
     p = signed_perm_from_sequence(p)
     if not is_hetyei_andre(p):
         raise ValueError("phi_signed requires a forced-sign Andre word")
-    n = len(p)
-    if n == 1:
-        return ()
-    absw = tuple(abs(v) for v in p)
-    mins = rtl_min_positions(absw)
-    out: list[int] = [0] * (n - 1)
-    skip = set(mins)
-    for i in range(1, n):
-        if i not in skip:
-            v = p[i - 1]
-            out[i - 1] = (abs(v) - 1) * (1 if v > 0 else -1)
-    for t in range(1, len(mins)):
-        out[mins[t - 1] - 1] = absw[mins[t] - 1] - 1
-    return tuple(out)
+    return _shrink(p)
 
 
 # ---------------------------------------------------------------------------

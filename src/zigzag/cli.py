@@ -168,6 +168,8 @@ def _check_tree_labels(name: str, t: Tree) -> None:
 
 
 def _cmd_map(args, out: IO[str]) -> int:
+    if args.trace and args.name != "psi":
+        raise _CliError(f"--trace applies only to map psi, not {args.name}")
     func, domain = _MAPS[args.name]
     if domain == "tree":
         value = tree_from_literal(args.input)
@@ -175,7 +177,7 @@ def _cmd_map(args, out: IO[str]) -> int:
     else:
         value = perm_from_text(args.input)
     trace = None
-    if args.name == "psi" and args.trace:
+    if args.trace:
         result, trace = bijections.psi_c(value)
     else:
         result = func(value)

@@ -24,18 +24,23 @@ signed order):
 - alt, alt-b and snake come from one lexicographic backtracker that
   drops any step breaking down-up alternation.  It streams in O(n)
   memory.
-- andre and simsun come from inserting the values 1, 2, ..., n in
-  increasing order and keeping a word only while it avoids double
-  descents (and, for Andre, ends in an ascent): the intermediate words
-  are exactly the bottom-k subwords the definitions constrain.
-- andre-b relabels every Andre word onto each of the 2^n sign sets;
+- andre and simsun come from inserting the labels in increasing order
+  and keeping a word only while it avoids double descents (and, for
+  Andre, ends in an ascent): the intermediate words are exactly the
+  bottom-k subwords the definitions constrain.
+- andre-b is that same insertion run on each of the 2^n sign-choice
+  label sets, sorted: the Andre condition compares entries only, so a
+  signed Andre word is an Andre word grown on its own signed labels.
   andre-h and simsun-b free the signs off the suffix minima of every
   Andre or Simsun word.
 
 These five families are materialized and sorted once, so memory grows
 with the family size: E_{n+1} words for simsun at n, for example.  Tree
-families are generated by inserting each new largest label at every node
-with a free child slot, then sorted by inorder word.  The definitions
+families grow by path copying: each new largest label is hung under
+every node with a free child slot, and only the nodes on the path to
+the new leaf are rebuilt, the rest of the tree being shared.  tree-b
+grows the same way on each of the 2^n sign-choice label sets.  Both are
+then sorted by inorder word.  The definitions
 filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
 (``_PREDICATES``) remain the oracle the tests compare the generators
 against.  Guards keep accidental huge enumerations out; pass
@@ -70,7 +75,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Tree,
@@ -78,7 +83,6 @@ from .core import (
     ends_with_ascent,
     has_double_descent,
     inorder,
-    order_relabel,
     pleaf,
     rtl_min_positions,
     subword_smallest,
@@ -339,23 +343,25 @@ def _iter_alternating(tag: FamilyTag, n: int, k: int | None) -> Iterator[Word]:
     return extend(first)
 
 
-def _iter_bottom_up(n: int, andre: bool) -> Iterator[Word]:
-    """Unordered stream of Simsun (or, if ``andre``, Andre) words of [n].
+def _iter_bottom_up(labels: Sequence[int], andre: bool) -> Iterator[Word]:
+    """Unordered stream of Simsun (or, if ``andre``, Andre) words on ``labels``.
 
-    Inserting the values 1, 2, ..., n in increasing order passes through
-    every bottom-k subword, so a word is kept while it has no double
-    descent and, for Andre, ends in an ascent.  The largest value starts
-    a double descent exactly when it goes right before a descent, and
-    ends the word in a descent exactly when it goes second to last.
+    Inserting the labels in increasing order passes through every
+    bottom-k subword, so a word is kept while it has no double descent
+    and, for Andre, ends in an ascent.  The largest label starts a double
+    descent exactly when it goes right before a descent, and ends the
+    word in a descent exactly when it goes second to last.  ``labels``
+    must be sorted; entries are only compared, so signed labels work.
     """
-    stack: list[Word] = [(1,)]
+    n = len(labels)
+    stack: list[Word] = [(labels[0],)]
     while stack:
         w = stack.pop()
         m = len(w)
         if m == n:
             yield w
             continue
-        v = m + 1
+        v = labels[m]
         stack.append(w + (v,))
         if not andre:
             stack.append(w[:-1] + (v, w[-1]))
@@ -372,83 +378,51 @@ def _free_signs(words: Iterable[Word]) -> list[Word]:
     return sorted(out)
 
 
-def _signed_andre(n: int) -> list[Word]:
-    # the Andre condition sees only relative order, so every signed Andre
-    # word is an Andre word relabeled onto one of the 2^n sign sets
-    base = list(_iter_bottom_up(n, andre=True))
-    out: list[Word] = []
+def _over_sign_sets(n: int, grow: Callable[[list[int]], Iterable]) -> Iterator:
+    """Run ``grow`` on each of the 2^n sign-choice label sets, each sorted.
+
+    The signed families see labels only through their order, so a signed
+    object is a plain one grown on its own sign set.
+    """
     for signs in itertools.product((1, -1), repeat=n):
-        target = sorted(s * v for s, v in zip(signs, range(1, n + 1)))
-        out.extend(tuple(target[v - 1] for v in w) for w in base)
-    return sorted(out)
+        yield from grow(sorted(s * v for s, v in zip(signs, range(1, n + 1))))
 
 
-def _attach(t: Tree, at: int, label: int) -> Tree:
-    # label exceeds every label in t, so it lands right of an existing child
-    if t.label == at:
-        if t.left is None:
-            return Tree(t.label, Tree(label))
-        if t.right is None:
-            return Tree(t.label, t.left, Tree(label))
-        raise ValueError(f"node {at} already has two children")
-    for side in ("left", "right"):
-        child = getattr(t, side)
-        if child is not None and at in _label_set(child):
-            new_child = _attach(child, at, label)
-            if side == "left":
-                return Tree(t.label, new_child, t.right)
-            return Tree(t.label, t.left, new_child)
-    raise ValueError(f"label {at} not in tree")
+def _grown(t: Tree, v: int) -> Iterator[Tree]:
+    """``t`` with ``v`` hung under each node that has a free slot.
 
-
-def _label_set(t: Tree) -> frozenset[int]:
-    out = {t.label}
-    for child in (t.left, t.right):
-        if child is not None:
-            out |= _label_set(child)
-    return frozenset(out)
-
-
-def _gen_trees(n: int) -> Iterator[Tree]:
-    if n == 1:
-        yield Tree(1)
+    ``v`` exceeds every label in ``t``: a leaf takes it as its left
+    child, and a unary node as its right one, which keeps the canonical
+    order.  Only the path to the new leaf is rebuilt; the rest is shared.
+    """
+    if t.left is None:
+        yield Tree(t.label, Tree(v))
         return
-    for t in _gen_trees(n - 1):
-        for v in sorted(_open_slots(t)):
-            yield _attach(t, v, n)
+    if t.right is None:
+        yield Tree(t.label, t.left, Tree(v))
+    for left in _grown(t.left, v):
+        yield Tree(t.label, left, t.right)
+    if t.right is not None:
+        for right in _grown(t.right, v):
+            yield Tree(t.label, t.left, right)
 
 
-def _open_slots(t: Tree) -> list[int]:
-    out = []
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur.right is None:
-            out.append(cur.label)
-        for child in (cur.left, cur.right):
-            if child is not None:
-                stack.append(child)
-    return out
+def _gen_trees(labels: Sequence[int]) -> list[Tree]:
+    """Unordered list of the increasing 1-2 trees on the sorted ``labels``."""
+    trees = [Tree(labels[0])]
+    for v in labels[1:]:
+        trees = [g for t in trees for g in _grown(t, v)]
+    return trees
 
 
 def iter_trees(n: int) -> Iterator[Tree]:
     """All increasing 1-2 trees on [n], ordered by their inorder words."""
-    yield from sorted(_gen_trees(n), key=inorder)
+    yield from sorted(_gen_trees(range(1, n + 1)), key=inorder)
 
 
 def iter_signed_trees(n: int) -> Iterator[Tree]:
-    """All signed increasing 1-2 trees on [n], ordered by inorder words.
-
-    Every signed tree is the order-preserving relabeling of a plain tree
-    onto one of the 2^n sign-choice label sets.
-    """
-    base = list(_gen_trees(n))
-    out: list[Tree] = []
-    for signs in itertools.product((1, -1), repeat=n):
-        target = [s * v for s, v in zip(signs, range(1, n + 1))]
-        out.extend(order_relabel(t, target) for t in base)
-    out.sort(key=inorder)
-    yield from out
+    """All signed increasing 1-2 trees on [n], ordered by inorder words."""
+    yield from sorted(_over_sign_sets(n, _gen_trees), key=inorder)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +432,13 @@ def iter_signed_trees(n: int) -> Iterator[Tree]:
 _BUILDERS = {
     FamilyTag.TREE: iter_trees,
     FamilyTag.TREE_B: iter_signed_trees,
-    FamilyTag.ANDRE: lambda n: sorted(_iter_bottom_up(n, andre=True)),
-    FamilyTag.SIMSUN: lambda n: sorted(_iter_bottom_up(n, andre=False)),
-    FamilyTag.ANDRE_B: _signed_andre,
-    FamilyTag.ANDRE_H: lambda n: _free_signs(_iter_bottom_up(n, andre=True)),
-    FamilyTag.SIMSUN_B: lambda n: _free_signs(_iter_bottom_up(n, andre=False)),
+    FamilyTag.ANDRE: lambda n: sorted(_iter_bottom_up(range(1, n + 1), True)),
+    FamilyTag.SIMSUN: lambda n: sorted(_iter_bottom_up(range(1, n + 1), False)),
+    FamilyTag.ANDRE_B: lambda n: sorted(
+        _over_sign_sets(n, lambda labels: _iter_bottom_up(labels, True))
+    ),
+    FamilyTag.ANDRE_H: lambda n: _free_signs(_iter_bottom_up(range(1, n + 1), True)),
+    FamilyTag.SIMSUN_B: lambda n: _free_signs(_iter_bottom_up(range(1, n + 1), False)),
 }
 
 
@@ -624,6 +600,6 @@ def _hetyei_row_by_words(n: int) -> tuple[int, ...]:
     Kept as the oracle :func:`_hetyei_row` is tested against.
     """
     row = [0] * (n + 1)
-    for w in _iter_bottom_up(n, andre=True):
+    for w in _iter_bottom_up(range(1, n + 1), andre=True):
         row[w[-1]] += 1 << (n - len(rtl_min_positions(w)))
     return tuple(row)

@@ -103,6 +103,16 @@ def test_map_psi_trace(capsys):
     assert "i=2 a=9 b=- case=C2" in lines
 
 
+@pytest.mark.parametrize(
+    "name, literal", [("psi-b", "2143"), ("omega", "1(2,3)"), ("psi-signed", "1")]
+)
+def test_map_trace_is_psi_only(capsys, name, literal):
+    code, out, err = run(capsys, "map", name, "--input", literal, "--trace")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: --trace applies only to map psi, not {name}"]
+
+
 def test_map_signed(capsys):
     code, out, _ = run(
         capsys, "map", "psi-signed", "--input", "6 -3 9 -8 2 -1 7 -4 5"

@@ -9,6 +9,7 @@ from zigzag.bijections import _link_tree, omega, phi
 from zigzag.core import (
     Tree,
     inorder,
+    order_relabel,
     perm_from_text,
     pleaf,
     rtl_min_positions,
@@ -394,14 +395,27 @@ class TestTreeOracle:
             return None
         return Tree(word[i], left, right)
 
+    @classmethod
+    def _oracle_trees(cls, n):
+        words = itertools.permutations(range(1, n + 1))
+        trees = [t for t in map(cls._from_inorder, words) if t is not None]
+        return sorted(trees, key=inorder)
+
     def test_trees_match_inorder_words(self):
         for n in range(1, 8):
-            rebuilt = set()
-            for w in itertools.permutations(range(1, n + 1)):
-                t = self._from_inorder(w)
-                if t is not None:
-                    rebuilt.add(t)
-            assert rebuilt == set(iter_family("tree", n))
+            assert list(iter_family("tree", n)) == self._oracle_trees(n)
+
+    def test_signed_trees_match_relabeled_trees(self):
+        # every signed tree is a plain tree relabeled in order onto one of
+        # the 2^n sign sets
+        for n in range(1, 6):
+            trees = self._oracle_trees(n)
+            relabeled = [
+                order_relabel(t, [s * v for s, v in zip(signs, range(1, n + 1))])
+                for signs in itertools.product((1, -1), repeat=n)
+                for t in trees
+            ]
+            assert list(iter_family("tree-b", n)) == sorted(relabeled, key=inorder)
 
 
 class TestCounts:

@@ -337,3 +337,68 @@ def test_bijection_fault_gives_its_witness(
     (report,) = run_checks([check_id], n_max_a=4, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == witness
+
+
+def _reversed(real):
+    return lambda x: real(x)[::-1]
+
+
+def _stray_left_link(real):
+    # every non-final state's leftmost path runs on past the pair's first
+    # entry; the final state, and so the tree, stays right
+    def states(p):
+        for i, a, b, case, root, left, right in real(p):
+            if i > 1:
+                left = {**left, p[2 * i - 2]: 0}
+            yield i, a, b, case, root, left, right
+
+    return states
+
+
+# (check, module, name, fault, witness) for the checks outside _BIJECTIONS
+_CHECK_FAULTS = [
+    (
+        "psi-equality", "bijections", "psi_b", _none,
+        "psi_b and psi_c disagree on 1",
+    ),
+    (
+        "chuang-factorization", "bijections", "chuang_phi", _none,
+        "direct tree-to-Simsun map disagrees on 1",
+    ),
+    (
+        "cd-preservation", "cdindex", "reduced_variation_simsun",
+        lambda real: lambda s: "x",
+        "reduced variation not preserved on 1",
+    ),
+    (
+        "andre-implies-simsun", "families", "is_simsun", _never,
+        "Andre permutation 1 is not Simsun",
+    ),
+    (
+        "valley-equivalence", "families", "is_andre_valley", _never,
+        "valley characterization disagrees on 1",
+    ),
+    (
+        "conjugation-diagram", "bijections", "omega_signed", _reversed,
+        "omega conjugation square fails on -2(-1)",
+    ),
+    (
+        "psi-bijection", "bijections", "_graft_states", _stray_left_link,
+        "psi step invariant broken at i=2 on 21435",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name, fault, witness",
+    _CHECK_FAULTS,
+    ids=[f"{c[0]}-{c[2]}" for c in _CHECK_FAULTS],
+)
+def test_check_fault_gives_its_witness(
+    monkeypatch, check_id, module, name, fault, witness
+):
+    target = getattr(verify, module)
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
+    (report,) = run_checks([check_id], n_max_a=5, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == witness
