@@ -18,8 +18,9 @@ The maps and their statistic bookkeeping:
   permutation's first entry.  ``_psi_tree`` runs the grafting and
   freezes the last state; ``psi``, ``psi_signed`` and the checks call
   it, and only ``psi_c`` records the decisions in an
-  :class:`AlgoCTrace`.  ``_link_tree``, which freezes child maps into a
-  :class:`Tree`, checks every tree invariant as it links.
+  :class:`AlgoCTrace`.  Every map that builds a tree fills child maps
+  and freezes them with ``core._link_tree``, which checks every tree
+  invariant as it links; this module checks no tree invariant itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -48,9 +49,9 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (
-    InvalidTreeError,
     Tree,
     Word,
+    _link_tree,
     inorder,
     perm_from_sequence,
     pleaf,
@@ -62,7 +63,7 @@ from .core import (
 from .families import (
     FamilyTag,
     TYPE_A_GUARD,
-    GuardExceededError,
+    _guard,
     is_alternating,
     is_andre,
     is_hetyei_andre,
@@ -218,50 +219,6 @@ def phi_signed(p: Sequence[int]) -> Word:
 
 # ---------------------------------------------------------------------------
 # psi: the grafting construction (two equivalent algorithms)
-
-
-def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
-    """Freeze child maps into a :class:`Tree` without recursion.
-
-    Labels must increase away from the root, so building nodes from the
-    largest label down finishes every child before its parent.  Every
-    invariant :func:`validate_tree` checks is checked on the way, and a
-    violation raises :class:`InvalidTreeError`: a right child without a
-    left one, a child not above its parent, children out of canonical
-    order, a child linked twice, maps that are not one tree rooted at
-    ``root``, and the label 0.
-    """
-    labels = {root, *left.values(), *right.values()}
-    if 0 in labels:
-        raise InvalidTreeError("label 0 is not allowed")
-    built: dict[int, Tree] = {}
-    for v in sorted(labels, reverse=True):
-        lk, rk = left.get(v), right.get(v)
-        if lk is None:
-            if rk is not None:
-                raise InvalidTreeError(
-                    f"node {v} has a right child but no left child"
-                )
-            built[v] = Tree(v)
-            continue
-        if lk <= v or (rk is not None and rk <= v):
-            raise InvalidTreeError(f"children of {v} must be greater than {v}")
-        if rk is not None and rk < lk:
-            raise InvalidTreeError(
-                f"children of {v} are not in canonical order: {lk} before {rk}"
-            )
-        # a child linked twice is gone already; the edge count below
-        # rejects the maps then
-        built[v] = Tree(
-            v, built.pop(lk, None), None if rk is None else built.pop(rk, None)
-        )
-    # every map entry is one edge, and one tree on these labels has one
-    # edge fewer than nodes; an edge out of a node not in the tree, or a
-    # child linked twice, breaks that count
-    edges = len(left) + len(right)
-    if root not in built or len(built) != 1 or edges != len(labels) - 1:
-        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
-    return built[root]
 
 
 def _graft_states(
@@ -442,7 +399,8 @@ def psi_b(p: Sequence[int]) -> Tree:
 
 @lru_cache(maxsize=None)
 def _psi_table(n: int) -> dict[Tree, Word]:
-    return {_psi_tree(p): p for p in iter_family(FamilyTag.ALT, n)}
+    # psi_inv has guarded n already
+    return {_psi_tree(p): p for p in iter_family(FamilyTag.ALT, n, force=True)}
 
 
 def psi_inv(t: Tree, force: bool = False) -> Word:
@@ -455,12 +413,8 @@ def psi_inv(t: Tree, force: bool = False) -> Word:
     labels = tree_labels(t)
     if labels != tuple(range(1, len(labels) + 1)):
         raise ValueError("psi_inv expects a tree labeled by 1..n")
-    n = len(labels)
-    if n > TYPE_A_GUARD and not force:
-        raise GuardExceededError(
-            f"psi_inv at n={n} exceeds the guard (n <= {TYPE_A_GUARD})"
-        )
-    return _psi_table(n)[t]
+    _guard("psi_inv", len(labels), TYPE_A_GUARD, force)
+    return _psi_table(len(labels))[t]
 
 
 def psi_signed(p: Sequence[int]) -> Tree:

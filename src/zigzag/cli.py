@@ -111,10 +111,7 @@ def _object_json(obj):
 
 
 def _cmd_triangle(args, out: IO[str]) -> int:
-    if args.n > TRIANGLE_N_CAP and not args.force:
-        raise _CliError(
-            f"triangle rows capped at {TRIANGLE_N_CAP}; pass --force to override"
-        )
+    families._guard(f"{args.kind} triangle", args.n, TRIANGLE_N_CAP, args.force)
     if args.n < 1:
         raise _CliError("--n must be at least 1")
     table = (

@@ -17,6 +17,11 @@ Value conventions used across the whole package:
   left.  Orientation is therefore a function of the labels alone;
   algorithms that need to break it work on transient structures and
   re-canonicalize before returning.
+- The per-node invariants live in one helper, ``_check_node``.  Parsers
+  and maps build child maps keyed by label and freeze them with
+  ``_link_tree``, which checks every node as it links;
+  :func:`validate_tree` checks a finished :class:`Tree` node by node
+  with the same helper, so every entry point gives the same error.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -246,6 +251,36 @@ def tree_labels(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(n.label for n in _walk(t)))
 
 
+def _check_node(v: int, left_label: int | None, right_label: int | None) -> None:
+    """Raise :class:`InvalidTreeError` unless node ``v``, with these child
+    labels (None if absent), keeps the per-node tree invariants."""
+    if v == 0:
+        raise InvalidTreeError("label 0 is not allowed")
+    if left_label is None:
+        if right_label is not None:
+            raise InvalidTreeError(f"node {v} has a right child but no left child")
+        return
+    if left_label <= v:
+        raise InvalidTreeError(f"child {left_label} must be greater than parent {v}")
+    if right_label is None:
+        return
+    if right_label <= v:
+        raise InvalidTreeError(f"child {right_label} must be greater than parent {v}")
+    if left_label > right_label:
+        raise InvalidTreeError(
+            f"children of {v} are not in canonical order: "
+            f"{left_label} before {right_label}"
+        )
+
+
+def _check_distinct(labels: Iterable[int]) -> None:
+    seen: set[int] = set()
+    for v in labels:
+        if v in seen:
+            raise InvalidTreeError(f"duplicate label {v}")
+        seen.add(v)
+
+
 def validate_tree(t: Tree) -> None:
     """Check the increasing 1-2 tree invariants, raising on violation.
 
@@ -254,31 +289,39 @@ def validate_tree(t: Tree) -> None:
     :func:`tree_spans_range` to additionally demand that the absolute
     label values are exactly 1..n.
     """
-    seen: set[int] = set()
-    for cur in _walk(t):
-        if cur.label in seen:
-            raise InvalidTreeError(f"duplicate label {cur.label}")
-        seen.add(cur.label)
-        if cur.left is None and cur.right is not None:
-            raise InvalidTreeError(
-                f"node {cur.label} has a right child but no left child"
-            )
-        if cur.left is not None and cur.left.label <= cur.label:
-            raise InvalidTreeError(
-                f"child {cur.left.label} must be greater than parent {cur.label}"
-            )
-        if cur.right is not None and cur.right.label <= cur.label:
-            raise InvalidTreeError(
-                f"child {cur.right.label} must be greater than parent {cur.label}"
-            )
-        if cur.left is not None and cur.right is not None:
-            if cur.left.label > cur.right.label:
-                raise InvalidTreeError(
-                    f"children of {cur.label} are not in canonical order: "
-                    f"{cur.left.label} before {cur.right.label}"
-                )
-    if 0 in seen:
-        raise InvalidTreeError("label 0 is not allowed")
+    nodes = list(_walk(t))
+    _check_distinct(cur.label for cur in nodes)
+    for cur in nodes:
+        _check_node(
+            cur.label,
+            None if cur.left is None else cur.left.label,
+            None if cur.right is None else cur.right.label,
+        )
+
+
+def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
+    """Freeze child maps into a :class:`Tree` without recursion.
+
+    Labels must increase away from the root, so building nodes from the
+    largest label down finishes every child before its parent.  Each node
+    passes :func:`_check_node` on the way, and maps that are not one tree
+    rooted at ``root`` raise :class:`InvalidTreeError` too.
+    """
+    labels = {root, *left.values(), *right.values()}
+    built: dict[int, Tree] = {}
+    for v in sorted(labels, reverse=True):
+        lk, rk = left.get(v), right.get(v)
+        _check_node(v, lk, rk)
+        # a child linked twice is gone already; the edge count below
+        # rejects the maps then
+        built[v] = Tree(v, built.pop(lk, None), built.pop(rk, None))
+    # every map entry is one edge, and one tree on these labels has one
+    # edge fewer than nodes; an edge out of a node not in the tree, or a
+    # child linked twice, breaks that count
+    edges = len(left) + len(right)
+    if root not in built or len(built) != 1 or edges != len(labels) - 1:
+        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
+    return built[root]
 
 
 def tree_spans_range(t: Tree) -> bool:
@@ -310,9 +353,10 @@ def tree_from_literal(text: str) -> Tree:
     """Parse a tree literal such as ``1(2(3(7,9)),4(5,6(8)))``.
 
     The one-child form means a left child; two children are listed left
-    then right.  The parsed tree is validated, not silently reordered.
-    Open nodes wait on a stack instead of the call stack, so chains
-    deeper than the recursion limit parse too.
+    then right.  The child maps are filled in one pass and linked by
+    :func:`_link_tree`, which checks the invariants, not silently
+    reordering.  Open nodes wait on a stack instead of the call stack, so
+    chains deeper than the recursion limit parse too.
 
     >>> tree_from_literal("1(2,3)")
     Tree[1(2,3)]
@@ -328,35 +372,39 @@ def tree_from_literal(text: str) -> Tree:
         pos += 1
         return tok
 
-    # per open node: its label and the subtrees parsed so far
-    stack: list[tuple[int, list[Tree]]] = []
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    labels: list[int] = []
+    # per open node: its label and the map its next child goes into
+    stack: list[tuple[int, dict[int, int]]] = []
     while True:
         tok = take()
         try:
             label = int(tok)
         except ValueError:
             raise TreeParseError(f"expected a label, got {tok!r}") from None
+        labels.append(label)
+        if stack:
+            parent, kids = stack[-1]
+            kids[parent] = label
         if pos < len(tokens) and tokens[pos] == "(":
             take()
-            stack.append((label, []))
+            stack.append((label, left))
             continue
-        done = Tree(label)
         while stack:
-            kids = stack[-1][1]
-            kids.append(done)
             tok = take()
-            if tok == "," and len(kids) == 1:
+            if tok == "," and stack[-1][1] is left:
+                stack[-1] = (stack[-1][0], right)
                 break
             if tok != ")":
                 raise TreeParseError(f"expected ')', got {tok!r}")
-            label, kids = stack.pop()
-            done = Tree(label, *kids)
+            stack.pop()
         else:
             break
     if pos != len(tokens):
         raise TreeParseError(f"trailing text in tree literal {text!r}")
-    validate_tree(done)
-    return done
+    _check_distinct(labels)
+    return _link_tree(labels[0], left, right)
 
 
 def tree_to_literal(t: Tree) -> str:
@@ -411,24 +459,21 @@ def tree_to_json(t: Tree) -> dict:
 def tree_from_json(obj: dict) -> Tree:
     """Inverse of :func:`tree_to_json`; the result is validated.
 
-    The dicts are listed breadth first, so every child comes after its
-    parent, and the nodes are built from the end of that list without
-    recursion.
+    The dicts are read breadth first into child maps, which
+    :func:`_link_tree` links and checks without recursion.
     """
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    labels: list[int] = []
     docs = [obj]
     for doc in docs:
-        docs.extend(c for c in (doc.get("left"), doc.get("right")) if c is not None)
-    built: dict[int, Tree] = {}
-    for doc in reversed(docs):
-        left, right = doc.get("left"), doc.get("right")
-        built[id(doc)] = Tree(
-            int(doc["label"]),
-            None if left is None else built[id(left)],
-            None if right is None else built[id(right)],
-        )
-    result = built[id(obj)]
-    validate_tree(result)
-    return result
+        labels.append(int(doc["label"]))
+        for kids, child in ((left, doc.get("left")), (right, doc.get("right"))):
+            if child is not None:
+                kids[labels[-1]] = int(child["label"])
+                docs.append(child)
+    _check_distinct(labels)
+    return _link_tree(labels[0], left, right)
 
 
 def inorder(t: Tree) -> Word:

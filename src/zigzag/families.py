@@ -44,7 +44,10 @@ then sorted by inorder word.  The definitions
 filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
 (``_PREDICATES``) remain the oracle the tests compare the generators
 against.  Guards keep accidental huge enumerations out; pass
-``force=True`` to override them.
+``force=True`` to override them.  Every size guard in the package, here
+and in ``bijections``, ``verify`` and ``cli``, raises through one helper,
+``_guard``, with one message format; each cap stays a constant in its
+module.
 
 :func:`is_andre` and :func:`is_simsun` rest on the same insertion fact,
 run backwards: they sort the positions by value once and delete entries
@@ -454,14 +457,13 @@ def _statistic(tag: FamilyTag) -> Callable[..., int]:
     return operator.itemgetter(0 if tag in _FIRST_TAGS else -1)
 
 
-def _check_guard(tag: FamilyTag, n: int, force: bool) -> None:
-    if n < 1:
-        raise ValueError("families start at n = 1")
-    guard = TYPE_B_GUARD if tag in _SIGNED_TAGS else TYPE_A_GUARD
-    if n > guard and not force:
+def _guard(what: str, n: int, cap: int, force: bool) -> None:
+    """Refuse ``n`` above ``cap`` unless ``force``; every size guard in
+    the package trips here, with one message format."""
+    if n > cap and not force:
         raise GuardExceededError(
-            f"enumeration of {tag.value} at n={n} exceeds the guard "
-            f"(n <= {guard}); pass force=True to override"
+            f"{what} at n={n} exceeds the guard (n <= {cap}); "
+            "pass force=True to override"
         )
 
 
@@ -486,7 +488,10 @@ def iter_family(
     family's refinement statistic.
     """
     tag = FamilyTag(tag)
-    _check_guard(tag, n, force)
+    if n < 1:
+        raise ValueError("families start at n = 1")
+    cap = TYPE_B_GUARD if tag in _SIGNED_TAGS else TYPE_A_GUARD
+    _guard(f"enumeration of {tag.value}", n, cap, force)
     _check_k(tag, n, k)
     if tag in _FIRST_TAGS:
         yield from _iter_alternating(tag, n, k)
@@ -536,11 +541,7 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
     """
     if n < 1:
         raise ValueError("families start at n = 1")
-    if n > TYPE_A_GUARD and not force:
-        raise GuardExceededError(
-            f"counting at n={n} exceeds the guard (n <= {TYPE_A_GUARD}); "
-            "pass force=True to override"
-        )
+    _guard("counting", n, TYPE_A_GUARD, force)
     if not 1 <= k <= n:
         raise ValueError(f"refinement k must satisfy 1 <= k <= {n}, got {k}")
     return _hetyei_row(n)[k]

@@ -33,6 +33,7 @@ from .core import (
     order_relabel,
     perm_to_text,
     rtl_min_positions,
+    tree_labels,
     tree_to_literal,
 )
 from .families import FamilyTag
@@ -322,25 +323,24 @@ def _check_valley_equivalence(n_max_a: int, n_max_b: int) -> dict:
 
 
 def _check_conjugation_diagram(n_max_a: int, n_max_b: int) -> dict:
-    # psi_signed grafts the signed labels directly, and the right-hand
-    # side relabels onto [n] and grafts there: two independent routes
+    # each signed map must equal its unsigned map conjugated by the order
+    # isomorphism onto [n], signs included; psi_signed grafts the signed
+    # labels directly, so its half compares two independent routes
     objects = 0
     for n in range(1, n_max_b + 1):
         ident = range(1, n + 1)
         for p in _family(FamilyTag.ALT_B, n):
             objects += 1
-            lhs = order_relabel(bijections.psi_signed(p), ident)
             rhs = bijections._psi_tree(order_relabel(p, ident))
             _expect(
-                lhs == rhs,
+                bijections.psi_signed(p) == order_relabel(rhs, p),
                 lambda: f"psi conjugation square fails on {perm_to_text(p)}",
             )
         for t in _family(FamilyTag.TREE_B, n):
             objects += 1
-            lhs = order_relabel(bijections.omega_signed(t), ident)
             rhs = bijections.omega(order_relabel(t, ident))
             _expect(
-                lhs == rhs,
+                bijections.omega_signed(t) == order_relabel(rhs, tree_labels(t)),
                 lambda: f"omega conjugation square fails on {tree_to_literal(t)}",
             )
     return {"objects": objects}
@@ -382,11 +382,8 @@ def run_checks(
         raise ValueError(
             f"check caps must be at least 1, got n_max_a={n_max_a}, n_max_b={n_max_b}"
         )
-    if not force and (n_max_a > EXTENDED_N_MAX_A or n_max_b > EXTENDED_N_MAX_B):
-        raise families.GuardExceededError(
-            f"check caps are n_max_a <= {EXTENDED_N_MAX_A}, "
-            f"n_max_b <= {EXTENDED_N_MAX_B}; pass force=True to override"
-        )
+    families._guard("checking the unsigned families", n_max_a, EXTENDED_N_MAX_A, force)
+    families._guard("checking the signed families", n_max_b, EXTENDED_N_MAX_B, force)
     reports = []
     for check_id in chosen:
         params = {"n_max_a": n_max_a, "n_max_b": n_max_b}
@@ -423,11 +420,7 @@ def check_conjecture(
     the counts run past the enumeration guard of
     :func:`families.count_hetyei_fast`, which counts without enumerating.
     """
-    if n_max > DEFAULT_N_MAX_CONJECTURE and not force:
-        raise families.GuardExceededError(
-            f"conjecture sweep capped at n <= {DEFAULT_N_MAX_CONJECTURE}; "
-            "pass force=True to override"
-        )
+    families._guard("conjecture sweep", n_max, DEFAULT_N_MAX_CONJECTURE, force)
     table = triangles.arnold_table(n_max)
     reports = []
     for n in range(1, n_max + 1):

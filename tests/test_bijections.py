@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from zigzag import bijections
+from zigzag import bijections, families
 from zigzag.bijections import (
     _link_tree,
     chuang_phi,
@@ -37,7 +37,7 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.families import is_alternating, iter_family
+from zigzag.families import GuardExceededError, is_alternating, iter_family
 from zigzag.triangles import entringer_table
 
 RUNNING_TREE = tree_from_literal("1(2(3(7,9)),4(5,6(8)))")
@@ -192,6 +192,16 @@ class TestPsi:
         for n in range(1, 7):
             for p in iter_family("alt", n):
                 assert psi_inv(psi(p)) == p
+
+    def test_forced_inverse_runs_past_the_guard(self, monkeypatch):
+        # the table behind psi_inv must not trip the family guard again
+        for module in (families, bijections):
+            monkeypatch.setattr(module, "TYPE_A_GUARD", 5)
+        bijections._psi_table.cache_clear()
+        chain = tree_from_literal("1(2(3(4(5(6)))))")
+        assert psi_inv(chain, force=True) == (6, 4, 5, 2, 3, 1)
+        with pytest.raises(GuardExceededError):
+            psi_inv(chain)
 
     def test_precondition(self):
         with pytest.raises(ValueError):

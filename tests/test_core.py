@@ -222,6 +222,50 @@ class TestTreeLiterals:
         assert tree_from_literal(tree_to_literal(t)) == t
 
 
+# (tree, its literal, its child maps, the one message); the literal cannot
+# write a lone right child, and child maps cannot hold a duplicate label
+_MALFORMED_TREES = [
+    pytest.param(
+        Tree(1, Tree(2, None, Tree(3))), None, (1, {1: 2}, {2: 3}),
+        "node 2 has a right child but no left child",
+        id="right-child-without-left",
+    ),
+    pytest.param(
+        Tree(1, Tree(3, Tree(2))), "1(3(2))", (1, {1: 3, 3: 2}, {}),
+        "child 2 must be greater than parent 3",
+        id="decreasing-edge",
+    ),
+    pytest.param(
+        Tree(1, Tree(2, Tree(5), Tree(4))), "1(2(5,4))", (1, {1: 2, 2: 5}, {2: 4}),
+        "children of 2 are not in canonical order: 5 before 4",
+        id="non-canonical-order",
+    ),
+    pytest.param(
+        Tree(1, Tree(2, Tree(3)), Tree(3)), "1(2(3),3)", None,
+        "duplicate label 3",
+        id="duplicate-label",
+    ),
+    pytest.param(
+        Tree(-1, Tree(0)), "-1(0)", (-1, {-1: 0}, {}),
+        "label 0 is not allowed",
+        id="label-zero",
+    ),
+]
+
+
+@pytest.mark.parametrize("t, literal, maps, message", _MALFORMED_TREES)
+def test_every_tree_entry_point_applies_one_rule(t, literal, maps, message):
+    entries = [lambda: validate_tree(t), lambda: tree_from_json(tree_to_json(t))]
+    if literal is not None:
+        entries.append(lambda: tree_from_literal(literal))
+    if maps is not None:
+        entries.append(lambda: _link_tree(*maps))
+    for entry in entries:
+        with pytest.raises(InvalidTreeError) as info:
+            entry()
+        assert str(info.value) == message
+
+
 class TestTreeTraversals:
     def test_inorder_running_tree(self):
         assert inorder(tree_from_literal(RUNNING_TREE)) == (7, 3, 9, 2, 1, 5, 4, 8, 6)

@@ -1,11 +1,12 @@
 import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
-from zigzag import families
-from zigzag.bijections import _link_tree, omega, phi
+from zigzag import bijections, cli, families
+from zigzag.bijections import _link_tree, omega, phi, psi_inv
 from zigzag.core import (
     Tree,
     inorder,
@@ -38,6 +39,7 @@ from zigzag.families import (
     refinement_statistic,
 )
 from zigzag.triangles import arnold_table, entringer_table
+from zigzag.verify import check_conjecture, run_checks
 
 
 def perms(text_items):
@@ -490,3 +492,80 @@ class TestCounts:
                 assert counts == row[1:]
         finally:
             families._hetyei_row.cache_clear()
+
+
+def _triangle_cli(n):
+    return cli.dispatch(["triangle", "entringer", "--n", str(n)])
+
+
+# (what the message names, the cap, a call at size n); the cap is accepted
+# and one more is refused
+_GUARD_SITES = [
+    pytest.param(
+        "enumeration of alt", 12, lambda n: next(iter_family("alt", n)),
+        id="iter_family-alt",
+    ),
+    pytest.param(
+        "enumeration of snake", 8, lambda n: next(iter_family("snake", n)),
+        id="iter_family-snake",
+    ),
+    pytest.param(
+        "counting", 12, lambda n: count_hetyei_fast(n, 1), id="count_hetyei_fast"
+    ),
+    pytest.param(
+        "psi_inv", 5,
+        lambda n: psi_inv(_link_tree(1, {v: v + 1 for v in range(1, n)}, {})),
+        id="psi_inv",
+    ),
+    pytest.param(
+        "checking the unsigned families", 9,
+        lambda n: run_checks(["valley-equivalence"], n, 3),
+        id="run_checks-a",
+    ),
+    pytest.param(
+        "checking the signed families", 7,
+        lambda n: run_checks(["valley-equivalence"], 5, n),
+        id="run_checks-b",
+    ),
+    pytest.param("conjecture sweep", 100, check_conjecture, id="check_conjecture"),
+    pytest.param("entringer triangle", 50, _triangle_cli, id="cli-triangle"),
+]
+
+
+@pytest.mark.parametrize("what, cap, call", _GUARD_SITES)
+def test_every_guard_site_raises_the_one_error(monkeypatch, capsys, what, cap, call):
+    # psi_inv's real cap, 12, needs a table of E_12 permutations
+    monkeypatch.setattr(bijections, "TYPE_A_GUARD", 5)
+    message = (
+        f"{what} at n={cap + 1} exceeds the guard (n <= {cap}); "
+        "pass force=True to override"
+    )
+    if call is _triangle_cli:
+        assert call(cap) == 0
+        capsys.readouterr()
+        assert call(cap + 1) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    call(cap)
+    with pytest.raises(GuardExceededError) as info:
+        call(cap + 1)
+    assert str(info.value) == message
+
+
+def _raises(path, name):
+    # raise statements that build ``name`` or ``module.name``
+    with open(path, encoding="utf-8") as src:
+        tree = ast.parse(src.read())
+    count = 0
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call):
+            func = stmt.exc.func
+            count += name in (getattr(func, "id", None), getattr(func, "attr", None))
+    return count
+
+
+def test_one_guard_raise_and_no_tree_checks_in_the_bijections():
+    package = pathlib.Path(families.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sum(_raises(path, "GuardExceededError") for path in sources) == 1
+    assert _raises(package / "bijections.py", "InvalidTreeError") == 0

@@ -402,3 +402,34 @@ def test_check_fault_gives_its_witness(
     (report,) = run_checks([check_id], n_max_a=5, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == witness
+
+
+# each fault gives one object the image of another with the same shape and
+# different signs, which comparing relabeled shapes cannot see; since
+# omega_signed is omega, in production only a divergence between the two
+# can fail the omega half
+_SIGN_FAULTS = [
+    (
+        "conjugation-diagram", "bijections", "omega_signed",
+        _replace(_T("-2(-1)"), _T("-2(1)")),
+        "omega conjugation square fails on -2(-1)",
+    ),
+    (
+        "conjugation-diagram", "bijections", "psi_signed",
+        _replace((-1, -2), (1, -2)),
+        "psi conjugation square fails on -1 -2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name, fault, witness",
+    _SIGN_FAULTS,
+    ids=[c[2] for c in _SIGN_FAULTS],
+)
+def test_conjugation_diagram_compares_signed_labels(
+    monkeypatch, check_id, module, name, fault, witness
+):
+    test_check_fault_gives_its_witness(
+        monkeypatch, check_id, module, name, fault, witness
+    )
