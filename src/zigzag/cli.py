@@ -260,7 +260,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return handler(args, sys.stdout)
     except ValueError as exc:
         # usage, guard, and invalid permutation or tree errors alike
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, families.GuardExceededError) and hasattr(args, "force"):
+            message = message.replace("force=True", "--force")
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -290,24 +290,16 @@ def iter_permutations(n: int) -> Iterator[Word]:
 
 
 def iter_signed_permutations(n: int) -> Iterator[Word]:
-    """All signed permutations of [n], lexicographic in signed entry order."""
-    domain = list(range(-n, 0)) + list(range(1, n + 1))
-    used = [False] * (n + 1)
-    prefix: list[int] = []
+    """All signed permutations of [n], lexicographic in signed entry order.
 
-    def rec() -> Iterator[Word]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in domain:
-            if not used[abs(v)]:
-                used[abs(v)] = True
-                prefix.append(v)
-                yield from rec()
-                prefix.pop()
-                used[abs(v)] = False
-
-    return rec()
+    All 2^n n! words are built and sorted before the first is yielded.
+    """
+    words = [
+        tuple(map(operator.mul, signs, p))
+        for signs in itertools.product((1, -1), repeat=n)
+        for p in iter_permutations(n)
+    ]
+    return iter(sorted(words))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ rows of one table run by :func:`_check_bijection`.  A row maps family F(n)
 onto G(n - shift); each image is checked for membership in G, the
 statistic carried over less the shift, the row's extra invariant and the
 inverse round trip, and at each n the sorted images must be G(n - shift).
+The six checks that test one object at a time share :func:`_check_objects`,
+which walks n = 1..cap and runs every object of each clause's stream
+through the clause's property; clauses take turns at each n.  The two
+family-count checks compare each triangle row with counted statistics.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
 n = 6, the conjecture sweep to n = 100.  A check that raises is reported as
@@ -82,11 +86,31 @@ def _expect(condition: bool, witness: Callable[[], str]) -> None:
 
 
 def _compare_counts(
-    label: str, n: int, expected: dict[int, int], actual: dict[int, int]
-) -> None:
+    label: str, tag: FamilyTag, n: int, expected: dict[int, int], shift: int = 0
+) -> int:
+    """Compare the statistic counts of ``tag`` at n - shift with
+    ``expected`` less the shift; return the number of objects counted."""
+    size = n - shift
+    expected = {k - shift: v for k, v in expected.items()}
+    actual = _counts_by_stat(tag, size)
     for k in sorted(set(expected) | set(actual)):
         e, a = expected.get(k, 0), actual.get(k, 0)
-        _expect(e == a, lambda: f"{label}: n={n} k={k} expected={e} actual={a}")
+        _expect(e == a, lambda: f"{label}: n={size} k={k} expected={e} actual={a}")
+    return sum(actual.values())
+
+
+def _check_objects(n_max: int, *clauses: tuple[Callable, Callable, Callable]) -> dict:
+    """Test every object of each clause ``(stream, holds, witness)`` for
+    n = 1..n_max.  The clauses take turns at each n, so the failure
+    reported is one at the smallest failing n."""
+    objects = 0
+    for n in range(1, n_max + 1):
+        for stream, holds, witness in clauses:
+            for x in stream(n):
+                objects += 1
+                if not holds(x):
+                    raise _Failure(witness(x))
+    return {"objects": objects}
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +121,11 @@ def _check_entringer_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.entringer_table(n_max_a)
     objects = 0
     for n in range(1, n_max_a + 1):
-        expected = {k: table.value(n, k) for k in range(1, n + 1) if table.value(n, k)}
+        expected = {k: v for k, v in table.row(n) if v}
         for tag in (FamilyTag.ALT, FamilyTag.TREE, FamilyTag.ANDRE):
-            actual = _counts_by_stat(tag, n)
-            objects += sum(actual.values())
-            _compare_counts(tag.value, n, expected, actual)
+            objects += _compare_counts(tag.value, tag, n, expected)
         if n >= 2:
-            shifted = {k - 1: v for k, v in expected.items()}
-            actual = _counts_by_stat(FamilyTag.SIMSUN, n - 1)
-            objects += sum(actual.values())
-            _compare_counts("simsun", n - 1, shifted, actual)
+            objects += _compare_counts("simsun", FamilyTag.SIMSUN, n, expected, 1)
     return {"objects": objects, "rows": n_max_a}
 
 
@@ -114,8 +133,7 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.arnold_table(n_max_b)
     objects = 0
     for n in range(1, n_max_b + 1):
-        ks = list(range(-n, 0)) + list(range(1, n + 1))
-        expected = {k: table.value(n, k) for k in ks if table.value(n, k)}
+        expected = {k: v for k, v in table.row(n) if v}
         positive = {k: v for k, v in expected.items() if k > 0}
         for tag, want in (
             (FamilyTag.ALT_B, expected),
@@ -123,18 +141,14 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
             (FamilyTag.TREE_B, expected),
             (FamilyTag.ANDRE_B, expected),
         ):
-            actual = _counts_by_stat(tag, n)
-            objects += sum(actual.values())
-            _compare_counts(tag.value, n, want, actual)
+            objects += _compare_counts(tag.value, tag, n, want)
         # last-entry counts of the signed Simsun family match the
         # forced-sign Andre family one size up, shifted by one
         hetyei = _counts_by_stat(FamilyTag.ANDRE_H, n)
         objects += sum(hetyei.values())
         if n >= 2:
-            signed_simsun = _counts_by_stat(FamilyTag.SIMSUN_B, n - 1)
-            objects += sum(signed_simsun.values())
-            shifted = {k - 1: v for k, v in hetyei.items()}
-            _compare_counts("simsun-b vs andre-h", n - 1, shifted, signed_simsun)
+            label = "simsun-b vs andre-h"
+            objects += _compare_counts(label, FamilyTag.SIMSUN_B, n, hetyei, 1)
         else:
             _expect(hetyei == {1: 1}, lambda: f"andre-h: n=1 counts {hetyei}")
     return {"objects": objects, "rows": n_max_b}
@@ -153,7 +167,6 @@ class _Bijection:
     source: FamilyTag
     target: FamilyTag
     image_set: str
-    signed: bool = False  # capped by n_max_b instead of n_max_a
     shift: int = 0
     member: str | None = None
     noun: str = ""
@@ -175,7 +188,8 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
     word = inorder if row.target in trees else tuple
     shift, extra = row.shift, row.extra
     objects = 0
-    for n in range(1, (n_max_b if row.signed else n_max_a) + 1):
+    signed = row.source in families._SIGNED_TAGS
+    for n in range(1, (n_max_b if signed else n_max_a) + 1):
         size = n - shift
         images = []
         for x in _family(row.source, n):
@@ -244,106 +258,88 @@ _BIJECTIONS = {
     ),
     "psi-signed-bijection": _Bijection(
         "psi_signed", "psi_signed", FamilyTag.ALT_B, FamilyTag.TREE_B,
-        "exactly the signed trees", signed=True,
+        "exactly the signed trees",
     ),
     "omega-signed-bijection": _Bijection(
         "omega_signed", "omega_signed", FamilyTag.TREE_B, FamilyTag.ANDRE_B,
         "the signed Andre family",
-        signed=True, member="is_signed_andre_b", noun="signed Andre",
+        member="is_signed_andre_b", noun="signed Andre",
     ),
     "phi-signed-bijection": _Bijection(
         "phi_signed", "phi_signed", FamilyTag.ANDRE_H, FamilyTag.SIMSUN_B,
         "the signed Simsun family",
-        signed=True, shift=1, member="is_signed_simsun", noun="signed Simsun",
+        shift=1, member="is_signed_simsun", noun="signed Simsun",
     ),
 }
 
 
 def _check_psi_equality(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        for p in _family(FamilyTag.ALT, n):
-            objects += 1
-            _expect(
-                bijections.psi_b(p) == bijections.psi(p),
-                lambda: f"psi_b and psi_c disagree on {perm_to_text(p)}",
-            )
-    return {"objects": objects}
+    return _check_objects(n_max_a, (
+        partial(_family, FamilyTag.ALT),
+        lambda p: bijections.psi_b(p) == bijections.psi(p),
+        lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
+    ))
 
 
 def _check_chuang_factorization(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        for t in _family(FamilyTag.TREE, n):
-            objects += 1
-            _expect(
-                bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
-                lambda: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
-            )
-    return {"objects": objects}
+    return _check_objects(n_max_a, (
+        partial(_family, FamilyTag.TREE),
+        lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
+        lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
+    ))
 
 
 def _check_cd_preservation(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        for p in _family(FamilyTag.ANDRE, n):
-            objects += 1
-            _expect(
-                cdindex.reduced_variation_andre(p)
-                == cdindex.reduced_variation_simsun(bijections.phi(p)),
-                lambda: f"reduced variation not preserved on {perm_to_text(p)}",
-            )
-    return {"objects": objects}
+    return _check_objects(n_max_a, (
+        partial(_family, FamilyTag.ANDRE),
+        lambda p: cdindex.reduced_variation_andre(p)
+        == cdindex.reduced_variation_simsun(bijections.phi(p)),
+        lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
+    ))
 
 
 def _check_andre_implies_simsun(n_max_a: int, n_max_b: int) -> dict:
-    objects = 0
-    for n in range(1, n_max_a + 1):
-        for p in families.iter_permutations(n):
-            objects += 1
-            if families.is_andre(p):
-                _expect(
-                    families.is_simsun(p),
-                    lambda: f"Andre permutation {perm_to_text(p)} is not Simsun",
-                )
-    return {"objects": objects}
+    return _check_objects(n_max_a, (
+        families.iter_permutations,
+        lambda p: not families.is_andre(p) or families.is_simsun(p),
+        lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
+    ))
 
 
 def _check_valley_equivalence(n_max_a: int, n_max_b: int) -> dict:
     # the valley characterization is only asserted up to n = 7
-    objects = 0
-    for n in range(1, min(n_max_a, 7) + 1):
-        for p in families.iter_permutations(n):
-            objects += 1
-            _expect(
-                families.is_andre(p) == families.is_andre_valley(p),
-                lambda: f"valley characterization disagrees on {perm_to_text(p)}",
-            )
-    return {"objects": objects}
+    return _check_objects(min(n_max_a, 7), (
+        families.iter_permutations,
+        lambda p: families.is_andre(p) == families.is_andre_valley(p),
+        lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
+    ))
+
+
+def _conjugate(unsigned: Callable, x, labels) -> object:
+    # the unsigned map conjugated by the order isomorphism onto [n]
+    ident = range(1, len(labels) + 1)
+    return order_relabel(unsigned(order_relabel(x, ident)), labels)
 
 
 def _check_conjugation_diagram(n_max_a: int, n_max_b: int) -> dict:
-    # each signed map must equal its unsigned map conjugated by the order
-    # isomorphism onto [n], signs included; psi_signed grafts the signed
-    # labels directly, so its half compares two independent routes
-    objects = 0
-    for n in range(1, n_max_b + 1):
-        ident = range(1, n + 1)
-        for p in _family(FamilyTag.ALT_B, n):
-            objects += 1
-            rhs = bijections._psi_tree(order_relabel(p, ident))
-            _expect(
-                bijections.psi_signed(p) == order_relabel(rhs, p),
-                lambda: f"psi conjugation square fails on {perm_to_text(p)}",
-            )
-        for t in _family(FamilyTag.TREE_B, n):
-            objects += 1
-            rhs = bijections.omega(order_relabel(t, ident))
-            _expect(
-                bijections.omega_signed(t) == order_relabel(rhs, tree_labels(t)),
-                lambda: f"omega conjugation square fails on {tree_to_literal(t)}",
-            )
-    return {"objects": objects}
+    # each signed map must equal its conjugated unsigned map, signs
+    # included; psi_signed grafts the signed labels directly, so its half
+    # compares two independent routes
+    return _check_objects(
+        n_max_b,
+        (
+            partial(_family, FamilyTag.ALT_B),
+            lambda p: bijections.psi_signed(p)
+            == _conjugate(bijections._psi_tree, p, p),
+            lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
+        ),
+        (
+            partial(_family, FamilyTag.TREE_B),
+            lambda t: bijections.omega_signed(t)
+            == _conjugate(bijections.omega, t, tree_labels(t)),
+            lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
+        ),
+    )
 
 
 _CHECKS: dict[str, Callable[[int, int], dict]] = {

@@ -498,6 +498,11 @@ def _triangle_cli(n):
     return cli.dispatch(["triangle", "entringer", "--n", str(n)])
 
 
+def _enumerate_cli(n):
+    # E(n, 1) is 0 for n >= 2, so the accepted call prints nothing
+    return cli.dispatch(["enumerate", "alt", "--n", str(n), "--k", "1"])
+
+
 # (what the message names, the cap, a call at size n); the cap is accepted
 # and one more is refused
 _GUARD_SITES = [
@@ -529,6 +534,7 @@ _GUARD_SITES = [
     ),
     pytest.param("conjecture sweep", 100, check_conjecture, id="check_conjecture"),
     pytest.param("entringer triangle", 50, _triangle_cli, id="cli-triangle"),
+    pytest.param("enumeration of alt", 12, _enumerate_cli, id="cli-enumerate"),
 ]
 
 
@@ -536,11 +542,13 @@ _GUARD_SITES = [
 def test_every_guard_site_raises_the_one_error(monkeypatch, capsys, what, cap, call):
     # psi_inv's real cap, 12, needs a table of E_12 permutations
     monkeypatch.setattr(bijections, "TYPE_A_GUARD", 5)
+    # the CLI names its own flag
+    via_cli = call in (_triangle_cli, _enumerate_cli)
     message = (
         f"{what} at n={cap + 1} exceeds the guard (n <= {cap}); "
-        "pass force=True to override"
+        f"pass {'--force' if via_cli else 'force=True'} to override"
     )
-    if call is _triangle_cli:
+    if via_cli:
         assert call(cap) == 0
         capsys.readouterr()
         assert call(cap + 1) == 2

@@ -228,6 +228,14 @@ def _replace(a, b):
     return lambda real: lambda x: real(b if x == a else x)
 
 
+@pytest.fixture
+def fresh_psi_table():
+    # psi_inv's table is cached by n alone; one built while a fault is
+    # patched in must not reach a later test
+    yield
+    verify.bijections._psi_table.cache_clear()
+
+
 _T = tree_from_literal
 # (check, module, name, fault, witness); a replacement between objects
 # with different statistics is a statistic fault, one between objects
@@ -329,6 +337,7 @@ _BIJECTION_FAULTS = [
     _BIJECTION_FAULTS,
     ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(_BIJECTION_FAULTS)],
 )
+@pytest.mark.usefixtures("fresh_psi_table")
 def test_bijection_fault_gives_its_witness(
     monkeypatch, check_id, module, name, fault, witness
 ):
@@ -394,6 +403,7 @@ _CHECK_FAULTS = [
     _CHECK_FAULTS,
     ids=[f"{c[0]}-{c[2]}" for c in _CHECK_FAULTS],
 )
+@pytest.mark.usefixtures("fresh_psi_table")
 def test_check_fault_gives_its_witness(
     monkeypatch, check_id, module, name, fault, witness
 ):
@@ -433,3 +443,16 @@ def test_conjugation_diagram_compares_signed_labels(
     test_check_fault_gives_its_witness(
         monkeypatch, check_id, module, name, fault, witness
     )
+
+
+def test_conjugation_diagram_reports_the_smallest_failing_n(monkeypatch):
+    # the psi half fails at n=3 and the omega half at n=2; the halves take
+    # turns at each n, so the omega witness is the one reported
+    real = verify.bijections
+    omega_fault = _replace(_T("-2(-1)"), _T("-2(1)"))
+    psi_fault = _replace((-2, -3, -1), (-2, -3, 1))
+    monkeypatch.setattr(real, "omega_signed", omega_fault(real.omega_signed))
+    monkeypatch.setattr(real, "psi_signed", psi_fault(real.psi_signed))
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == "omega conjugation square fails on -2(-1)"
