@@ -2,7 +2,8 @@
 
 Subcommands: ``triangle``, ``enumerate``, ``map``, ``verify``,
 ``conjecture``.  Exit codes: 0 success, 1 verification failure, 2 usage
-or guard error, 3 conjecture counterexample.
+or guard error, 3 conjecture sweep FAIL (a counterexample, or a row whose
+count raised).
 """
 
 from __future__ import annotations
@@ -219,7 +220,9 @@ def _print_reports(reports, fmt: str, out: IO[str]) -> None:
 
 
 def _cmd_verify(args, out: IO[str]) -> int:
-    selection = args.checks.split(",") if args.checks else None
+    selection = None if args.checks is None else args.checks.split(",")
+    if selection is not None and not all(c.strip() for c in selection):
+        raise _CliError(f"--checks names an empty check id: {args.checks!r}")
     reports = verify.run_checks(
         selection, args.n_max_a, args.n_max_b, force=args.force
     )
@@ -261,8 +264,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         # usage, guard, and invalid permutation or tree errors alike
         message = str(exc)
-        if isinstance(exc, families.GuardExceededError) and hasattr(args, "force"):
-            message = message.replace("force=True", "--force")
+        if isinstance(exc, families.GuardExceededError):
+            # name the command's own flag, or no override where it has none
+            hint = "; pass --force to override" if hasattr(args, "force") else ""
+            message = message.replace("; pass force=True to override", hint)
         print(f"error: {message}", file=sys.stderr)
         return 2
 

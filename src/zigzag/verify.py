@@ -6,20 +6,24 @@ the smallest witness encountered.  Theorem checks and the open-conjecture
 sweep are kept separate: a conjecture counterexample is a finding to
 report, not a defect in this package.
 
+Every report, of a check or of one row of the sweep, is made by
+:func:`_report`.  It times the check and turns a failure or any other
+exception into a FAIL report whose witness names it, so one broken check
+does not end the run.
+
 The six bijection checks, omega, phi, psi and their signed versions, are
-rows of one table run by :func:`_check_bijection`.  A row maps family F(n)
-onto G(n - shift); each image is checked for membership in G, the
-statistic carried over less the shift, the row's extra invariant and the
-inverse round trip, and at each n the sorted images must be G(n - shift).
-The six checks that test one object at a time share :func:`_check_objects`,
+rows of the table ``_BIJECTIONS`` run by :func:`_check_bijection`.  A row
+maps family F(n) onto G(n - shift); each image is checked for membership
+in G, the statistic carried over less the shift, the row's extra
+invariant and the inverse round trip, and at each n the sorted images
+must be G(n - shift).  The six checks that test one object at a time are
+rows of the clause table ``_OBJECT_CHECKS`` run by :func:`_check_objects`,
 which walks n = 1..cap and runs every object of each clause's stream
 through the clause's property; clauses take turns at each n.  The two
 family-count checks compare each triangle row with counted statistics.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
-n = 6, the conjecture sweep to n = 100.  A check that raises is reported as
-a FAIL whose witness names the exception, so one broken check does not
-end the run.
+n = 6, the conjecture sweep to n = 100.
 """
 
 from __future__ import annotations
@@ -66,8 +70,24 @@ class CheckReport:
 
 
 class _Failure(Exception):
-    def __init__(self, witness: str):
+    def __init__(self, witness: str, counts: dict | None = None):
         self.witness = witness
+        self.counts = counts or {}
+
+
+def _report(check_id: str, params: dict, body: Callable[[], dict]) -> CheckReport:
+    """Time ``body`` and report its counts; a ``_Failure`` or any other
+    exception it raises becomes a FAIL report with a witness."""
+    start = time.perf_counter()
+    try:
+        counts, status, witness = body(), PASS, None
+    except _Failure as failure:
+        counts, status, witness = failure.counts, FAIL, failure.witness
+    except Exception as exc:
+        counts, status, witness = {}, FAIL, f"{type(exc).__name__}: {exc}"
+    return CheckReport(
+        check_id, params, status, counts, witness, time.perf_counter() - start
+    )
 
 
 @lru_cache(maxsize=None)
@@ -99,12 +119,13 @@ def _compare_counts(
     return sum(actual.values())
 
 
-def _check_objects(n_max: int, *clauses: tuple[Callable, Callable, Callable]) -> dict:
-    """Test every object of each clause ``(stream, holds, witness)`` for
-    n = 1..n_max.  The clauses take turns at each n, so the failure
-    reported is one at the smallest failing n."""
+def _check_objects(row: tuple, n_max_a: int, n_max_b: int) -> dict:
+    """Test every object of each clause ``(stream, holds, witness)`` of
+    ``row`` for n = 1..cap.  The clauses take turns at each n, so the
+    failure reported is one at the smallest failing n."""
+    cap, *clauses = row
     objects = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, cap(n_max_a, n_max_b) + 1):
         for stream, holds, witness in clauses:
             for x in stream(n):
                 objects += 1
@@ -273,85 +294,63 @@ _BIJECTIONS = {
 }
 
 
-def _check_psi_equality(n_max_a: int, n_max_b: int) -> dict:
-    return _check_objects(n_max_a, (
-        partial(_family, FamilyTag.ALT),
-        lambda p: bijections.psi_b(p) == bijections.psi(p),
-        lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
-    ))
-
-
-def _check_chuang_factorization(n_max_a: int, n_max_b: int) -> dict:
-    return _check_objects(n_max_a, (
-        partial(_family, FamilyTag.TREE),
-        lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
-        lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
-    ))
-
-
-def _check_cd_preservation(n_max_a: int, n_max_b: int) -> dict:
-    return _check_objects(n_max_a, (
-        partial(_family, FamilyTag.ANDRE),
-        lambda p: cdindex.reduced_variation_andre(p)
-        == cdindex.reduced_variation_simsun(bijections.phi(p)),
-        lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
-    ))
-
-
-def _check_andre_implies_simsun(n_max_a: int, n_max_b: int) -> dict:
-    return _check_objects(n_max_a, (
-        families.iter_permutations,
-        lambda p: not families.is_andre(p) or families.is_simsun(p),
-        lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
-    ))
-
-
-def _check_valley_equivalence(n_max_a: int, n_max_b: int) -> dict:
-    # the valley characterization is only asserted up to n = 7
-    return _check_objects(min(n_max_a, 7), (
-        families.iter_permutations,
-        lambda p: families.is_andre(p) == families.is_andre_valley(p),
-        lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
-    ))
-
-
 def _conjugate(unsigned: Callable, x, labels) -> object:
     # the unsigned map conjugated by the order isomorphism onto [n]
     ident = range(1, len(labels) + 1)
     return order_relabel(unsigned(order_relabel(x, ident)), labels)
 
 
-def _check_conjugation_diagram(n_max_a: int, n_max_b: int) -> dict:
+# one row per check: its cap, from (n_max_a, n_max_b), then its clauses;
+# names are looked up when a clause runs, so patches and wrappers reach them
+_OBJECT_CHECKS = {
+    "psi-equality": (lambda a, b: a, (
+        lambda n: _family(FamilyTag.ALT, n),
+        lambda p: bijections.psi_b(p) == bijections.psi(p),
+        lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
+    )),
+    "chuang-factorization": (lambda a, b: a, (
+        lambda n: _family(FamilyTag.TREE, n),
+        lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
+        lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
+    )),
+    "cd-preservation": (lambda a, b: a, (
+        lambda n: _family(FamilyTag.ANDRE, n),
+        lambda p: cdindex.reduced_variation_andre(p)
+        == cdindex.reduced_variation_simsun(bijections.phi(p)),
+        lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
+    )),
+    "andre-implies-simsun": (lambda a, b: a, (
+        lambda n: families.iter_permutations(n),
+        lambda p: not families.is_andre(p) or families.is_simsun(p),
+        lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
+    )),
+    # the valley characterization is only asserted up to n = 7
+    "valley-equivalence": (lambda a, b: min(a, 7), (
+        lambda n: families.iter_permutations(n),
+        lambda p: families.is_andre(p) == families.is_andre_valley(p),
+        lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
+    )),
     # each signed map must equal its conjugated unsigned map, signs
     # included; psi_signed grafts the signed labels directly, so its half
     # compares two independent routes
-    return _check_objects(
-        n_max_b,
-        (
-            partial(_family, FamilyTag.ALT_B),
-            lambda p: bijections.psi_signed(p)
-            == _conjugate(bijections._psi_tree, p, p),
-            lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
-        ),
-        (
-            partial(_family, FamilyTag.TREE_B),
-            lambda t: bijections.omega_signed(t)
-            == _conjugate(bijections.omega, t, tree_labels(t)),
-            lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
-        ),
-    )
+    "conjugation-diagram": (lambda a, b: b, (
+        lambda n: _family(FamilyTag.ALT_B, n),
+        lambda p: bijections.psi_signed(p) == _conjugate(bijections._psi_tree, p, p),
+        lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
+    ), (
+        lambda n: _family(FamilyTag.TREE_B, n),
+        lambda t: bijections.omega_signed(t)
+        == _conjugate(bijections.omega, t, tree_labels(t)),
+        lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
+    )),
+}
 
 
 _CHECKS: dict[str, Callable[[int, int], dict]] = {
     **{cid: partial(_check_bijection, row) for cid, row in _BIJECTIONS.items()},
+    **{cid: partial(_check_objects, row) for cid, row in _OBJECT_CHECKS.items()},
     "entringer-families": _check_entringer_families,
     "arnold-families": _check_arnold_families,
-    "psi-equality": _check_psi_equality,
-    "chuang-factorization": _check_chuang_factorization,
-    "cd-preservation": _check_cd_preservation,
-    "andre-implies-simsun": _check_andre_implies_simsun,
-    "valley-equivalence": _check_valley_equivalence,
-    "conjugation-diagram": _check_conjugation_diagram,
 }
 
 
@@ -380,28 +379,11 @@ def run_checks(
         )
     families._guard("checking the unsigned families", n_max_a, EXTENDED_N_MAX_A, force)
     families._guard("checking the signed families", n_max_b, EXTENDED_N_MAX_B, force)
-    reports = []
-    for check_id in chosen:
-        params = {"n_max_a": n_max_a, "n_max_b": n_max_b}
-        start = time.perf_counter()
-        try:
-            counts = _CHECKS[check_id](n_max_a, n_max_b)
-            status, witness = PASS, None
-        except _Failure as failure:
-            counts, status, witness = {}, FAIL, failure.witness
-        except Exception as exc:
-            counts, status, witness = {}, FAIL, f"{type(exc).__name__}: {exc}"
-        reports.append(
-            CheckReport(
-                check_id=check_id,
-                params=params,
-                status=status,
-                counts=counts,
-                counterexample=witness,
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return reports
+    caps = {"n_max_a": n_max_a, "n_max_b": n_max_b}
+    return [
+        _report(cid, dict(caps), partial(_CHECKS[cid], n_max_a, n_max_b))
+        for cid in chosen
+    ]
 
 
 def check_conjecture(
@@ -411,37 +393,28 @@ def check_conjecture(
 
     For every 1 <= k <= n <= n_max the Arnold number S(n, k) is compared
     with the number of forced-sign Andre words of [n+1] ending in
-    n+2-k.  One report per n; a FAIL means a counterexample to an open
-    conjecture and carries the witness.  The sweep cap is checked here, so
+    n+2-k.  One report per n; a FAIL carries the witness, either a
+    counterexample to an open conjecture or the exception a count raised,
+    and the sweep goes on with the next n.  The sweep cap is checked here, so
     the counts run past the enumeration guard of
     :func:`families.count_hetyei_fast`, which counts without enumerating.
     """
     families._guard("conjecture sweep", n_max, DEFAULT_N_MAX_CONJECTURE, force)
     table = triangles.arnold_table(n_max)
-    reports = []
-    for n in range(1, n_max + 1):
-        start = time.perf_counter()
-        status, witness = PASS, None
-        compared = 0
-        for k in range(1, n + 1):
-            lhs = table.value(n, k)
-            rhs = families.count_hetyei_fast(n + 1, n + 2 - k, force=True)
-            compared += 1
-            if lhs != rhs:
-                status = FAIL
-                witness = (
-                    f"n={n} k={k}: arnold={lhs} forced-sign-andre"
-                    f"(n+1={n + 1}, last={n + 2 - k})={rhs}"
-                )
-                break
-        reports.append(
-            CheckReport(
-                check_id="conjecture",
-                params={"n": n},
-                status=status,
-                counts={"compared": compared},
-                counterexample=witness,
-                elapsed=time.perf_counter() - start,
+    return [
+        _report("conjecture", {"n": n}, partial(_sweep_row, table, n))
+        for n in range(1, n_max + 1)
+    ]
+
+
+def _sweep_row(table, n: int) -> dict:
+    for k in range(1, n + 1):
+        lhs = table.value(n, k)
+        rhs = families.count_hetyei_fast(n + 1, n + 2 - k, force=True)
+        if lhs != rhs:
+            raise _Failure(
+                f"n={n} k={k}: arnold={lhs} forced-sign-andre"
+                f"(n+1={n + 1}, last={n + 2 - k})={rhs}",
+                {"compared": k},
             )
-        )
-    return reports
+    return {"compared": n}

@@ -195,6 +195,26 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", ["", "psi-equality,", " "])
+def test_verify_empty_check_id_is_a_usage_error(capsys, checks):
+    code, out, err = run(capsys, "verify", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --checks names an empty check id: {checks!r}\n"
+
+
+def test_verify_without_checks_runs_every_check(capsys, monkeypatch):
+    from zigzag import cli
+
+    seen = []
+    monkeypatch.setattr(
+        cli.verify, "run_checks", lambda selection, *a, **k: seen.append(selection) or []
+    )
+    code, _, _ = run(capsys, "verify")
+    assert code == 0
+    assert seen == [None]
+
+
 def test_conjecture_pass(capsys):
     code, out, _ = run(capsys, "conjecture", "--n-max", "3", "--format", "text")
     assert code == 0
@@ -237,6 +257,35 @@ def test_conjecture_counterexample_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "conjecture", "--format", "text")
     assert code == 3
     assert "counterexample: n=3 k=1: off" in out
+
+
+def test_conjecture_row_whose_count_raises_exits_3(capsys, monkeypatch):
+    from zigzag import verify
+
+    real = verify.families.count_hetyei_fast
+
+    def count(n, k, force=False):
+        if n == 4:
+            raise RuntimeError("boom")
+        return real(n, k, force=force)
+
+    monkeypatch.setattr(verify.families, "count_hetyei_fast", count)
+    code, out, err = run(capsys, "conjecture", "--n-max", "5", "--format", "text")
+    assert code == 3
+    assert err == ""
+    assert [line.split()[0] for line in out.splitlines()[:5]] == [
+        "PASS", "PASS", "FAIL", "PASS", "PASS",
+    ]
+    assert out.splitlines()[-1] == "counterexample: RuntimeError: boom"
+
+
+def test_map_guard_names_no_flag(capsys):
+    # map has no --force, so the guard message offers no override
+    chain = "".join(f"{i}(" for i in range(1, 13)) + "13" + ")" * 12
+    code, out, err = run(capsys, "map", "psi-inv", "--input", chain)
+    assert code == 2
+    assert out == ""
+    assert err == "error: psi_inv at n=13 exceeds the guard (n <= 12)\n"
 
 
 def test_usage_error_exit_code(capsys):

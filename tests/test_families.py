@@ -560,20 +560,29 @@ def test_every_guard_site_raises_the_one_error(monkeypatch, capsys, what, cap, c
     assert str(info.value) == message
 
 
-def _raises(path, name):
-    # raise statements that build ``name`` or ``module.name``
+def _calls(path, name, raised=False):
+    # calls that build ``name`` or ``module.name``; with ``raised``, only
+    # those a raise statement makes
     with open(path, encoding="utf-8") as src:
         tree = ast.parse(src.read())
-    count = 0
-    for stmt in ast.walk(tree):
-        if isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call):
-            func = stmt.exc.func
-            count += name in (getattr(func, "id", None), getattr(func, "attr", None))
-    return count
+    nodes = ast.walk(tree)
+    if raised:
+        nodes = (stmt.exc for stmt in nodes if isinstance(stmt, ast.Raise))
+    return sum(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in nodes
+    )
 
 
 def test_one_guard_raise_and_no_tree_checks_in_the_bijections():
     package = pathlib.Path(families.__file__).parent
     sources = sorted(package.glob("*.py"))
-    assert sum(_raises(path, "GuardExceededError") for path in sources) == 1
-    assert _raises(package / "bijections.py", "InvalidTreeError") == 0
+    assert sum(_calls(path, "GuardExceededError", True) for path in sources) == 1
+    assert _calls(package / "bijections.py", "InvalidTreeError", True) == 0
+
+
+def test_one_site_makes_every_check_report():
+    # a second report loop would be a second CheckReport(...) call
+    package = pathlib.Path(families.__file__).parent
+    assert sum(_calls(path, "CheckReport") for path in package.glob("*.py")) == 1

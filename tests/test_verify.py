@@ -456,3 +456,34 @@ def test_conjugation_diagram_reports_the_smallest_failing_n(monkeypatch):
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == "omega conjugation square fails on -2(-1)"
+
+
+def test_sweep_row_whose_count_raises_is_a_fail_report(monkeypatch):
+    real = verify.families.count_hetyei_fast
+
+    def count(n, k, force=False):
+        if n == 4:
+            raise RuntimeError("boom")
+        return real(n, k, force=force)
+
+    monkeypatch.setattr(verify.families, "count_hetyei_fast", count)
+    reports = check_conjecture(5)
+    assert [r.status for r in reports] == [PASS, PASS, FAIL, PASS, PASS]
+    assert reports[2].counterexample == "RuntimeError: boom"
+    assert [r.counts for r in reports] == [
+        {"compared": 1}, {"compared": 2}, {}, {"compared": 4}, {"compared": 5},
+    ]
+
+
+def test_sweep_mismatch_keeps_its_witness_and_count(monkeypatch):
+    real = verify.families.count_hetyei_fast
+    monkeypatch.setattr(
+        verify.families, "count_hetyei_fast",
+        lambda n, k, force=False: real(n, k, force=force) + ((n, k) == (4, 3)),
+    )
+    reports = check_conjecture(4)
+    assert [r.status for r in reports] == [PASS, PASS, FAIL, PASS]
+    assert reports[2].counts == {"compared": 2}
+    assert reports[2].counterexample == (
+        "n=3 k=2: arnold=4 forced-sign-andre(n+1=4, last=3)=5"
+    )
