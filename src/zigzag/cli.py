@@ -120,19 +120,16 @@ def _cmd_triangle(args, out: IO[str]) -> int:
         if args.kind == "entringer"
         else triangles.arnold_table(args.n)
     )
-    if args.format == "csv":
-        for line in triangles.csv_lines(table):
-            print(line, file=out)
-    elif args.format == "json":
-        doc = {"schema": SCHEMA, "kind": args.kind, "rows": triangles.json_rows(table)}
-        print(json.dumps(doc, indent=2), file=out)
-    elif args.format == "boustrophedon":
-        for line in triangles.boustrophedon_lines(table):
-            print(line, file=out)
+    if args.format == "json":
+        out.writelines(triangles.json_chunks(table, SCHEMA))
+        out.write("\n")
     else:
-        for n in range(1, table.n_max + 1):
-            cells = " ".join(str(v) for _, v in table.row(n))
-            print(f"n={n}: {cells} | {table.row_sums[n - 1]}", file=out)
+        lines = {
+            "csv": triangles.csv_lines,
+            "boustrophedon": triangles.boustrophedon_lines,
+            "text": triangles.text_lines,
+        }[args.format](table)
+        out.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -149,8 +146,7 @@ def _cmd_enumerate(args, out: IO[str]) -> int:
         }
         print(json.dumps(doc, indent=2), file=out)
     else:
-        for obj in stream:
-            print(_object_out(obj), file=out)
+        out.writelines(f"{_object_out(obj)}\n" for obj in stream)
     return 0
 
 
@@ -220,9 +216,11 @@ def _print_reports(reports, fmt: str, out: IO[str]) -> None:
 
 
 def _cmd_verify(args, out: IO[str]) -> int:
-    selection = None if args.checks is None else args.checks.split(",")
-    if selection is not None and not all(c.strip() for c in selection):
-        raise _CliError(f"--checks names an empty check id: {args.checks!r}")
+    selection = None
+    if args.checks is not None:
+        selection = [c.strip() for c in args.checks.split(",")]
+        if not all(selection):
+            raise _CliError(f"--checks names an empty check id: {args.checks!r}")
     reports = verify.run_checks(
         selection, args.n_max_a, args.n_max_b, force=args.force
     )

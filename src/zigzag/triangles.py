@@ -14,12 +14,25 @@ Recurrences:
   S(n, k) = S(n, k-1) + S(n-1, -k)    for -1 >= k > -n,
   S(n, 1) = S(n, -1),
   S(n, k) = S(n, k-1) + S(n-1, -k+1)  for n >= k > 1.
+
+So each row is the running sum of the previous row read backwards (the
+Seidel-Entringer-Arnold boustrophedon), and that is how the tables are
+built, one tuple per row with k ascending:
+
+- Entringer row n is ``(0, *accumulate(reversed(prev)))``;
+- Arnold row n, k = -n..-1 then 1..n, is
+  ``accumulate((0, *reversed(prev_pos), 0, *reversed(prev_neg)))``.
+
+The tests keep the entry-by-entry dict form of the recurrences above as
+the oracle for these rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 ENTRINGER = "entringer"
 ARNOLD = "arnold"
@@ -27,15 +40,25 @@ ARNOLD = "arnold"
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """A computed triangle: entries, row order, and row sums."""
+    """A computed triangle: one tuple of entries per row, and row sums.
+
+    ``rows[n - 1]`` holds row n with k ascending: E(n, 1..n), or
+    S(n, -n..-1) followed by S(n, 1..n).
+    """
 
     kind: str
     n_max: int
-    values: dict[tuple[int, int], int] = field(repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
     row_sums: tuple[int, ...]
 
     def value(self, n: int, k: int) -> int:
-        return self.values[(n, k)]
+        if 1 <= n <= self.n_max:
+            row = self.rows[n - 1]
+            if 1 <= k <= n:  # the positive half ends the row
+                return row[len(row) - n + k - 1]
+            if -n <= k <= -1 and self.kind == ARNOLD:
+                return row[n + k]
+        raise KeyError((n, k))
 
     def row_ks(self, n: int) -> tuple[int, ...]:
         if self.kind == ENTRINGER:
@@ -44,36 +67,39 @@ class TriangleTable:
 
     def row(self, n: int) -> tuple[tuple[int, int], ...]:
         """(k, value) pairs of row n with k ascending."""
-        return tuple((k, self.values[(n, k)]) for k in self.row_ks(n))
+        if not 1 <= n <= self.n_max:
+            raise KeyError(n)
+        return tuple(zip(self.row_ks(n), self.rows[n - 1]))
+
+    @property
+    def values(self) -> Mapping[tuple[int, int], int]:
+        """Every entry keyed by (n, k), as a read-only mapping."""
+        return MappingProxyType(
+            {(n, k): v for n in range(1, self.n_max + 1) for k, v in self.row(n)}
+        )
 
 
 def entringer_table(n_max: int) -> TriangleTable:
     """Entringer numbers E(n, k) for 1 <= k <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    e: dict[tuple[int, int], int] = {(1, 1): 1}
-    for n in range(2, n_max + 1):
-        e[(n, 1)] = 0
-        for k in range(2, n + 1):
-            e[(n, k)] = e[(n, k - 1)] + e[(n - 1, n + 1 - k)]
-    sums = tuple(sum(e[(n, k)] for k in range(1, n + 1)) for n in range(1, n_max + 1))
-    return TriangleTable(ENTRINGER, n_max, e, sums)
+    rows = [(1,)]
+    for _ in range(2, n_max + 1):
+        rows.append((0, *accumulate(reversed(rows[-1]))))
+    return TriangleTable(ENTRINGER, n_max, tuple(rows), tuple(map(sum, rows)))
 
 
 def arnold_table(n_max: int) -> TriangleTable:
     """Arnold numbers S(n, k) for 1 <= |k| <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    s: dict[tuple[int, int], int] = {(1, 1): 1, (1, -1): 1}
+    rows = [(1, 1)]
     for n in range(2, n_max + 1):
-        s[(n, -n)] = 0
-        for k in range(-n + 1, 0):
-            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k)]
-        s[(n, 1)] = s[(n, -1)]
-        for k in range(2, n + 1):
-            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k + 1)]
-    sums = tuple(sum(s[(n, k)] for k in range(1, n + 1)) for n in range(1, n_max + 1))
-    return TriangleTable(ARNOLD, n_max, s, sums)
+        prev = rows[-1]
+        neg, pos = prev[: n - 1], prev[n - 1 :]
+        rows.append(tuple(accumulate((0, *reversed(pos), 0, *reversed(neg)))))
+    sums = tuple(sum(row[n:]) for n, row in enumerate(rows, 1))
+    return TriangleTable(ARNOLD, n_max, tuple(rows), sums)
 
 
 def euler_number(n: int) -> int:
@@ -95,15 +121,20 @@ def springer_number(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# renderings
+# renderings: lines without their newline, or JSON text in chunks
 
 
 def csv_lines(table: TriangleTable) -> Iterator[str]:
     """CSV export with header ``n,k,value``; rows by n then k ascending."""
     yield "n,k,value"
-    for n in range(1, table.n_max + 1):
-        for k, v in table.row(n):
-            yield f"{n},{k},{v}"
+    for n, row in enumerate(table.rows, 1):
+        yield from (f"{n},{k},{v}" for k, v in zip(table.row_ks(n), row))
+
+
+def text_lines(table: TriangleTable) -> Iterator[str]:
+    """``n=N: entries | row sum``, one line per row."""
+    for n, row in enumerate(table.rows, 1):
+        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}"
 
 
 def json_rows(table: TriangleTable) -> list[dict]:
@@ -116,6 +147,31 @@ def json_rows(table: TriangleTable) -> list[dict]:
         }
         for n in range(1, table.n_max + 1)
     ]
+
+
+def json_chunks(table: TriangleTable, schema: str) -> Iterator[str]:
+    """The JSON document, one row object per chunk.
+
+    The chunks join to ``json.dumps({"schema": schema, "kind":
+    table.kind, "rows": json_rows(table)}, indent=2)`` exactly, without
+    building the rows' dicts or the whole string.
+    """
+    import json  # here, so that importing the package does not load json
+
+    yield (
+        f'{{\n  "schema": {json.dumps(schema)},\n'
+        f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
+    )
+    for n, row in enumerate(table.rows, 1):
+        values = ",\n".join(
+            f'        {{\n          "k": {k},\n          "value": {v}\n        }}'
+            for k, v in zip(table.row_ks(n), row)
+        )
+        yield (
+            f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
+            f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'
+        )
+    yield "\n  ]\n}"
 
 
 def _centered(rows: list[str]) -> list[str]:
@@ -131,29 +187,24 @@ def boustrophedon_lines(table: TriangleTable) -> list[str]:
     triangle renders as the classical twin triangles, which alternate
     between the negative-k and positive-k halves of each row.
     """
+
+    def snake(n: int, entries) -> str:
+        # even rows read ascending with right arrows, odd rows descending
+        if n % 2:
+            return " ← ".join(map(str, reversed(entries)))
+        return " → ".join(map(str, entries))
+
     if table.kind == ENTRINGER:
-        rows = []
-        for n in range(1, table.n_max + 1):
-            ks = range(1, n + 1) if n % 2 == 0 else range(n, 0, -1)
-            arrow = " → " if n % 2 == 0 else " ← "
-            rows.append(arrow.join(str(table.value(n, k)) for k in ks))
-        return _centered(rows)
+        return _centered([snake(n, row) for n, row in enumerate(table.rows, 1)])
 
     def half(first_sign: int) -> list[str]:
         # Rows alternate between the two signed halves of the triangle:
-        # odd rows take sign `first_sign`, even rows the opposite.
-        rows = []
-        for n in range(1, table.n_max + 1):
-            sign = first_sign if n % 2 == 1 else -first_sign
-            if sign < 0:
-                ks = range(-n, 0) if n % 2 == 1 else range(-1, -n - 1, -1)
-            else:
-                ks = range(1, n + 1) if n % 2 == 1 else range(n, 0, -1)
-            arrow = " → " if n % 2 == 1 else " ← "
-            if n == 1:
-                rows.append(str(table.value(1, sign)))
-            else:
-                rows.append(arrow.join(str(table.value(n, k)) for k in ks))
-        return _centered(rows)
+        # odd rows take sign `first_sign`, even rows the opposite.  Both
+        # halves snake the other way round from the Entringer rows.
+        lines = []
+        for n, row in enumerate(table.rows, 1):
+            negative = (first_sign if n % 2 else -first_sign) < 0
+            lines.append(snake(n + 1, row[:n] if negative else row[n:]))
+        return _centered(lines)
 
     return half(-1) + [""] + half(1)

@@ -372,7 +372,7 @@ def run_checks(
         chosen = tuple(sorted(set(selection)))
         unknown = [c for c in chosen if c not in _CHECKS]
         if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+            raise ValueError(f"unknown check ids: {', '.join(map(repr, unknown))}")
     if n_max_a < 1 or n_max_b < 1:
         raise ValueError(
             f"check caps must be at least 1, got n_max_a={n_max_a}, n_max_b={n_max_b}"

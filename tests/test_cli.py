@@ -195,6 +195,24 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_check_ids_may_have_spaces_around_them(capsys):
+    code, out, err = run(
+        capsys,
+        "verify", "--checks", " psi-equality, chuang-factorization ",
+        "--n-max-a", "4", "--n-max-b", "3",
+    )
+    assert (code, err) == (0, "")
+    assert [r["check_id"] for r in json.loads(out)] == [
+        "chuang-factorization", "psi-equality"
+    ]
+
+
+def test_verify_unknown_check_is_named_in_quotes(capsys):
+    code, out, err = run(capsys, "verify", "--checks", "psi-equality, bogus id")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown check ids: 'bogus id'\n"
+
+
 @pytest.mark.parametrize("checks", ["", "psi-equality,", " "])
 def test_verify_empty_check_id_is_a_usage_error(capsys, checks):
     code, out, err = run(capsys, "verify", "--checks", checks)

@@ -1,14 +1,50 @@
+import contextlib
+import hashlib
+import io
+import json
+
 import pytest
 
+from zigzag.cli import dispatch
 from zigzag.triangles import (
     arnold_table,
     boustrophedon_lines,
     csv_lines,
     entringer_table,
     euler_number,
+    json_chunks,
     json_rows,
     springer_number,
 )
+
+
+# The entry-by-entry recurrences of the module docstring, kept as the
+# oracle for the prefix-sum rows the tables are built from.
+def dict_entringer(n_max):
+    e = {(1, 1): 1}
+    for n in range(2, n_max + 1):
+        e[(n, 1)] = 0
+        for k in range(2, n + 1):
+            e[(n, k)] = e[(n, k - 1)] + e[(n - 1, n + 1 - k)]
+    return e
+
+
+def dict_arnold(n_max):
+    s = {(1, 1): 1, (1, -1): 1}
+    for n in range(2, n_max + 1):
+        s[(n, -n)] = 0
+        for k in range(-n + 1, 0):
+            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k)]
+        s[(n, 1)] = s[(n, -1)]
+        for k in range(2, n + 1):
+            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k + 1)]
+    return s
+
+
+ORACLES = {
+    "entringer": (entringer_table, dict_entringer),
+    "arnold": (arnold_table, dict_arnold),
+}
 
 # published triangle of E(n, k) for n <= 7, one row per n
 ENTRINGER_ROWS = {
@@ -151,3 +187,163 @@ def test_arnold_boustrophedon_matches_twin_triangles():
         "3 → 4 → 4",
         "11 ← 8 ← 4 ← 0",
     ]
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_prefix_sum_rows_match_the_dict_recurrence(kind):
+    build, oracle = ORACLES[kind]
+    table, entries = build(60), oracle(60)
+    assert dict(table.values) == entries
+    for n in range(1, 61):
+        assert table.row_sums[n - 1] == sum(entries[(n, k)] for k in range(1, n + 1))
+        assert table.row(n) == tuple((k, entries[(n, k)]) for k in table.row_ks(n))
+        assert all(table.value(n, k) == entries[(n, k)] for k in table.row_ks(n))
+
+
+def test_values_is_read_only():
+    t = entringer_table(3)
+    with pytest.raises(TypeError):
+        t.values[(1, 1)] = 2
+
+
+# every (n, k) outside the triangle, including the negative ones a tuple
+# index would wrap around to another entry
+OUT_OF_RANGE = {
+    "entringer": [(0, 1), (0, 0), (5, 1), (6, 1), (-1, 1), (-4, -1), (3, 0), (3, 4),
+                  (2, -1), (4, -1), (4, -4), (1, -1)],
+    "arnold": [(0, 1), (0, -1), (5, 1), (6, -1), (-1, 1), (-4, -4), (3, 0), (3, 4),
+               (3, -4), (1, 2), (1, -2), (4, 5), (4, -5)],
+}
+
+
+@pytest.mark.parametrize(
+    "kind,n,k", [(kind, n, k) for kind, cases in OUT_OF_RANGE.items() for n, k in cases]
+)
+def test_value_outside_the_triangle_is_a_key_error(kind, n, k):
+    table = ORACLES[kind][0](4)
+    with pytest.raises(KeyError):
+        table.value(n, k)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@pytest.mark.parametrize("n", [0, -1, -4, 5, 6])
+def test_row_outside_the_triangle_is_a_key_error(kind, n):
+    table = ORACLES[kind][0](4)
+    with pytest.raises(KeyError):
+        table.row(n)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_json_chunks_join_to_json_dumps(kind):
+    for n_max in (1, 2, 7):
+        table = ORACLES[kind][0](n_max)
+        doc = {"schema": "zigzag/1", "kind": kind, "rows": json_rows(table)}
+        assert "".join(json_chunks(table, "zigzag/1")) == json.dumps(doc, indent=2)
+
+
+def _old_rendering(kind, n_max, fmt):
+    """The CLI output before the prefix-sum tables, from the dict oracle."""
+    e = ORACLES[kind][1](n_max)
+
+    def ks(n):
+        if kind == "arnold":
+            return [*range(-n, 0), *range(1, n + 1)]
+        return range(1, n + 1)
+
+    sums = [sum(e[(n, k)] for k in range(1, n + 1)) for n in range(1, n_max + 1)]
+    buf = io.StringIO()
+    if fmt == "csv":
+        print("n,k,value", file=buf)
+        for n in range(1, n_max + 1):
+            for k in ks(n):
+                print(f"{n},{k},{e[(n, k)]}", file=buf)
+    elif fmt == "json":
+        rows = [
+            {
+                "n": n,
+                "values": [{"k": k, "value": e[(n, k)]} for k in ks(n)],
+                "row_sum": sums[n - 1],
+            }
+            for n in range(1, n_max + 1)
+        ]
+        doc = {"schema": "zigzag/1", "kind": kind, "rows": rows}
+        print(json.dumps(doc, indent=2), file=buf)
+    elif fmt == "text":
+        for n in range(1, n_max + 1):
+            cells = " ".join(str(e[(n, k)]) for k in ks(n))
+            print(f"n={n}: {cells} | {sums[n - 1]}", file=buf)
+    else:
+        for line in _old_boustrophedon(kind, n_max, e):
+            print(line, file=buf)
+    return buf.getvalue()
+
+
+def _old_boustrophedon(kind, n_max, e):
+    def centered(rows):
+        width = max(len(r) for r in rows)
+        return [" " * ((width - len(r)) // 2) + r for r in rows]
+
+    if kind == "entringer":
+        rows = []
+        for n in range(1, n_max + 1):
+            ks = range(1, n + 1) if n % 2 == 0 else range(n, 0, -1)
+            arrow = " → " if n % 2 == 0 else " ← "
+            rows.append(arrow.join(str(e[(n, k)]) for k in ks))
+        return centered(rows)
+
+    def half(first_sign):
+        rows = []
+        for n in range(1, n_max + 1):
+            sign = first_sign if n % 2 == 1 else -first_sign
+            if sign < 0:
+                ks = range(-n, 0) if n % 2 == 1 else range(-1, -n - 1, -1)
+            else:
+                ks = range(1, n + 1) if n % 2 == 1 else range(n, 0, -1)
+            arrow = " → " if n % 2 == 1 else " ← "
+            rows.append(arrow.join(str(e[(n, k)]) for k in ks))
+        return centered(rows)
+
+    return half(-1) + [""] + half(1)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
+def test_cli_output_matches_the_old_rendering(kind, fmt):
+    for n_max in range(1, 13):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
+        assert code == 0
+        assert buf.getvalue() == _old_rendering(kind, n_max, fmt), (kind, n_max, fmt)
+
+
+# sha256 of the benchmark's large exports, copied from perfbench/spec.py
+PINNED_EXPORTS = [
+    (
+        ["triangle", "entringer", "--n", "200", "--format", "csv", "--force"],
+        "9f3721e31739cd8b4442f375d972b5a19ef7c81175f36ec4ad21c2ac129b6693",
+    ),
+    (
+        ["triangle", "arnold", "--n", "100", "--format", "json", "--force"],
+        "a6709c98cc0fb75cb7b1ae8151edc3a29caf69c2ea3ba7a63b097260cddbc99b",
+    ),
+    (
+        ["enumerate", "andre", "--n", "8"],
+        "6e65df299904712c95e27425378418382f2a030f09202a910149142a9659477a",
+    ),
+    (
+        ["enumerate", "snake", "--n", "6"],
+        "39bb54f339eb18331a73eb71ac9780d2b2b75a280251b4c1656cdf6b48a4497e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    PINNED_EXPORTS,
+    ids=["entringer-200-csv", "arnold-100-json", "andre-8", "snake-6"],
+)
+def test_large_exports_keep_their_pinned_digest(tmp_path, argv, digest):
+    path = tmp_path / "export.out"
+    assert dispatch([*argv, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -41,6 +41,19 @@ def test_unknown_check_id():
         run_checks(["no-such-check"])
 
 
+@pytest.mark.parametrize(
+    "selection,message",
+    [
+        ([""], "unknown check ids: ''"),
+        ([" psi-equality", "x"], "unknown check ids: ' psi-equality', 'x'"),
+    ],
+)
+def test_unknown_check_ids_are_named_by_repr(selection, message):
+    with pytest.raises(ValueError) as exc:
+        run_checks(selection)
+    assert str(exc.value) == message
+
+
 def test_size_caps_enforced():
     with pytest.raises(GuardExceededError):
         run_checks(["psi-equality"], n_max_a=10, n_max_b=3)
