@@ -15,18 +15,23 @@ The maps and their statistic bookkeeping:
   child maps keyed by label, and ``_graft_states`` yields those maps
   after every step; the pleaf of each intermediate state is the first
   entry of the pair just placed, so the final pleaf is the
-  permutation's first entry.  ``_psi_tree`` runs the grafting and
-  freezes the last state; ``psi``, ``psi_signed`` and the checks call
-  it, and only ``psi_c`` records the decisions in an
-  :class:`AlgoCTrace`.  Every map that builds a tree fills child maps
-  and freezes them with ``core._link_tree``, which checks every tree
-  invariant as it links; this module checks no tree invariant itself.
+  permutation's first entry.  The kernel ``_graft_maps`` runs the
+  grafting once and returns the final child maps, showing each state to
+  an optional visitor; ``psi``, ``psi_signed`` and ``psi_c`` link those
+  maps into a :class:`Tree`, and only ``psi_c`` records the decisions in
+  an :class:`AlgoCTrace`.  The checks read the maps as checked inorder
+  words instead (``core._linked_inorder``).  Every map that builds a
+  tree fills child maps and freezes them with ``core._link_tree``, which
+  checks every tree invariant as it links; this module checks no tree
+  invariant itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
   remaining label) or swaps the first entry with that label; replaying
-  the steps in reverse on child and parent maps grows the tree.  Both
-  phases are loops, so deep inputs raise no ``RecursionError``.
+  the steps in reverse on child and parent maps grows the tree.  The
+  kernel ``_replay_maps`` returns the final child maps and ``psi_b``
+  links them.  Both phases are loops, so deep inputs raise no
+  ``RecursionError``.
 - ``psi_signed``, ``omega_signed``, ``phi_signed``: the signed-label
   versions.  The first two equal the unsigned maps conjugated by the
   unique order isomorphism onto [n], but neither relabels: the grafting
@@ -38,37 +43,37 @@ The maps and their statistic bookkeeping:
   keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
-- ``psi_inv``: inverse of ``psi_c`` by a memoized forward sweep over the
-  alternating permutations of the same size.
+- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  One
+  walk checks the tree and reads its child maps; the pleaf and the next
+  smaller label tell which replay step came last (a label exchange, a
+  strip or a sibling rotation), and undoing the steps one by one leaves
+  the base tree.  The steps then replay backwards on the base word.
+  Nothing is enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     Tree,
     Word,
+    _checked_nodes,
     _link_tree,
     inorder,
     perm_from_sequence,
-    pleaf,
     rtl_min_positions,
     signed_perm_from_sequence,
-    tree_labels,
     validate_tree,
 )
 from .families import (
-    FamilyTag,
     TYPE_A_GUARD,
     _guard,
     is_alternating,
     is_andre,
     is_hetyei_andre,
     is_simsun,
-    iter_family,
 )
 
 
@@ -277,20 +282,23 @@ def _graft_states(
         yield i, a, brec, case, root, left, right
 
 
-def _psi_tree(p: Word, steps: list[AlgoCStep] | None = None) -> Tree:
-    """The grafting construction's tree; the input is not checked.
+def _graft_maps(
+    p: Word, visit: Callable[..., None] | None = None
+) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The grafting construction's final child maps ``(root, left, right)``.
 
-    ``p`` must be an alternating word of distinct nonzero labels.  The
-    grafting only compares labels, so signed words graft as they are.
-    The decisions are recorded only when a ``steps`` list is passed.
+    ``p`` must be an alternating word of distinct nonzero labels; it is
+    not checked.  The grafting only compares labels, so signed words
+    graft as they are.  ``_graft_states`` runs once, and ``visit``, when
+    given, is called with every state it yields before the next is made.
     """
     root, left, right = p[-1], {}, {}
     if len(p) == 2:
         left[root] = p[0]
     for i, a, b, case, root, left, right in _graft_states(p):
-        if steps is not None:
-            steps.append(AlgoCStep(i, a, b, case))
-    return _link_tree(root, left, right)
+        if visit is not None:
+            visit(i, a, b, case, root, left, right)
+    return root, left, right
 
 
 def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
@@ -305,8 +313,11 @@ def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
     if not is_alternating(p):
         raise ValueError("psi_c requires an alternating permutation")
     steps: list[AlgoCStep] = []
-    tree = _psi_tree(p, steps)
-    return tree, AlgoCTrace(tuple(steps))
+
+    def record(i: int, a: int, b: int | None, case: str, *_maps) -> None:
+        steps.append(AlgoCStep(i, a, b, case))
+
+    return _link_tree(*_graft_maps(p, record)), AlgoCTrace(tuple(steps))
 
 
 def psi(p: Sequence[int]) -> Tree:
@@ -314,7 +325,7 @@ def psi(p: Sequence[int]) -> Tree:
     p = perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi requires an alternating permutation")
-    return _psi_tree(p)
+    return _link_tree(*_graft_maps(p))
 
 
 def psi_b(p: Sequence[int]) -> Tree:
@@ -332,6 +343,12 @@ def psi_b(p: Sequence[int]) -> Tree:
     p = perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi_b requires an alternating permutation")
+    return _link_tree(*_replay_maps(p))
+
+
+def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
+    """``psi_b``'s child maps ``(root, left, right)``; the input is not
+    checked.  :func:`psi_inv` undoes this replay step by step."""
     n = len(p)
     word = list(p)
     at = {v: i for i, v in enumerate(word)}
@@ -384,37 +401,104 @@ def psi_b(p: Sequence[int]) -> Tree:
             else:
                 right[ell], parent[kl] = kl, ell
         else:
-            # j is a leaf, so exchanging the labels only moves k's links
-            pj, pk = parent[j], parent[k]
-            for u, old, new in ((pj, j, k), (pk, k, j)):
-                kids = left if left[u] == old else right
-                kids[u] = new
-            parent[j], parent[k] = pk, pj
-            for kids in (left, right):
-                if k in kids:
-                    c = kids[j] = kids.pop(k)
-                    parent[c] = j
-    return _link_tree(root, left, right)
+            _exchange(left, right, parent, j, k)
+    return root, left, right
 
 
-@lru_cache(maxsize=None)
-def _psi_table(n: int) -> dict[Tree, Word]:
-    # psi_inv has guarded n already
-    return {_psi_tree(p): p for p in iter_family(FamilyTag.ALT, n, force=True)}
+def _exchange(
+    left: dict[int, int], right: dict[int, int], parent: dict[int, int], a: int, b: int
+) -> None:
+    # exchange the labels a and b, neither of them the root; a is a leaf,
+    # so only b's child links move
+    pa, pb = parent[a], parent[b]
+    for u, old, new in ((pa, a, b), (pb, b, a)):
+        kids = left if left[u] == old else right
+        kids[u] = new
+    parent[a], parent[b] = pb, pa
+    for kids in (left, right):
+        if b in kids:
+            c = kids[a] = kids.pop(b)
+            parent[c] = a
 
 
 def psi_inv(t: Tree, force: bool = False) -> Word:
-    """The unique alternating permutation mapping to ``t`` under psi_c.
+    """The alternating permutation that psi maps to ``t``.
 
-    Found by a memoized forward sweep over all alternating permutations
-    of the same size, so subject to the same enumeration guard.
+    Undoes :func:`psi_b`'s replay on child and parent maps, its last step
+    first.  With k the pleaf and j the next smaller label: if j is not
+    k's parent, the step exchanged the labels j and k.  Otherwise, if j
+    has a right child m, and j is the root or its parent's right child is
+    missing or larger than m, the step was a strip; otherwise it was the
+    sibling rotation.  The steps then replay backwards on the base word.
+    Nothing is enumerated, but the unsigned enumeration guard still
+    applies.
+
+    >>> from zigzag.core import tree_from_literal
+    >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
+    (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    validate_tree(t)
-    labels = tree_labels(t)
-    if labels != tuple(range(1, len(labels) + 1)):
+    nodes = _checked_nodes(t)
+    left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
+    right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
+    root = t.label
+    parent = {c: v for kids in (left, right) for v, c in kids.items()}
+    n = len(parent) + 1
+    if {root, *parent} != set(range(1, n + 1)):
         raise ValueError("psi_inv expects a tree labeled by 1..n")
-    _guard("psi_inv", len(labels), TYPE_A_GUARD, force)
-    return _psi_table(len(labels))[t]
+    _guard("psi_inv", n, TYPE_A_GUARD, force)
+    below = list(range(-1, n + 1))  # below[v]: next smaller label still present
+    above = list(range(1, n + 3))
+    steps: list[tuple[bool, int, int]] = []
+    size = n
+    while size > 2:
+        k = root
+        while k in left:
+            k = left[k]
+        j = below[k]
+        if parent[k] != j:
+            _exchange(left, right, parent, k, j)
+            steps.append((False, j, k))
+            continue
+        m, up = right.get(j), parent.get(j)
+        beside = None if up is None else right.get(up)
+        if m is not None and (beside is None or beside > m):
+            # a strip: j and its leaf k leave, and m takes j's place
+            del left[j], right[j], parent[k]
+            if up is None:
+                root = m
+                del parent[m]
+            else:
+                left[up], parent[m] = m, up
+                del parent[j]
+            lo, hi = below[j], above[k]
+            above[lo], below[hi] = hi, lo
+            size -= 2
+            steps.append((True, j, k))
+        else:
+            # the rotation: k becomes j's right sibling again, with the
+            # child beside j on its left and j's right child on its right
+            del left[j]
+            kr = right.pop(j, None)
+            right[up], parent[k] = k, up
+            if beside is not None:
+                left[k], parent[beside] = beside, k
+            if kr is not None:
+                right[k], parent[kr] = kr, k
+            steps.append((False, j, k))
+
+    # replay the steps backwards on the base word, built from its end:
+    # a strip puts k, j back in front, a swap exchanges the values j, k
+    rev = [root, left[root]] if root in left else [root]
+    at = {v: i for i, v in enumerate(rev)}
+    for strip, j, k in reversed(steps):
+        if strip:
+            at[j], at[k] = len(rev), len(rev) + 1
+            rev += (j, k)
+        else:
+            a, b = at[j], at[k]
+            rev[a], rev[b] = k, j
+            at[j], at[k] = b, a
+    return tuple(reversed(rev))
 
 
 def psi_signed(p: Sequence[int]) -> Tree:
@@ -431,7 +515,7 @@ def psi_signed(p: Sequence[int]) -> Tree:
     p = signed_perm_from_sequence(p)
     if not is_alternating(p):
         raise ValueError("psi_signed requires an alternating signed permutation")
-    return _psi_tree(p)
+    return _link_tree(*_graft_maps(p))
 
 
 # ---------------------------------------------------------------------------

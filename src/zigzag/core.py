@@ -19,9 +19,12 @@ Value conventions used across the whole package:
   re-canonicalize before returning.
 - The per-node invariants live in one helper, ``_check_node``.  Parsers
   and maps build child maps keyed by label and freeze them with
-  ``_link_tree``, which checks every node as it links;
+  ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
+  word without building a tree.  Both check every node, and that the
+  maps are one tree through the shared ``_check_one_tree``.
   :func:`validate_tree` checks a finished :class:`Tree` node by node
-  with the same helper, so every entry point gives the same error.
+  with the same helper, in one walk, ``_checked_nodes``, that also hands
+  the nodes to ``psi_inv``, so every entry point gives the same error.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -281,14 +284,9 @@ def _check_distinct(labels: Iterable[int]) -> None:
         seen.add(v)
 
 
-def validate_tree(t: Tree) -> None:
-    """Check the increasing 1-2 tree invariants, raising on violation.
-
-    Labels may be any distinct nonzero integers; trees on arbitrary label
-    sets arise as intermediate states and as relabelings.  Use
-    :func:`tree_spans_range` to additionally demand that the absolute
-    label values are exactly 1..n.
-    """
+def _checked_nodes(t: Tree) -> list[Tree]:
+    """Every node of ``t``, once its labels are distinct and every node
+    passes :func:`_check_node`; :class:`InvalidTreeError` otherwise."""
     nodes = list(_walk(t))
     _check_distinct(cur.label for cur in nodes)
     for cur in nodes:
@@ -297,6 +295,35 @@ def validate_tree(t: Tree) -> None:
             None if cur.left is None else cur.left.label,
             None if cur.right is None else cur.right.label,
         )
+    return nodes
+
+
+def validate_tree(t: Tree) -> None:
+    """Check the increasing 1-2 tree invariants, raising on violation.
+
+    Labels may be any distinct nonzero integers; trees on arbitrary label
+    sets arise as intermediate states and as relabelings.  Use
+    :func:`tree_spans_range` to additionally demand that the absolute
+    label values are exactly 1..n.
+    """
+    _checked_nodes(t)
+
+
+def _check_one_tree(
+    root: int, left: dict[int, int], right: dict[int, int], labels: set[int]
+) -> None:
+    """Raise :class:`InvalidTreeError` unless the child maps, whose labels
+    are ``labels``, are one tree rooted at ``root``."""
+    # every map entry is one edge, and one tree on these labels has one
+    # edge fewer than nodes, each out of a node in the tree; a child
+    # linked twice, a root with a parent or an edge out of a node not in
+    # the tree breaks that
+    if (
+        len(left) + len(right) != len(labels) - 1
+        or not labels.issuperset(left)
+        or not labels.issuperset(right)
+    ):
+        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
 
 
 def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
@@ -305,23 +332,48 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
     Labels must increase away from the root, so building nodes from the
     largest label down finishes every child before its parent.  Each node
     passes :func:`_check_node` on the way, and maps that are not one tree
-    rooted at ``root`` raise :class:`InvalidTreeError` too.
+    rooted at ``root`` fail :func:`_check_one_tree`.
     """
     labels = {root, *left.values(), *right.values()}
     built: dict[int, Tree] = {}
     for v in sorted(labels, reverse=True):
         lk, rk = left.get(v), right.get(v)
         _check_node(v, lk, rk)
-        # a child linked twice is gone already; the edge count below
-        # rejects the maps then
+        # a child linked twice is gone already; the maps fail the
+        # one-tree test then
         built[v] = Tree(v, built.pop(lk, None), built.pop(rk, None))
-    # every map entry is one edge, and one tree on these labels has one
-    # edge fewer than nodes; an edge out of a node not in the tree, or a
-    # child linked twice, breaks that count
-    edges = len(left) + len(right)
-    if root not in built or len(built) != 1 or edges != len(labels) - 1:
-        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
+    _check_one_tree(root, left, right, labels)
     return built[root]
+
+
+def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> Word:
+    """The inorder word of the tree :func:`_link_tree` would build.
+
+    The maps are checked as :func:`_link_tree` checks them, node by node
+    from the largest label down and then by :func:`_check_one_tree`, with
+    the same errors, but no :class:`Tree` is built.  Inorder is injective
+    on increasing binary trees, so equal words mean equal trees, and the
+    first entry is the pleaf.
+    """
+    labels = {root, *left.values(), *right.values()}
+    for v in sorted(labels, reverse=True):
+        _check_node(v, left.get(v), right.get(v))
+    _check_one_tree(root, left, right, labels)
+    out: list[int] = []
+    stack: list[int] = []
+    v: int | None = root
+    while True:
+        while v in left:
+            stack.append(v)
+            v = left[v]
+        out.append(v)
+        v = right.get(v)
+        while v is None:
+            if not stack:
+                return tuple(out)
+            v = stack.pop()
+            out.append(v)
+            v = right.get(v)
 
 
 def tree_spans_range(t: Tree) -> bool:

@@ -16,7 +16,13 @@ rows of the table ``_BIJECTIONS`` run by :func:`_check_bijection`.  A row
 maps family F(n) onto G(n - shift); each image is checked for membership
 in G, the statistic carried over less the shift, the row's extra
 invariant and the inverse round trip, and at each n the sorted images
-must be G(n - shift).  The six checks that test one object at a time are
+must be G(n - shift).  The psi checks build no tree they do not need:
+they run the grafting kernel once per word and read its child maps as
+checked inorder words, and inorder is injective on increasing binary
+trees.  Only psi-bijection links a tree, for the ``psi_inv`` round trip,
+and it reads the step invariant from the same grafting pass;
+psi-equality compares ``psi_b``'s replay maps with the checked grafted
+maps.  The six checks that test one object at a time are
 rows of the clause table ``_OBJECT_CHECKS`` run by :func:`_check_objects`,
 which walks n = 1..cap and runs every object of each clause's stream
 through the clause's property; clauses take turns at each n.  The two
@@ -36,6 +42,9 @@ from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
 from .core import (
+    Tree,
+    _link_tree,
+    _linked_inorder,
     inorder,
     minimal_path,
     order_relabel,
@@ -179,12 +188,15 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
 class _Bijection:
     """One row of the bijection table; ``name`` is the map in witnesses.
 
-    The map, inverse and predicate are attribute names on ``bijections``
-    and ``families``, looked up when the check runs.
+    The map is an attribute name on ``bijections``, looked up when the
+    check runs, or for the psi rows a function here that reads the image
+    from the grafting kernel.  The inverse and predicate are attribute
+    names on ``bijections`` and ``families``, looked up when the check
+    runs.
     """
 
     name: str
-    func: str
+    func: str | Callable[[object], object]
     source: FamilyTag
     target: FamilyTag
     image_set: str
@@ -196,17 +208,18 @@ class _Bijection:
 
 
 def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
-    func = getattr(bijections, row.func)
+    func = getattr(bijections, row.func) if isinstance(row.func, str) else row.func
     member = getattr(families, row.member) if row.member else None
     inverse = getattr(bijections, row.inverse) if row.inverse else None
     source_stat = families._statistic(row.source)
-    target_stat = families._statistic(row.target)
     trees = families._TREE_TAGS
-    stat_name = "pleaf" if row.target in trees else "last entry"
+    # tree images are compared as inorder words, read from checked child
+    # maps or from trees checked as they were linked; inorder is
+    # injective on increasing binary trees, and a tree's pleaf is the
+    # first entry of its word
+    to_tree = row.target in trees
+    stat_name, at = ("pleaf", 0) if to_tree else ("last entry", -1)
     text = tree_to_literal if row.source in trees else perm_to_text
-    # the trees are checked as they are linked, and inorder is injective
-    # on increasing binary trees
-    word = inorder if row.target in trees else tuple
     shift, extra = row.shift, row.extra
     objects = 0
     signed = row.source in families._SIGNED_TAGS
@@ -215,6 +228,7 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
         images = []
         for x in _family(row.source, n):
             y = func(x)
+            word = inorder(y) if isinstance(y, Tree) else y
             objects += 1
             if size == 0:
                 _expect(y == (), lambda: f"{row.name} of the singleton must be empty")
@@ -224,7 +238,7 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
                         member(y), lambda: f"{row.name}({text(x)}) not {row.noun}"
                     )
                 _expect(
-                    target_stat(y) == source_stat(x) - shift,
+                    word[at] == source_stat(x) - shift,
                     lambda: f"{row.name} {stat_name} mismatch on {text(x)}",
                 )
                 if extra is not None:
@@ -234,11 +248,11 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
                     inverse(y) == x,
                     lambda: f"{row.inverse} round trip failed on {text(x)}",
                 )
-            images.append(y)
+            images.append(word)
         if size:
+            target = _family(row.target, size)
             _expect(
-                sorted(map(word, images))
-                == sorted(map(word, _family(row.target, size))),
+                sorted(images) == sorted(map(inorder, target) if to_tree else target),
                 lambda: f"{row.name} images at n={n} are not {row.image_set}",
             )
     return {"objects": objects}
@@ -252,14 +266,36 @@ def _spine_identity(t, w) -> None:
     )
 
 
-def _graft_step_invariant(p, _t) -> None:
-    for i, _a, _b, _case, v, left, _right in bijections._graft_states(p):
-        while v in left:
-            v = left[v]
-        _expect(
-            v == p[2 * i - 2],
-            lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
-        )
+def _psi_image(p) -> Tree:
+    """psi's tree of ``p`` from one grafting pass, which checks its steps.
+
+    Each state but the last must end its minimal path at the first entry
+    of the pair just placed; the last state's path ends at the pleaf,
+    which the statistic check reads from the tree.
+    """
+
+    def step(i, _a, _b, _case, v, left, _right) -> None:
+        if i > 1:
+            while v in left:
+                v = left[v]
+            _expect(
+                v == p[2 * i - 2],
+                lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
+            )
+
+    return _link_tree(*bijections._graft_maps(p, step))
+
+
+def _psi_word(p) -> tuple:
+    # psi's tree of p as a checked inorder word; no Tree is built
+    return _linked_inorder(*bijections._graft_maps(p))
+
+
+def _psi_maps(p) -> tuple:
+    # the grafting's child maps of p, checked as a tree by reading them
+    maps = bijections._graft_maps(p)
+    _linked_inorder(*maps)
+    return maps
 
 
 _BIJECTIONS = {
@@ -273,12 +309,14 @@ _BIJECTIONS = {
         "exactly the Simsun permutations",
         shift=1, member="is_simsun", noun="Simsun", inverse="phi_inv",
     ),
+    # psi_inv takes a tree, so psi-bijection links one; the signed row
+    # compares words only
     "psi-bijection": _Bijection(
-        "psi", "_psi_tree", FamilyTag.ALT, FamilyTag.TREE, "exactly the trees",
-        inverse="psi_inv", extra=_graft_step_invariant,
+        "psi", _psi_image, FamilyTag.ALT, FamilyTag.TREE, "exactly the trees",
+        inverse="psi_inv",
     ),
     "psi-signed-bijection": _Bijection(
-        "psi_signed", "psi_signed", FamilyTag.ALT_B, FamilyTag.TREE_B,
+        "psi_signed", _psi_word, FamilyTag.ALT_B, FamilyTag.TREE_B,
         "exactly the signed trees",
     ),
     "omega-signed-bijection": _Bijection(
@@ -303,9 +341,11 @@ def _conjugate(unsigned: Callable, x, labels) -> object:
 # one row per check: its cap, from (n_max_a, n_max_b), then its clauses;
 # names are looked up when a clause runs, so patches and wrappers reach them
 _OBJECT_CHECKS = {
+    # psi_b's replay must end in the grafting's child maps, which are
+    # checked as one tree, so equal maps are equal trees
     "psi-equality": (lambda a, b: a, (
         lambda n: _family(FamilyTag.ALT, n),
-        lambda p: bijections.psi_b(p) == bijections.psi(p),
+        lambda p: bijections._replay_maps(p) == _psi_maps(p),
         lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
     )),
     "chuang-factorization": (lambda a, b: a, (
@@ -331,11 +371,12 @@ _OBJECT_CHECKS = {
         lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
     )),
     # each signed map must equal its conjugated unsigned map, signs
-    # included; psi_signed grafts the signed labels directly, so its half
-    # compares two independent routes
+    # included; the psi half compares two independent routes as inorder
+    # words: grafting the signed labels directly, against relabeling onto
+    # [n], grafting and relabeling the word back
     "conjugation-diagram": (lambda a, b: b, (
         lambda n: _family(FamilyTag.ALT_B, n),
-        lambda p: bijections.psi_signed(p) == _conjugate(bijections._psi_tree, p, p),
+        lambda p: _psi_word(p) == _conjugate(_psi_word, p, p),
         lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
     ), (
         lambda n: _family(FamilyTag.TREE_B, n),

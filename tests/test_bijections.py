@@ -25,6 +25,8 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     Word,
+    _linked_inorder,
+    inorder,
     minimal_path,
     node,
     order_relabel,
@@ -194,14 +196,33 @@ class TestPsi:
                 assert psi_inv(psi(p)) == p
 
     def test_forced_inverse_runs_past_the_guard(self, monkeypatch):
-        # the table behind psi_inv must not trip the family guard again
+        # once forced, psi_inv must not trip the family guard again
         for module in (families, bijections):
             monkeypatch.setattr(module, "TYPE_A_GUARD", 5)
-        bijections._psi_table.cache_clear()
         chain = tree_from_literal("1(2(3(4(5(6)))))")
         assert psi_inv(chain, force=True) == (6, 4, 5, 2, 3, 1)
         with pytest.raises(GuardExceededError):
             psi_inv(chain)
+
+    def test_inverse_matches_the_table_oracle_through_n8(self):
+        for n in range(1, 9):
+            table = _psi_table(n)
+            trees = list(iter_family("tree", n))
+            assert len(trees) == len(table)
+            for t in trees:
+                assert psi_inv(t) == table[t]
+
+    @pytest.mark.parametrize("n, seed", [(60, 5), (200, 6)])
+    def test_inverse_of_large_words_grafts_nothing(self, monkeypatch, n, seed):
+        p = _sample_alternating(n, seed)
+        t = psi(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_inv must not go through the grafting")
+
+        for name in ("psi_c", "_graft_states", "_graft_maps"):
+            monkeypatch.setattr(bijections, name, refuse)
+        assert psi_inv(t, force=True) == p
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -269,8 +290,25 @@ class TestLinkTree:
         ],
     )
     def test_rejects_malformed_maps(self, root, left, right):
-        with pytest.raises(InvalidTreeError):
+        with pytest.raises(InvalidTreeError) as linked:
             _link_tree(root, left, right)
+        # the word reader checks the maps the same way
+        with pytest.raises(InvalidTreeError) as read:
+            _linked_inorder(root, left, right)
+        assert str(read.value) == str(linked.value)
+
+    def test_word_reader_reads_the_linked_inorder(self):
+        for n in range(1, 8):
+            for p in iter_family("alt", n):
+                # each state is read before the grafting moves on
+                for *_, root, left, right in bijections._graft_states(p):
+                    word = _linked_inorder(root, left, right)
+                    assert word == inorder(_link_tree(root, left, right))
+                for maps in (bijections._graft_maps(p), bijections._replay_maps(p)):
+                    assert _linked_inorder(*maps) == inorder(_link_tree(*maps))
+        for p in iter_family("alt-b", 4):
+            maps = bijections._graft_maps(p)
+            assert _linked_inorder(*maps) == inorder(psi_signed(p))
 
 
 # The recursive psi_b that the iterative one replaced, kept as its oracle.
@@ -343,6 +381,12 @@ def _psi_b(p: Word) -> Tree:
         rebuilt = node(ell, node(k - 1, Tree(k), knode.right), knode.left)
         return _replace_subtree(t, ell, rebuilt)
     return _swap_labels(t, k - 1, k)
+
+
+def _psi_table(n: int) -> dict[Tree, Word]:
+    """psi_inv's oracle: every alternating permutation of [n] by its tree,
+    so an inverse is a lookup."""
+    return {psi(p): p for p in iter_family("alt", n, force=True)}
 
 
 @lru_cache(maxsize=None)

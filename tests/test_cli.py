@@ -297,6 +297,14 @@ def test_conjecture_row_whose_count_raises_exits_3(capsys, monkeypatch):
     assert out.splitlines()[-1] == "counterexample: RuntimeError: boom"
 
 
+def test_map_psi_inv_at_the_guard(capsys):
+    chain = "".join(f"{i}(" for i in range(1, 12)) + "12" + ")" * 11
+    code, out, err = run(capsys, "map", "psi-inv", "--input", chain)
+    assert code == 0
+    assert err == ""
+    assert out == "12 10 11 8 9 6 7 4 5 2 3 1\n"
+
+
 def test_map_guard_names_no_flag(capsys):
     # map has no --force, so the guard message offers no override
     chain = "".join(f"{i}(" for i in range(1, 13)) + "13" + ")" * 12

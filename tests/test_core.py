@@ -8,6 +8,7 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     TreeParseError,
+    _linked_inorder,
     ends_with_ascent,
     has_double_descent,
     inorder,
@@ -29,7 +30,7 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.bijections import _link_tree, omega, omega_signed
+from zigzag.bijections import _link_tree, omega, omega_signed, psi_inv
 from zigzag.families import iter_family
 
 RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
@@ -255,11 +256,16 @@ _MALFORMED_TREES = [
 
 @pytest.mark.parametrize("t, literal, maps, message", _MALFORMED_TREES)
 def test_every_tree_entry_point_applies_one_rule(t, literal, maps, message):
-    entries = [lambda: validate_tree(t), lambda: tree_from_json(tree_to_json(t))]
+    entries = [
+        lambda: validate_tree(t),
+        lambda: tree_from_json(tree_to_json(t)),
+        lambda: psi_inv(t),
+    ]
     if literal is not None:
         entries.append(lambda: tree_from_literal(literal))
     if maps is not None:
         entries.append(lambda: _link_tree(*maps))
+        entries.append(lambda: _linked_inorder(*maps))
     for entry in entries:
         with pytest.raises(InvalidTreeError) as info:
             entry()

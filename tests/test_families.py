@@ -540,7 +540,7 @@ _GUARD_SITES = [
 
 @pytest.mark.parametrize("what, cap, call", _GUARD_SITES)
 def test_every_guard_site_raises_the_one_error(monkeypatch, capsys, what, cap, call):
-    # psi_inv's real cap, 12, needs a table of E_12 permutations
+    # psi_inv's row runs at a patched cap; the CLI tests pin its real cap, 12
     monkeypatch.setattr(bijections, "TYPE_A_GUARD", 5)
     # the CLI names its own flag
     via_cli = call in (_triangle_cli, _enumerate_cli)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zigzag.core import Tree, order_relabel, tree_from_literal
+from zigzag.core import order_relabel, tree_from_literal
 from zigzag.families import GuardExceededError
 from zigzag import verify
 from zigzag.verify import (
@@ -161,22 +161,18 @@ def test_failing_check_keeps_its_witness_text(monkeypatch):
 
 
 def test_conjugation_diagram_compares_two_routes(monkeypatch):
-    # psi_signed grafts the signed labels directly.  Relabeling the
-    # unsigned tree back by absolute value instead of signed order is a
+    # the psi half grafts the signed labels directly.  Relabeling the
+    # unsigned word back by absolute value instead of signed order is a
     # wrong route, and the check must see it.
+    real = verify._psi_word
+
     def by_absolute_value(p):
         back = dict(zip(range(1, len(p) + 1), sorted(p, key=abs)))
-
-        def relabel(t):
-            if t is None:
-                return None
-            return Tree(back[t.label], relabel(t.left), relabel(t.right))
-
-        return relabel(verify.bijections.psi(order_relabel(p, range(1, len(p) + 1))))
+        return tuple(back[v] for v in real(order_relabel(p, range(1, len(p) + 1))))
 
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == PASS
-    monkeypatch.setattr(verify.bijections, "psi_signed", by_absolute_value)
+    monkeypatch.setattr(verify, "_psi_word", by_absolute_value)
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == "psi conjugation square fails on -1 -2"
@@ -185,16 +181,42 @@ def test_conjugation_diagram_compares_two_routes(monkeypatch):
 def test_psi_signed_image_set_is_compared(monkeypatch):
     # one image replaced by another with the same pleaf: only the image
     # set comparison can see it
-    real = verify.bijections.psi_signed
+    real = verify.bijections._graft_maps
     swapped = {(2, -3, 1): (2, -3, -1)}
     monkeypatch.setattr(
-        verify.bijections, "psi_signed", lambda p: real(swapped.get(p, p))
+        verify.bijections, "_graft_maps", lambda p: real(swapped.get(p, p))
     )
     (report,) = run_checks(["psi-signed-bijection"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == (
         "psi_signed images at n=3 are not exactly the signed trees"
     )
+
+
+def test_psi_bijection_grafts_each_word_once(monkeypatch):
+    # the image, its pleaf and the step invariant come from one grafting
+    # pass, and psi_inv grafts nothing
+    calls = {"check": 0, "psi_inv": 0}
+    real_states, real_inv = verify.bijections._graft_states, verify.bijections.psi_inv
+    inside = []
+
+    def states(p):
+        calls["psi_inv" if inside else "check"] += 1
+        return real_states(p)
+
+    def psi_inv(t, force=False):
+        inside.append(t)
+        try:
+            return real_inv(t, force)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify.bijections, "_graft_states", states)
+    monkeypatch.setattr(verify.bijections, "psi_inv", psi_inv)
+    (report,) = run_checks(["psi-bijection"], 5, 1)
+    assert report.status == PASS
+    assert report.counts == {"objects": 25}
+    assert calls == {"check": 25, "psi_inv": 0}
 
 
 _OBJECTS = {
@@ -237,16 +259,9 @@ def _nonempty(real):
 
 
 def _replace(a, b):
-    # object a takes the image of object b
-    return lambda real: lambda x: real(b if x == a else x)
-
-
-@pytest.fixture
-def fresh_psi_table():
-    # psi_inv's table is cached by n alone; one built while a fault is
-    # patched in must not reach a later test
-    yield
-    verify.bijections._psi_table.cache_clear()
+    # object a takes the image of object b; the grafting kernel passes a
+    # step visitor on
+    return lambda real: lambda x, *rest: real(b if x == a else x, *rest)
 
 
 _T = tree_from_literal
@@ -288,11 +303,11 @@ _BIJECTION_FAULTS = [
         "phi of the singleton must be empty",
     ),
     (
-        "psi-bijection", "bijections", "_psi_tree", _replace((2, 1, 3), (3, 1, 2)),
+        "psi-bijection", "bijections", "_graft_maps", _replace((2, 1, 3), (3, 1, 2)),
         "psi pleaf mismatch on 213",
     ),
     (
-        "psi-bijection", "bijections", "_psi_tree",
+        "psi-bijection", "bijections", "_graft_maps",
         _replace((3, 1, 4, 2), (3, 2, 4, 1)),
         "psi_inv round trip failed on 3142",
     ),
@@ -301,12 +316,12 @@ _BIJECTION_FAULTS = [
         "psi_inv round trip failed on 1",
     ),
     (
-        "psi-signed-bijection", "bijections", "psi_signed",
+        "psi-signed-bijection", "bijections", "_graft_maps",
         _replace((-1, -2), (1, -2)),
         "psi_signed pleaf mismatch on -1 -2",
     ),
     (
-        "psi-signed-bijection", "bijections", "psi_signed",
+        "psi-signed-bijection", "bijections", "_graft_maps",
         _replace((-2, -3, -1), (-2, -3, 1)),
         "psi_signed images at n=3 are not exactly the signed trees",
     ),
@@ -350,7 +365,6 @@ _BIJECTION_FAULTS = [
     _BIJECTION_FAULTS,
     ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(_BIJECTION_FAULTS)],
 )
-@pytest.mark.usefixtures("fresh_psi_table")
 def test_bijection_fault_gives_its_witness(
     monkeypatch, check_id, module, name, fault, witness
 ):
@@ -380,7 +394,7 @@ def _stray_left_link(real):
 # (check, module, name, fault, witness) for the checks outside _BIJECTIONS
 _CHECK_FAULTS = [
     (
-        "psi-equality", "bijections", "psi_b", _none,
+        "psi-equality", "bijections", "_replay_maps", _none,
         "psi_b and psi_c disagree on 1",
     ),
     (
@@ -416,7 +430,6 @@ _CHECK_FAULTS = [
     _CHECK_FAULTS,
     ids=[f"{c[0]}-{c[2]}" for c in _CHECK_FAULTS],
 )
-@pytest.mark.usefixtures("fresh_psi_table")
 def test_check_fault_gives_its_witness(
     monkeypatch, check_id, module, name, fault, witness
 ):
@@ -438,7 +451,7 @@ _SIGN_FAULTS = [
         "omega conjugation square fails on -2(-1)",
     ),
     (
-        "conjugation-diagram", "bijections", "psi_signed",
+        "conjugation-diagram", "bijections", "_graft_maps",
         _replace((-1, -2), (1, -2)),
         "psi conjugation square fails on -1 -2",
     ),
@@ -448,7 +461,8 @@ _SIGN_FAULTS = [
 @pytest.mark.parametrize(
     "check_id, module, name, fault, witness",
     _SIGN_FAULTS,
-    ids=[c[2] for c in _SIGN_FAULTS],
+    # named for the signed map whose half each fault breaks
+    ids=["omega_signed", "psi_signed"],
 )
 def test_conjugation_diagram_compares_signed_labels(
     monkeypatch, check_id, module, name, fault, witness
@@ -464,8 +478,10 @@ def test_conjugation_diagram_reports_the_smallest_failing_n(monkeypatch):
     real = verify.bijections
     omega_fault = _replace(_T("-2(-1)"), _T("-2(1)"))
     psi_fault = _replace((-2, -3, -1), (-2, -3, 1))
+    monkeypatch.setattr(real, "_graft_maps", psi_fault(real._graft_maps))
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
+    assert report.counterexample == "psi conjugation square fails on -2 -3 -1"
     monkeypatch.setattr(real, "omega_signed", omega_fault(real.omega_signed))
-    monkeypatch.setattr(real, "psi_signed", psi_fault(real.psi_signed))
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == "omega conjugation square fails on -2(-1)"
