@@ -12,18 +12,17 @@ The maps and their statistic bookkeeping:
   absolute values and keeps signs; on an unsigned word it is ``phi``.
 - ``psi_c``: alternating permutation -> tree, grafting pairs of entries
   from the back of the permutation to the front.  The grafting works on
-  child maps keyed by label, and ``_graft_states`` yields those maps
-  after every step; the pleaf of each intermediate state is the first
-  entry of the pair just placed, so the final pleaf is the
+  child maps keyed by label; the pleaf of each intermediate state is the
+  first entry of the pair just placed, so the final pleaf is the
   permutation's first entry.  The kernel ``_graft_maps`` runs the
-  grafting once and returns the final child maps, showing each state to
-  an optional visitor; ``psi``, ``psi_signed`` and ``psi_c`` link those
-  maps into a :class:`Tree`, and only ``psi_c`` records the decisions in
-  an :class:`AlgoCTrace`.  The checks read the maps as checked inorder
-  words instead (``core._linked_inorder``).  Every map that builds a
-  tree fills child maps and freezes them with ``core._link_tree``, which
-  checks every tree invariant as it links; this module checks no tree
-  invariant itself.
+  grafting once and returns the final child maps, showing the maps
+  after every step to an optional visitor; ``psi``, ``psi_signed`` and
+  ``psi_c`` link those maps into a :class:`Tree`, and only ``psi_c``
+  records the decisions in an :class:`AlgoCTrace`.  The checks read the
+  maps as checked inorder words instead (``core._linked_inorder``).
+  Every map that builds a tree fills child maps and freezes them with
+  ``core._link_tree``, which checks every tree invariant as it links;
+  this module checks no tree invariant itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -54,7 +53,7 @@ The maps and their statistic bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Tree,
@@ -67,14 +66,7 @@ from .core import (
     signed_perm_from_sequence,
     validate_tree,
 )
-from .families import (
-    TYPE_A_GUARD,
-    _guard,
-    is_alternating,
-    is_andre,
-    is_hetyei_andre,
-    is_simsun,
-)
+from .families import is_alternating, is_andre, is_hetyei_andre, is_simsun
 
 
 @dataclass(frozen=True)
@@ -188,9 +180,7 @@ def phi_inv(s: Sequence[int]) -> Word:
     >>> phi_inv((5, 7, 3, 4, 1, 2, 8, 6))
     (6, 8, 4, 5, 1, 2, 9, 3, 7)
     """
-    s = tuple(int(v) for v in s)
-    if s:
-        s = perm_from_sequence(s)
+    s = perm_from_sequence(s) if len(s) else ()
     if not is_simsun(s):
         raise ValueError("phi_inv requires a Simsun permutation")
     if not s:
@@ -226,24 +216,26 @@ def phi_signed(p: Sequence[int]) -> Word:
 # psi: the grafting construction (two equivalent algorithms)
 
 
-def _graft_states(
-    p: Word,
-) -> Iterator[tuple[int, int, int | None, str, int, dict[int, int], dict[int, int]]]:
-    """Run the grafting construction, yielding the link maps after each step.
+def _graft_maps(
+    p: Word, visit: Callable[..., None] | None = None
+) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The grafting construction's final child maps ``(root, left, right)``.
 
-    Each item is ``(i, a, b, case, root, left, right)``.  The two child
-    maps are the same dicts every time and change once the generator
-    resumes, so read a state before asking for the next one.
+    ``p`` must be an alternating word of distinct nonzero labels; it is
+    not checked.  The grafting only compares labels, so signed words
+    graft as they are.  ``visit``, when given, is called after every step
+    with ``(i, a, b, case, root, left, right)``; the two child maps are
+    the same dicts every time and change with the next step, so the
+    visitor reads them before it returns.
     """
     n = len(p)
-    m = (n + 1) // 2
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     root = p[-1]
     if n % 2 == 0:
         left[root] = p[-2]
 
-    for i in range(m - 1, 0, -1):
+    for i in range((n - 1) // 2, 0, -1):
         x, y = p[2 * i - 2], p[2 * i - 1]
         path = [root]
         while path[-1] in left:
@@ -279,25 +271,8 @@ def _graft_states(
             root = y
         else:
             left[parent] = y
-        yield i, a, brec, case, root, left, right
-
-
-def _graft_maps(
-    p: Word, visit: Callable[..., None] | None = None
-) -> tuple[int, dict[int, int], dict[int, int]]:
-    """The grafting construction's final child maps ``(root, left, right)``.
-
-    ``p`` must be an alternating word of distinct nonzero labels; it is
-    not checked.  The grafting only compares labels, so signed words
-    graft as they are.  ``_graft_states`` runs once, and ``visit``, when
-    given, is called with every state it yields before the next is made.
-    """
-    root, left, right = p[-1], {}, {}
-    if len(p) == 2:
-        left[root] = p[0]
-    for i, a, b, case, root, left, right in _graft_states(p):
         if visit is not None:
-            visit(i, a, b, case, root, left, right)
+            visit(i, a, brec, case, root, left, right)
     return root, left, right
 
 
@@ -421,7 +396,7 @@ def _exchange(
             parent[c] = a
 
 
-def psi_inv(t: Tree, force: bool = False) -> Word:
+def psi_inv(t: Tree) -> Word:
     """The alternating permutation that psi maps to ``t``.
 
     Undoes :func:`psi_b`'s replay on child and parent maps, its last step
@@ -430,8 +405,7 @@ def psi_inv(t: Tree, force: bool = False) -> Word:
     has a right child m, and j is the root or its parent's right child is
     missing or larger than m, the step was a strip; otherwise it was the
     sibling rotation.  The steps then replay backwards on the base word.
-    Nothing is enumerated, but the unsigned enumeration guard still
-    applies.
+    Nothing is enumerated or grafted, and no size guard applies.
 
     >>> from zigzag.core import tree_from_literal
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
@@ -445,7 +419,6 @@ def psi_inv(t: Tree, force: bool = False) -> Word:
     n = len(parent) + 1
     if {root, *parent} != set(range(1, n + 1)):
         raise ValueError("psi_inv expects a tree labeled by 1..n")
-    _guard("psi_inv", n, TYPE_A_GUARD, force)
     below = list(range(-1, n + 1))  # below[v]: next smaller label still present
     above = list(range(1, n + 3))
     steps: list[tuple[bool, int, int]] = []

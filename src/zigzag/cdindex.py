@@ -67,9 +67,7 @@ def reduced_variation_simsun(s: Sequence[int]) -> str:
     >>> reduced_variation_simsun((5, 7, 3, 4, 1, 2, 8, 6))
     'cddcd'
     """
-    s = tuple(int(v) for v in s)
-    if s:
-        s = perm_from_sequence(s)
+    s = perm_from_sequence(s) if len(s) else ()
     if not is_simsun(s):
         raise ValueError("reduced_variation_simsun requires a Simsun permutation")
     return _reduce(variation((0, *s)), "ab")

@@ -263,9 +263,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         # usage, guard, and invalid permutation or tree errors alike
         message = str(exc)
         if isinstance(exc, families.GuardExceededError):
-            # name the command's own flag, or no override where it has none
-            hint = "; pass --force to override" if hasattr(args, "force") else ""
-            message = message.replace("; pass force=True to override", hint)
+            # every command that can trip a guard takes --force
+            message = message.replace("force=True", "--force")
         print(f"error: {message}", file=sys.stderr)
         return 2
 

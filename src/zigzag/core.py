@@ -9,7 +9,8 @@ Value conventions used across the whole package:
   values are exactly {1, ..., n}.  Signed entries compare in ordinary
   integer order, so -4 < -1 < 2.
 - A word is a tuple of pairwise distinct ints; permutations and signed
-  permutations are words.
+  permutations are words.  Entries and labels convert exactly
+  (``operator.index``): a float such as 1.9 is refused, never truncated.
 - An increasing 1-2 tree is a rooted tree with at most two children per
   node and labels strictly increasing away from the root.  It is stored
   as nested :class:`Tree` records in canonical orientation: a unique
@@ -41,6 +42,7 @@ Text formats (also used by the CLI):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -64,6 +66,24 @@ class TreeParseError(InvalidTreeError):
 # permutations and words
 
 
+def _exact_int(v, error: type[ValueError]) -> int:
+    """``v`` as an int, converted exactly: a float such as 1.9 raises
+    ``error`` naming it instead of being truncated to 1."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise error(f"{v!r} is not an integer") from None
+
+
+def _exact_ints(values: Iterable, error: type[ValueError]) -> Word:
+    """:func:`_exact_int` of every entry, in one pass when all are ints."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(_exact_int(v, error) for v in values)
+
+
 def perm_from_sequence(values: Sequence[int]) -> Word:
     """Validate and freeze a permutation of [n].
 
@@ -74,7 +94,7 @@ def perm_from_sequence(values: Sequence[int]) -> Word:
         ...
     zigzag.core.InvalidPermutationError: duplicate value 2
     """
-    entries = tuple(int(v) for v in values)
+    entries = _exact_ints(values, InvalidPermutationError)
     if not entries:
         raise InvalidPermutationError("a permutation has length n >= 1")
     seen: set[int] = set()
@@ -99,7 +119,7 @@ def signed_perm_from_sequence(values: Sequence[int]) -> Word:
         ...
     zigzag.core.InvalidPermutationError: duplicate absolute value 1
     """
-    entries = tuple(int(v) for v in values)
+    entries = _exact_ints(values, InvalidPermutationError)
     if not entries:
         raise InvalidPermutationError("a signed permutation has length n >= 1")
     seen: set[int] = set()
@@ -519,10 +539,10 @@ def tree_from_json(obj: dict) -> Tree:
     labels: list[int] = []
     docs = [obj]
     for doc in docs:
-        labels.append(int(doc["label"]))
+        labels.append(_exact_int(doc["label"], InvalidTreeError))
         for kids, child in ((left, doc.get("left")), (right, doc.get("right"))):
             if child is not None:
-                kids[labels[-1]] = int(child["label"])
+                kids[labels[-1]] = _exact_int(child["label"], InvalidTreeError)
                 docs.append(child)
     _check_distinct(labels)
     return _link_tree(labels[0], left, right)
@@ -599,7 +619,7 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
     >>> order_relabel((6, -3, 9, -8, 2, -1, 7, -4, 5), range(1, 10))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    target = [int(v) for v in target_labels]
+    target = _exact_ints(target_labels, InvalidPermutationError)
     if len(set(target)) != len(target):
         raise ValueError("target labels must be pairwise distinct")
     if isinstance(obj, Tree):

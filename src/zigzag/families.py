@@ -45,9 +45,8 @@ filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
 (``_PREDICATES``) remain the oracle the tests compare the generators
 against.  Guards keep accidental huge enumerations out; pass
 ``force=True`` to override them.  Every size guard in the package, here
-and in ``bijections``, ``verify`` and ``cli``, raises through one helper,
-``_guard``, with one message format; each cap stays a constant in its
-module.
+and in ``verify`` and ``cli``, raises through one helper, ``_guard``,
+with one message format; each cap stays a constant in its module.
 
 :func:`is_andre` and :func:`is_simsun` rest on the same insertion fact,
 run backwards: they sort the positions by value once and delete entries
@@ -451,7 +450,14 @@ def _statistic(tag: FamilyTag) -> Callable[..., int]:
 
 def _guard(what: str, n: int, cap: int, force: bool) -> None:
     """Refuse ``n`` above ``cap`` unless ``force``; every size guard in
-    the package trips here, with one message format."""
+    the package trips here, with one message format.
+
+    A guard stands only in front of work that grows factorially or output
+    that grows without bound: :func:`iter_family` (and so
+    :func:`enumerate_family` and :func:`count_family`), the checks and the
+    conjecture sweep in ``verify``, and ``zigzag triangle``.  Polynomial
+    work, such as the maps and their inverses, the library's triangle
+    builders and :func:`count_hetyei_fast`, takes no guard."""
     if n > cap and not force:
         raise GuardExceededError(
             f"{what} at n={n} exceeds the guard (n <= {cap}); "
@@ -508,7 +514,7 @@ def count_family(
     return sum(1 for _ in iter_family(tag, n, k, force))
 
 
-def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
+def count_hetyei_fast(n: int, k: int) -> int:
     """Number of forced-sign Andre words of [n] with last entry k.
 
     Signs are forced positive exactly at the suffix-minimum positions of
@@ -533,7 +539,6 @@ def count_hetyei_fast(n: int, k: int, force: bool = False) -> int:
     """
     if n < 1:
         raise ValueError("families start at n = 1")
-    _guard("counting", n, TYPE_A_GUARD, force)
     if not 1 <= k <= n:
         raise ValueError(f"refinement k must satisfy 1 <= k <= {n}, got {k}")
     return _hetyei_row(n)[k]

@@ -436,9 +436,9 @@ def check_conjecture(
     with the number of forced-sign Andre words of [n+1] ending in
     n+2-k.  One report per n; a FAIL carries the witness, either a
     counterexample to an open conjecture or the exception a count raised,
-    and the sweep goes on with the next n.  The sweep cap is checked here, so
-    the counts run past the enumeration guard of
-    :func:`families.count_hetyei_fast`, which counts without enumerating.
+    and the sweep goes on with the next n.  The counts come from
+    :func:`families.count_hetyei_fast`, which enumerates nothing; the
+    sweep's own cap, n <= 100 unless ``force``, is the only guard here.
     """
     families._guard("conjecture sweep", n_max, DEFAULT_N_MAX_CONJECTURE, force)
     table = triangles.arnold_table(n_max)
@@ -451,7 +451,7 @@ def check_conjecture(
 def _sweep_row(table, n: int) -> dict:
     for k in range(1, n + 1):
         lhs = table.value(n, k)
-        rhs = families.count_hetyei_fast(n + 1, n + 2 - k, force=True)
+        rhs = families.count_hetyei_fast(n + 1, n + 2 - k)
         if lhs != rhs:
             raise _Failure(
                 f"n={n} k={k}: arnold={lhs} forced-sign-andre"

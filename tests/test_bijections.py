@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from zigzag import bijections, families
+from zigzag import bijections
 from zigzag.bijections import (
     _link_tree,
     chuang_phi,
@@ -39,7 +39,7 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.families import GuardExceededError, is_alternating, iter_family
+from zigzag.families import is_alternating, iter_family
 from zigzag.triangles import entringer_table
 
 RUNNING_TREE = tree_from_literal("1(2(3(7,9)),4(5,6(8)))")
@@ -195,14 +195,10 @@ class TestPsi:
             for p in iter_family("alt", n):
                 assert psi_inv(psi(p)) == p
 
-    def test_forced_inverse_runs_past_the_guard(self, monkeypatch):
-        # once forced, psi_inv must not trip the family guard again
-        for module in (families, bijections):
-            monkeypatch.setattr(module, "TYPE_A_GUARD", 5)
-        chain = tree_from_literal("1(2(3(4(5(6)))))")
-        assert psi_inv(chain, force=True) == (6, 4, 5, 2, 3, 1)
-        with pytest.raises(GuardExceededError):
-            psi_inv(chain)
+    def test_inverse_runs_past_the_enumeration_guard(self):
+        # psi_inv enumerates nothing, so n = 13 needs no override
+        chain = tree_from_literal("1(2(3(4(5(6(7(8(9(10(11(12(13))))))))))))")
+        assert psi_inv(chain) == (13, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2)
 
     def test_inverse_matches_the_table_oracle_through_n8(self):
         for n in range(1, 9):
@@ -220,9 +216,9 @@ class TestPsi:
         def refuse(*args, **kwargs):
             raise AssertionError("psi_inv must not go through the grafting")
 
-        for name in ("psi_c", "_graft_states", "_graft_maps"):
+        for name in ("psi_c", "_graft_maps"):
             monkeypatch.setattr(bijections, name, refuse)
-        assert psi_inv(t, force=True) == p
+        assert psi_inv(t) == p
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -298,12 +294,14 @@ class TestLinkTree:
         assert str(read.value) == str(linked.value)
 
     def test_word_reader_reads_the_linked_inorder(self):
+        def read(_i, _a, _b, _case, root, left, right):
+            # each state is read before the grafting moves on
+            word = _linked_inorder(root, left, right)
+            assert word == inorder(_link_tree(root, left, right))
+
         for n in range(1, 8):
             for p in iter_family("alt", n):
-                # each state is read before the grafting moves on
-                for *_, root, left, right in bijections._graft_states(p):
-                    word = _linked_inorder(root, left, right)
-                    assert word == inorder(_link_tree(root, left, right))
+                bijections._graft_maps(p, read)
                 for maps in (bijections._graft_maps(p), bijections._replay_maps(p)):
                     assert _linked_inorder(*maps) == inorder(_link_tree(*maps))
         for p in iter_family("alt-b", 4):
@@ -437,14 +435,15 @@ class TestPsiB:
             raise AssertionError("psi_b must not use the grafting construction")
 
         monkeypatch.setattr(bijections, "psi_c", refuse)
-        monkeypatch.setattr(bijections, "_graft_states", refuse)
+        monkeypatch.setattr(bijections, "_graft_maps", refuse)
         assert [psi_b(p) for p in perms] == expected
 
     def test_graft_states_keep_the_pleaf_sequence(self):
         for n in range(1, 8):
             for p in iter_family("alt", n):
                 leaves = []
-                for i, _a, _b, _case, root, left, right in bijections._graft_states(p):
+
+                def visit(i, _a, _b, _case, root, left, right):
                     state = bijections._link_tree(root, left, right)
                     validate_tree(state)
                     v = root
@@ -452,6 +451,8 @@ class TestPsiB:
                         v = left[v]
                     assert v == pleaf(state)
                     leaves.append(v)
+
+                bijections._graft_maps(p, visit)
                 m = (n + 1) // 2
                 assert leaves == [p[2 * i - 2] for i in range(m - 1, 0, -1)]
 

@@ -282,10 +282,10 @@ def test_conjecture_row_whose_count_raises_exits_3(capsys, monkeypatch):
 
     real = verify.families.count_hetyei_fast
 
-    def count(n, k, force=False):
+    def count(n, k):
         if n == 4:
             raise RuntimeError("boom")
-        return real(n, k, force=force)
+        return real(n, k)
 
     monkeypatch.setattr(verify.families, "count_hetyei_fast", count)
     code, out, err = run(capsys, "conjecture", "--n-max", "5", "--format", "text")
@@ -298,20 +298,12 @@ def test_conjecture_row_whose_count_raises_exits_3(capsys, monkeypatch):
 
 
 def test_map_psi_inv_at_the_guard(capsys):
-    chain = "".join(f"{i}(" for i in range(1, 12)) + "12" + ")" * 11
+    # one past the enumeration guard: map has no --force and needs none
+    chain = "".join(f"{i}(" for i in range(1, 13)) + "13" + ")" * 12
     code, out, err = run(capsys, "map", "psi-inv", "--input", chain)
     assert code == 0
     assert err == ""
-    assert out == "12 10 11 8 9 6 7 4 5 2 3 1\n"
-
-
-def test_map_guard_names_no_flag(capsys):
-    # map has no --force, so the guard message offers no override
-    chain = "".join(f"{i}(" for i in range(1, 13)) + "13" + ")" * 12
-    code, out, err = run(capsys, "map", "psi-inv", "--input", chain)
-    assert code == 2
-    assert out == ""
-    assert err == "error: psi_inv at n=13 exceeds the guard (n <= 12)\n"
+    assert out == "13 11 12 9 10 7 8 5 6 3 4 1 2\n"
 
 
 def test_usage_error_exit_code(capsys):

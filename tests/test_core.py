@@ -30,7 +30,7 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.bijections import _link_tree, omega, omega_signed, psi_inv
+from zigzag.bijections import _link_tree, omega, omega_signed, phi_inv, psi, psi_inv
 from zigzag.families import iter_family
 
 RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
@@ -108,6 +108,46 @@ class TestPermValidation:
             signed_perm_from_sequence([0, 1])
         with pytest.raises(InvalidPermutationError):
             signed_perm_from_sequence([1, 3])
+
+    # each of these once truncated its floats and answered for other input
+    @pytest.mark.parametrize(
+        "call, error, entry",
+        [
+            pytest.param(
+                lambda: perm_from_sequence([1.9, 2.2]), InvalidPermutationError, 1.9,
+                id="perm_from_sequence",
+            ),
+            pytest.param(
+                lambda: signed_perm_from_sequence([-1.5, 2.5]),
+                InvalidPermutationError, -1.5,
+                id="signed_perm_from_sequence",
+            ),
+            pytest.param(
+                lambda: psi((2.9, 1.1, 3.0)), InvalidPermutationError, 2.9, id="psi"
+            ),
+            pytest.param(
+                lambda: phi_inv((1.7,)), InvalidPermutationError, 1.7, id="phi_inv"
+            ),
+            pytest.param(
+                lambda: order_relabel((2, 1), [1, 2.5]), InvalidPermutationError, 2.5,
+                id="order_relabel",
+            ),
+            pytest.param(
+                lambda: tree_from_json({"label": 1.9, "left": {"label": 2.1}}),
+                InvalidTreeError, 1.9,
+                id="tree_from_json",
+            ),
+            pytest.param(
+                lambda: tree_from_json({"label": 1, "left": {"label": 2.0}}),
+                InvalidTreeError, 2.0,
+                id="tree_from_json-child",
+            ),
+        ],
+    )
+    def test_rejects_non_integer_entries(self, call, error, entry):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == f"{entry!r} is not an integer"
 
 
 class TestWordStatistics:

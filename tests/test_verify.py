@@ -197,21 +197,21 @@ def test_psi_bijection_grafts_each_word_once(monkeypatch):
     # the image, its pleaf and the step invariant come from one grafting
     # pass, and psi_inv grafts nothing
     calls = {"check": 0, "psi_inv": 0}
-    real_states, real_inv = verify.bijections._graft_states, verify.bijections.psi_inv
+    real_graft, real_inv = verify.bijections._graft_maps, verify.bijections.psi_inv
     inside = []
 
-    def states(p):
+    def graft(p, visit=None):
         calls["psi_inv" if inside else "check"] += 1
-        return real_states(p)
+        return real_graft(p, visit)
 
-    def psi_inv(t, force=False):
+    def psi_inv(t):
         inside.append(t)
         try:
-            return real_inv(t, force)
+            return real_inv(t)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(verify.bijections, "_graft_states", states)
+    monkeypatch.setattr(verify.bijections, "_graft_maps", graft)
     monkeypatch.setattr(verify.bijections, "psi_inv", psi_inv)
     (report,) = run_checks(["psi-bijection"], 5, 1)
     assert report.status == PASS
@@ -382,13 +382,15 @@ def _reversed(real):
 def _stray_left_link(real):
     # every non-final state's leftmost path runs on past the pair's first
     # entry; the final state, and so the tree, stays right
-    def states(p):
-        for i, a, b, case, root, left, right in real(p):
+    def graft(p, visit=None):
+        def stray(i, a, b, case, root, left, right):
             if i > 1:
                 left = {**left, p[2 * i - 2]: 0}
-            yield i, a, b, case, root, left, right
+            visit(i, a, b, case, root, left, right)
 
-    return states
+        return real(p, stray if visit else None)
+
+    return graft
 
 
 # (check, module, name, fault, witness) for the checks outside _BIJECTIONS
@@ -419,7 +421,7 @@ _CHECK_FAULTS = [
         "omega conjugation square fails on -2(-1)",
     ),
     (
-        "psi-bijection", "bijections", "_graft_states", _stray_left_link,
+        "psi-bijection", "bijections", "_graft_maps", _stray_left_link,
         "psi step invariant broken at i=2 on 21435",
     ),
 ]
@@ -490,10 +492,10 @@ def test_conjugation_diagram_reports_the_smallest_failing_n(monkeypatch):
 def test_sweep_row_whose_count_raises_is_a_fail_report(monkeypatch):
     real = verify.families.count_hetyei_fast
 
-    def count(n, k, force=False):
+    def count(n, k):
         if n == 4:
             raise RuntimeError("boom")
-        return real(n, k, force=force)
+        return real(n, k)
 
     monkeypatch.setattr(verify.families, "count_hetyei_fast", count)
     reports = check_conjecture(5)
@@ -508,7 +510,7 @@ def test_sweep_mismatch_keeps_its_witness_and_count(monkeypatch):
     real = verify.families.count_hetyei_fast
     monkeypatch.setattr(
         verify.families, "count_hetyei_fast",
-        lambda n, k, force=False: real(n, k, force=force) + ((n, k) == (4, 3)),
+        lambda n, k: real(n, k) + ((n, k) == (4, 3)),
     )
     reports = check_conjecture(4)
     assert [r.status for r in reports] == [PASS, PASS, FAIL, PASS]
