@@ -14,11 +14,14 @@ The maps and their statistic bookkeeping:
   from the back of the permutation to the front.  The grafting works on
   child maps keyed by label; the pleaf of each intermediate state is the
   first entry of the pair just placed, so the final pleaf is the
-  permutation's first entry.  The kernel ``_graft_maps`` runs the
-  grafting once and returns the final child maps, showing the maps
-  after every step to an optional visitor; ``psi``, ``psi_signed`` and
-  ``psi_c`` link those maps into a :class:`Tree`, and only ``psi_c``
-  records the decisions in an :class:`AlgoCTrace`.  The checks read the
+  permutation's first entry.  The minimal path increases downward, so
+  each step walks it from the root only to the first vertex above the
+  pair's second entry, remembering that vertex's parent.  The kernel
+  ``_graft_maps`` runs the grafting once and returns the final child
+  maps, showing the maps after every step to an optional visitor;
+  ``psi``, ``psi_signed`` and ``psi_c`` link those maps into a
+  :class:`Tree`, and only ``psi_c`` records the decisions in an
+  :class:`AlgoCTrace`.  The checks read the
   maps as checked inorder words instead (``core._linked_inorder``).
   Every map that builds a tree fills child maps and freezes them with
   ``core._link_tree``, which checks every tree invariant as it links;
@@ -28,9 +31,12 @@ The maps and their statistic bookkeeping:
   strips the first two entries (when the second is the next smaller
   remaining label) or swaps the first entry with that label; replaying
   the steps in reverse on child and parent maps grows the tree.  The
-  kernel ``_replay_maps`` returns the final child maps and ``psi_b``
-  links them.  Both phases are loops, so deep inputs raise no
-  ``RecursionError``.
+  replay keys those maps by node ids, each node named by the label it
+  was created with, beside two tables from node to current label and
+  back, so a swap that exchanges two labels is four stores and moves
+  no child link.  The kernel ``_replay_maps`` translates the maps to
+  labels once, at the end, and ``psi_b`` links them.  Both phases are
+  loops, so deep inputs raise no ``RecursionError``.
 - ``psi_signed``, ``omega_signed``, ``phi_signed``: the signed-label
   versions.  The first two equal the unsigned maps conjugated by the
   unique order isomorphism onto [n], but neither relabels: the grafting
@@ -69,7 +75,7 @@ from .core import (
 from .families import is_alternating, is_andre, is_hetyei_andre, is_simsun
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgoCStep:
     """One grafting step: which vertex was split and how."""
 
@@ -237,11 +243,11 @@ def _graft_maps(
 
     for i in range((n - 1) // 2, 0, -1):
         x, y = p[2 * i - 2], p[2 * i - 1]
-        path = [root]
-        while path[-1] in left:
-            path.append(left[path[-1]])
-        a = min(v for v in path if v > y)
-        parent = None if a == root else path[path.index(a) - 1]
+        # the minimal path increases downward, so the smallest path
+        # vertex above y is the first one
+        a, parent = root, None
+        while a < y:
+            parent, a = a, left[a]
         if a < x:
             # chain of right edges out of a, stopping at the last vertex
             # below x; its hanging subtrees swing over to the right side
@@ -323,7 +329,13 @@ def psi_b(p: Sequence[int]) -> Tree:
 
 def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
     """``psi_b``'s child maps ``(root, left, right)``; the input is not
-    checked.  :func:`psi_inv` undoes this replay step by step."""
+    checked.  :func:`psi_inv` undoes this replay step by step.
+
+    The replay runs on node ids: a node is named by the label it was
+    created with, and ``label`` and ``node`` map ids to current labels
+    and back, so a label exchange is four stores and moves no child
+    link.  The maps are translated to labels once, at the end.
+    """
     n = len(p)
     word = list(p)
     at = {v: i for i, v in enumerate(word)}
@@ -345,6 +357,11 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
             word[s], word[q] = j, k
             at[j], at[k] = s, q
 
+    # every label enters the tree once, as a new node named by it, and
+    # only labels in the tree are exchanged, so both tables start as the
+    # identity
+    label = list(range(n + 1))  # label[u]: the label node u carries
+    node = list(range(n + 1))  # node[v]: the node carrying label v
     root = word[-1]
     left: dict[int, int] = {}
     right: dict[int, int] = {}
@@ -353,8 +370,9 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
         left[root], parent[word[s]] = word[s], root
     for strip, j, k in reversed(steps):
         if strip:
+            # j and k enter as the nodes j and k
             m = root
-            while m < k:
+            while label[m] < k:
                 m = left[m]
             up = parent.get(m)
             left[j], right[j] = k, m
@@ -363,21 +381,28 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
                 root = j
             else:
                 left[up], parent[j] = j, up
-        elif parent[j] == parent[k]:
+            continue
+        nj, nk = node[j], node[k]
+        if parent[nj] == parent[nk]:
             # j is the leaf left of its sibling k: k becomes j's leaf, k's
             # right child moves under j and its left child takes k's place
-            ell = parent[j]
-            kl, kr = left.pop(k, None), right.pop(k, None)
-            left[j], parent[k] = k, j
+            ell = parent[nj]
+            kl, kr = left.pop(nk, None), right.pop(nk, None)
+            left[nj], parent[nk] = nk, nj
             if kr is not None:
-                right[j], parent[kr] = kr, j
+                right[nj], parent[kr] = kr, nj
             if kl is None:
                 del right[ell]
             else:
                 right[ell], parent[kl] = kl, ell
         else:
-            _exchange(left, right, parent, j, k)
-    return root, left, right
+            node[j], node[k] = nk, nj
+            label[nj], label[nk] = k, j
+    return (
+        label[root],
+        {label[u]: label[v] for u, v in left.items()},
+        {label[u]: label[v] for u, v in right.items()},
+    )
 
 
 def _exchange(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import bijections, families, triangles, verify
 from .core import (
@@ -133,18 +133,61 @@ def _cmd_triangle(args, out: IO[str]) -> int:
     return 0
 
 
+def _object_json_text(obj) -> str:
+    """``_object_json(obj)`` as ``json.dumps(..., indent=2)`` renders an
+    entry of a list two levels deep; trees are walked with a stack."""
+    if not isinstance(obj, Tree):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(f"      {v}" for v in obj) + "\n    ]"
+    out: list[str] = []
+    # a pending node with the indent of its closing brace, or text to emit
+    stack: list = [(obj, "    ")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        cur, at = item
+        inner = at + "  "
+        out.append(f'{{\n{inner}"label": {cur.label},\n{inner}"left": ')
+        stack.append(f"\n{at}}}")
+        stack.append("null" if cur.right is None else (cur.right, inner))
+        stack.append(f',\n{inner}"right": ')
+        stack.append("null" if cur.left is None else (cur.left, inner))
+    return "".join(out)
+
+
+def _enumerate_json_chunks(args, stream) -> Iterator[str]:
+    """The ``enumerate --format json`` document, one object per chunk.
+
+    The chunks join to ``json.dumps(doc, indent=2)`` exactly, for the
+    document whose ``objects`` list holds every object, without building
+    the list or running the pure-Python indenting encoder.  The first
+    object is drawn before anything is yielded, so arguments the family
+    refuses leave no partial output.
+    """
+    objs = iter(stream)
+    first = next(objs, None)
+    head = (
+        f'{{\n  "schema": {json.dumps(SCHEMA)},\n'
+        f'  "family": {json.dumps(args.family)},\n'
+        f'  "n": {args.n},\n  "k": {json.dumps(args.k)},\n  "objects": ['
+    )
+    if first is None:
+        yield head + "]\n}"
+        return
+    yield f"{head}\n    {_object_json_text(first)}"
+    for obj in objs:
+        yield f",\n    {_object_json_text(obj)}"
+    yield "\n  ]\n}"
+
+
 def _cmd_enumerate(args, out: IO[str]) -> int:
     stream = families.iter_family(args.family, args.n, args.k, args.force)
     if args.format == "json":
-        objs = [_object_json(obj) for obj in stream]
-        doc = {
-            "schema": SCHEMA,
-            "family": args.family,
-            "n": args.n,
-            "k": args.k,
-            "objects": objs,
-        }
-        print(json.dumps(doc, indent=2), file=out)
+        out.writelines(_enumerate_json_chunks(args, stream))
+        out.write("\n")
     else:
         out.writelines(f"{_object_out(obj)}\n" for obj in stream)
     return 0

@@ -17,7 +17,9 @@ Value conventions used across the whole package:
   child is a left child, and of two children the smaller label goes
   left.  Orientation is therefore a function of the labels alone;
   algorithms that need to break it work on transient structures and
-  re-canonicalize before returning.
+  re-canonicalize before returning.  A :class:`Tree` node is a slotted
+  frozen record: a frozen dataclass with ``__slots__``, whose
+  constructor stores each field through its slot.
 - The per-node invariants live in one helper, ``_check_node``.  Parsers
   and maps build child maps keyed by label and freeze them with
   ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
@@ -97,6 +99,9 @@ def perm_from_sequence(values: Sequence[int]) -> Word:
     entries = _exact_ints(values, InvalidPermutationError)
     if not entries:
         raise InvalidPermutationError("a permutation has length n >= 1")
+    # n entries covering 1..n are a permutation; the loop names a fault
+    if set(entries).issuperset(range(1, len(entries) + 1)):
+        return entries
     seen: set[int] = set()
     for v in entries:
         if v in seen:
@@ -122,6 +127,8 @@ def signed_perm_from_sequence(values: Sequence[int]) -> Word:
     entries = _exact_ints(values, InvalidPermutationError)
     if not entries:
         raise InvalidPermutationError("a signed permutation has length n >= 1")
+    if set(map(abs, entries)).issuperset(range(1, len(entries) + 1)):
+        return entries
     seen: set[int] = set()
     for v in entries:
         if v == 0:
@@ -199,18 +206,30 @@ def rtl_min_positions(w: Sequence[int]) -> tuple[int, ...]:
 # increasing 1-2 trees
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Tree:
     """One node of an increasing 1-2 tree, in canonical orientation.
 
-    Equality and hashing are structural, as for a frozen dataclass, but
-    walk the tree with a stack, so chains deeper than the recursion
-    limit compare and hash too.
+    A slotted frozen record: assignment and deletion raise
+    ``FrozenInstanceError``, and pickling, copying and
+    ``dataclasses.replace`` work as for any frozen dataclass.  The
+    constructor stores through the slots' own setters, past the frozen
+    ``__setattr__``, since every map builds many nodes.  Equality and
+    hashing are structural, as for a frozen dataclass, but walk the tree
+    with a stack, so chains deeper than the recursion limit compare and
+    hash too.
     """
 
     label: int
     left: Tree | None = None
     right: Tree | None = None
+
+    def __init__(
+        self, label: int, left: Tree | None = None, right: Tree | None = None
+    ) -> None:
+        _set_label(self, label)
+        _set_left(self, left)
+        _set_right(self, right)
 
     def __repr__(self) -> str:
         return f"Tree[{tree_to_literal(self)}]"
@@ -242,6 +261,12 @@ class Tree:
                     key.append(child.label)
                     order.append(child)
         return hash(tuple(key))
+
+
+# the slots' own setters, which the frozen ``__setattr__`` does not guard
+_set_label = Tree.label.__set__
+_set_left = Tree.left.__set__
+_set_right = Tree.right.__set__
 
 
 def node(label: int, *children: Tree | None) -> Tree:
@@ -402,23 +427,17 @@ def tree_spans_range(t: Tree) -> bool:
     return {abs(v) for v in labels} == set(range(1, len(labels) + 1))
 
 
-_TOKEN = re.compile(r"\s*(-?\d+|[(),])")
+# splitting on a capturing group alternates gaps and tokens; the pattern
+# has no nested repeat, so a long malformed literal fails in linear time
+_TOKEN = re.compile(r"(-?\d+|[(),])")
 
 
 def _tokenize_literal(text: str) -> list[str]:
-    tokens: list[str] = []
-    at = 0
-    while at < len(text):
-        match = _TOKEN.match(text, at)
-        if match is None:
-            if text[at:].strip() == "":
-                break
-            raise TreeParseError(f"cannot tokenize tree literal {text!r}")
-        tokens.append(match.group(1))
-        at = match.end()
-    if not tokens:
+    parts = _TOKEN.split(text)
+    # every gap between tokens must be whitespace
+    if len(parts) == 1 or "".join(parts[::2]).strip():
         raise TreeParseError(f"cannot tokenize tree literal {text!r}")
-    return tokens
+    return parts[1::2]
 
 
 def tree_from_literal(text: str) -> Tree:
@@ -434,23 +453,18 @@ def tree_from_literal(text: str) -> Tree:
     Tree[1(2,3)]
     """
     tokens = _tokenize_literal(text)
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TreeParseError("unexpected end of tree literal")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
+    end = len(tokens)
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     labels: list[int] = []
     # per open node: its label and the map its next child goes into
     stack: list[tuple[int, dict[int, int]]] = []
+    pos = 0
     while True:
-        tok = take()
+        if pos == end:
+            raise TreeParseError("unexpected end of tree literal")
+        tok = tokens[pos]
+        pos += 1
         try:
             label = int(tok)
         except ValueError:
@@ -459,12 +473,15 @@ def tree_from_literal(text: str) -> Tree:
         if stack:
             parent, kids = stack[-1]
             kids[parent] = label
-        if pos < len(tokens) and tokens[pos] == "(":
-            take()
+        if pos < end and tokens[pos] == "(":
+            pos += 1
             stack.append((label, left))
             continue
         while stack:
-            tok = take()
+            if pos == end:
+                raise TreeParseError("unexpected end of tree literal")
+            tok = tokens[pos]
+            pos += 1
             if tok == "," and stack[-1][1] is left:
                 stack[-1] = (stack[-1][0], right)
                 break
@@ -473,7 +490,7 @@ def tree_from_literal(text: str) -> Tree:
             stack.pop()
         else:
             break
-    if pos != len(tokens):
+    if pos != end:
         raise TreeParseError(f"trailing text in tree literal {text!r}")
     _check_distinct(labels)
     return _link_tree(labels[0], left, right)
@@ -662,12 +679,10 @@ def perm_from_text(text: str) -> Word:
     s = text.strip()
     if not s:
         raise InvalidPermutationError("empty permutation text")
-    if re.search(r"[,\s]", s):
-        parts = [x for x in re.split(r"[,\s]+", s) if x]
-    elif s.isdigit() and len(s) > 1:
+    parts = s.replace(",", " ").split()
+    if parts == [s] and s.isdigit():
+        # no separator at all: a bare digit string
         parts = list(s)
-    else:
-        parts = [s]
     try:
         return tuple(int(x) for x in parts)
     except ValueError:

@@ -332,10 +332,17 @@ _BIJECTIONS = {
 }
 
 
-def _conjugate(unsigned: Callable, x, labels) -> object:
-    # the unsigned map conjugated by the order isomorphism onto [n]
-    ident = range(1, len(labels) + 1)
-    return order_relabel(unsigned(order_relabel(x, ident)), labels)
+def _conjugate(unsigned: Callable, x, labels) -> tuple:
+    """The word ``unsigned`` gives for ``x``, conjugated by the order
+    isomorphism onto [n]: ``x`` is relabeled down by rank, a tree through
+    ``order_relabel``, and the word back by indexing the sorted labels."""
+    ranked = sorted(labels)
+    if isinstance(x, Tree):
+        down = order_relabel(x, range(1, len(ranked) + 1))
+    else:
+        rank = {v: i for i, v in enumerate(ranked, 1)}
+        down = tuple([rank[v] for v in x])
+    return tuple([ranked[v - 1] for v in unsigned(down)])
 
 
 # one row per check: its cap, from (n_max_a, n_max_b), then its clauses;

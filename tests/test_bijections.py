@@ -420,6 +420,152 @@ def _sample_alternating(n: int, seed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The kernels as they stood before the first-above walk and the node-id
+# replay, kept as their oracles.
+
+
+def _graft_maps_by_path(p: Word, visit=None):
+    """The grafting with the whole minimal path listed at every step."""
+    n = len(p)
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    root = p[-1]
+    if n % 2 == 0:
+        left[root] = p[-2]
+    for i in range((n - 1) // 2, 0, -1):
+        x, y = p[2 * i - 2], p[2 * i - 1]
+        path = [root]
+        while path[-1] in left:
+            path.append(left[path[-1]])
+        a = min(v for v in path if v > y)
+        parent = None if a == root else path[path.index(a) - 1]
+        if a < x:
+            chain = [a]
+            while chain[-1] in right and right[chain[-1]] < x:
+                chain.append(right[chain[-1]])
+            b = chain[-1]
+            hang = [left.get(v) for v in chain] + [right.get(b)]
+            spine = [y, *chain, x]
+            for u, v in zip(spine, spine[1:]):
+                left[u] = v
+            left.pop(x, None)
+            right.pop(x, None)
+            for v, s in zip(spine, hang):
+                if s is None:
+                    right.pop(v, None)
+                else:
+                    right[v] = s
+            case, brec = "C1", b
+        else:
+            right[y] = a
+            left[y] = x
+            case, brec = "C2", None
+        if parent is None:
+            root = y
+        else:
+            left[parent] = y
+        if visit is not None:
+            visit(i, a, brec, case, root, left, right)
+    return root, left, right
+
+
+def _replay_maps_by_label(p: Word):
+    """psi_b's replay on label-keyed maps, exchanging labels by moving
+    child links with ``bijections._exchange``."""
+    n = len(p)
+    word = list(p)
+    at = {v: i for i, v in enumerate(word)}
+    below = list(range(-1, n + 1))
+    above = list(range(1, n + 3))
+    steps = []
+    s = 0
+    while n - s > 2:
+        k = word[s]
+        j = below[k]
+        if word[s + 1] == j:
+            steps.append((True, j, k))
+            lo, hi = below[j], above[k]
+            above[lo], below[hi] = hi, lo
+            s += 2
+        else:
+            steps.append((False, j, k))
+            q = at[j]
+            word[s], word[q] = j, k
+            at[j], at[k] = s, q
+    root = word[-1]
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    if n - s == 2:
+        left[root], parent[word[s]] = word[s], root
+    for strip, j, k in reversed(steps):
+        if strip:
+            m = root
+            while m < k:
+                m = left[m]
+            up = parent.get(m)
+            left[j], right[j] = k, m
+            parent[k] = parent[m] = j
+            if up is None:
+                root = j
+            else:
+                left[up], parent[j] = j, up
+        elif parent[j] == parent[k]:
+            ell = parent[j]
+            kl, kr = left.pop(k, None), right.pop(k, None)
+            left[j], parent[k] = k, j
+            if kr is not None:
+                right[j], parent[kr] = kr, j
+            if kl is None:
+                del right[ell]
+            else:
+                right[ell], parent[kl] = kl, ell
+        else:
+            bijections._exchange(left, right, parent, j, k)
+    return root, left, right
+
+
+def _graft_run(graft, p: Word):
+    """The final maps, and every step's decisions and root, of one
+    grafting run."""
+    steps = []
+
+    def visit(i, a, b, case, root, _left, _right):
+        steps.append((i, a, b, case, root))
+
+    return graft(p, visit), steps
+
+
+class TestKernelOracles:
+    def test_grafting_matches_the_path_list_oracle_exhaustively(self):
+        words = [p for n in range(1, 11) for p in iter_family("alt", n)]
+        words += [p for n in range(1, 7) for p in iter_family("alt-b", n)]
+        for p in words:
+            assert _graft_run(bijections._graft_maps, p) == _graft_run(
+                _graft_maps_by_path, p
+            ), p
+
+    def test_replay_matches_the_label_oracle_exhaustively(self):
+        for n in range(1, 11):
+            for p in iter_family("alt", n):
+                assert bijections._replay_maps(p) == _replay_maps_by_label(p), p
+
+    @pytest.mark.parametrize("n", [40, 41, 200, 401])
+    def test_kernels_match_their_oracles_on_sampled_words(self, n):
+        for seed in range(3):
+            p = _sample_alternating(n, seed)
+            assert _graft_run(bijections._graft_maps, p) == _graft_run(
+                _graft_maps_by_path, p
+            )
+            assert bijections._replay_maps(p) == _replay_maps_by_label(p)
+
+    def test_psi_b_and_psi_inv_at_n_400(self):
+        p = _sample_alternating(400, 11)
+        t = psi_b(p)
+        assert t == psi_c(p)[0]
+        assert psi_inv(t) == p
+
+
 class TestPsiB:
     def test_matches_recursive_oracle_exhaustively(self):
         for n in range(1, 10):

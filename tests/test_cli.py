@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from zigzag.cli import dispatch
+from zigzag.cli import SCHEMA, _object_json, dispatch
+from zigzag.families import _SIGNED_TAGS, FamilyTag, iter_family
 
 
 def run(capsys, *argv):
@@ -75,6 +76,41 @@ def test_enumerate_json(capsys):
     )
     doc = json.loads(out)
     assert doc["objects"] == [{"label": 1, "left": {"label": 2, "left": None, "right": None}, "right": None}]
+
+
+@pytest.mark.parametrize("tag", [t.value for t in FamilyTag])
+def test_enumerate_json_matches_the_indenting_encoder(capsys, tag):
+    # every k the family accepts at n <= 4, some of them matching nothing
+    signed = FamilyTag(tag) in _SIGNED_TAGS
+    for n in range(1, 5):
+        ks = [None, *(k for k in range(-n, n + 1) if k > 0 or (signed and k))]
+        for k in ks:
+            argv = ["enumerate", tag, "--n", str(n), "--format", "json"]
+            if k is not None:
+                argv += ["--k", str(k)]
+            code, out, _ = run(capsys, *argv)
+            objects = [_object_json(obj) for obj in iter_family(tag, n, k)]
+            doc = {"schema": SCHEMA, "family": tag, "n": n, "k": k, "objects": objects}
+            assert code == 0
+            assert out == json.dumps(doc, indent=2) + "\n", argv
+
+
+def test_enumerate_json_of_an_empty_result(capsys):
+    argv = ["enumerate", "alt", "--n", "3", "--k", "1", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (
+        '{\n  "schema": "zigzag/1",\n  "family": "alt",\n  "n": 3,\n'
+        '  "k": 1,\n  "objects": []\n}\n'
+    )
+
+
+def test_enumerate_json_refusal_writes_nothing(capsys):
+    argv = ["enumerate", "alt", "--n", "3", "--k", "4", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: refinement k must satisfy 1 <= k <= 3, got 4\n"
 
 
 def test_enumerate_guard_exit_code(capsys):

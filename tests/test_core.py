@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import json
+import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,10 +94,12 @@ class TestPermValidation:
         assert perm_from_sequence([1]) == (1,)
 
     def test_rejects_duplicates_and_gaps(self):
-        with pytest.raises(InvalidPermutationError):
+        with pytest.raises(InvalidPermutationError) as info:
             perm_from_sequence([2, 2, 3])
-        with pytest.raises(InvalidPermutationError):
+        assert str(info.value) == "duplicate value 2"
+        with pytest.raises(InvalidPermutationError) as info:
             perm_from_sequence([1, 3])
+        assert str(info.value) == "entries must be exactly 1..2, got [1, 3]"
         with pytest.raises(InvalidPermutationError):
             perm_from_sequence([])
 
@@ -102,12 +108,14 @@ class TestPermValidation:
         assert signed_perm_from_sequence([-1]) == (-1,)
 
     def test_signed_rejects(self):
-        with pytest.raises(InvalidPermutationError):
-            signed_perm_from_sequence([1, -1])
-        with pytest.raises(InvalidPermutationError):
-            signed_perm_from_sequence([0, 1])
-        with pytest.raises(InvalidPermutationError):
-            signed_perm_from_sequence([1, 3])
+        for entries, message in (
+            ([1, -1], "duplicate absolute value 1"),
+            ([0, 1], "zero entries are not allowed"),
+            ([1, 3], "absolute values must be exactly 1..2, got [1, 3]"),
+        ):
+            with pytest.raises(InvalidPermutationError) as info:
+                signed_perm_from_sequence(entries)
+            assert str(info.value) == message
 
     # each of these once truncated its floats and answered for other input
     @pytest.mark.parametrize(
@@ -242,9 +250,40 @@ class TestTreeLiterals:
         assert tree_labels(t) == (1, 2, 3, 5, 6, 8, 9)
 
     def test_parse_errors(self):
-        for bad in ("", "1(", "1(2,3,4)", "1(2))", "x", "1 2"):
-            with pytest.raises(TreeParseError):
+        for bad, message in (
+            ("", "cannot tokenize tree literal ''"),
+            ("1(", "unexpected end of tree literal"),
+            ("1(2,3,4)", "expected ')', got ','"),
+            ("1(2))", "trailing text in tree literal '1(2))'"),
+            ("x", "cannot tokenize tree literal 'x'"),
+            ("1 2", "trailing text in tree literal '1 2'"),
+            ("1()", "expected a label, got ')'"),
+            ("1(-x)", "cannot tokenize tree literal '1(-x)'"),
+            ("- 1", "cannot tokenize tree literal '- 1'"),
+        ):
+            with pytest.raises(TreeParseError) as info:
                 tree_from_literal(bad)
+            assert str(info.value) == message
+
+    def test_invalid_trees_keep_their_messages(self):
+        for bad, message in (
+            ("1(3,2)", "children of 1 are not in canonical order: 3 before 2"),
+            ("2(1)", "child 1 must be greater than parent 2"),
+            ("1(2,2)", "duplicate label 2"),
+            ("0(1)", "label 0 is not allowed"),
+        ):
+            with pytest.raises(InvalidTreeError) as info:
+                tree_from_literal(bad)
+            assert str(info.value) == message
+
+    def test_long_malformed_literal_fails_fast(self):
+        # a tokenizer that backtracks over how to split the digits would
+        # take far longer than this
+        text = "1" * 199_999 + "x"
+        start = time.perf_counter()
+        with pytest.raises(TreeParseError, match="cannot tokenize"):
+            tree_from_literal(text)
+        assert time.perf_counter() - start < 0.5
 
     def test_json_round_trip(self):
         t = tree_from_literal(RUNNING_TREE)
@@ -519,3 +558,76 @@ class TestPermText:
     def test_single_value(self):
         assert perm_from_text("7") == (7,)
         assert perm_from_text("-1") == (-1,)
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [
+            ("1,2,3", (1, 2, 3)),
+            ("1 2\t3", (1, 2, 3)),
+            ("213", (2, 1, 3)),
+            ("7", (7,)),
+            (",", ()),
+            (" 3 , 1 ,2 ", (3, 1, 2)),
+            ("12,", (12,)),
+        ],
+    )
+    def test_separators(self, text, word):
+        assert perm_from_text(text) == word
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty permutation text"),
+            ("1;2", "cannot parse permutation '1;2'"),
+            ("21a", "cannot parse permutation '21a'"),
+        ],
+    )
+    def test_unparsable_text(self, text, message):
+        with pytest.raises(InvalidPermutationError) as info:
+            perm_from_text(text)
+        assert str(info.value) == message
+
+
+class TestTreeRecord:
+    """``Tree`` keeps the contract of a frozen dataclass."""
+
+    T = Tree(1, Tree(2, Tree(4)), Tree(3))
+
+    @pytest.mark.parametrize("name", ["label", "left", "right"])
+    def test_fields_are_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError) as info:
+            setattr(self.T, name, None)
+        assert str(info.value) == f"cannot assign to field {name!r}"
+        with pytest.raises(dataclasses.FrozenInstanceError) as info:
+            delattr(self.T, name)
+        assert str(info.value) == f"cannot delete field {name!r}"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            lambda t: pickle.loads(pickle.dumps(t)),
+            copy.copy,
+            copy.deepcopy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_round_trips(self, round_trip):
+        t = round_trip(self.T)
+        assert t == self.T
+        assert tree_to_literal(t) == "1(2(4),3)"
+
+    def test_replace_and_keywords(self):
+        assert dataclasses.replace(self.T, right=None) == tree_from_literal("1(2(4))")
+        assert Tree(label=1, right=Tree(3), left=Tree(2)) == tree_from_literal("1(2,3)")
+        assert Tree(5) == Tree(5, None, None)
+
+    def test_dataclass_metadata(self):
+        assert dataclasses.is_dataclass(self.T)
+        assert Tree.__match_args__ == ("label", "left", "right")
+        assert [f.name for f in dataclasses.fields(Tree)] == ["label", "left", "right"]
+        match self.T:
+            case Tree(1, Tree(2), right):
+                assert right == Tree(3)
+            case _:
+                pytest.fail("Tree did not match positionally")
