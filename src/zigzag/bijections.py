@@ -52,8 +52,11 @@ The maps and their statistic bookkeeping:
   walk checks the tree and reads its child maps; the pleaf and the next
   smaller label tell which replay step came last (a label exchange, a
   strip or a sibling rotation), and undoing the steps one by one leaves
-  the base tree.  The steps then replay backwards on the base word.
-  Nothing is enumerated and nothing is grafted.
+  the base tree.  Like the replay, the undoing keys its maps by node
+  ids, so an exchange is four stores on the label tables and the pleaf
+  is looked for again only after a strip or a rotation.  The steps then
+  replay backwards on the base word.  Nothing is enumerated and nothing
+  is grafted.
 """
 
 from __future__ import annotations
@@ -259,8 +262,6 @@ def _graft_maps(
             spine = [y, *chain, x]
             for u, v in zip(spine, spine[1:]):
                 left[u] = v
-            left.pop(x, None)
-            right.pop(x, None)
             for v, s in zip(spine, hang):
                 if s is None:
                     right.pop(v, None)
@@ -329,7 +330,8 @@ def psi_b(p: Sequence[int]) -> Tree:
 
 def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
     """``psi_b``'s child maps ``(root, left, right)``; the input is not
-    checked.  :func:`psi_inv` undoes this replay step by step.
+    checked.  :func:`psi_inv` undoes this replay step by step, on node
+    ids the same way.
 
     The replay runs on node ids: a node is named by the label it was
     created with, and ``label`` and ``node`` map ids to current labels
@@ -405,32 +407,19 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
     )
 
 
-def _exchange(
-    left: dict[int, int], right: dict[int, int], parent: dict[int, int], a: int, b: int
-) -> None:
-    # exchange the labels a and b, neither of them the root; a is a leaf,
-    # so only b's child links move
-    pa, pb = parent[a], parent[b]
-    for u, old, new in ((pa, a, b), (pb, b, a)):
-        kids = left if left[u] == old else right
-        kids[u] = new
-    parent[a], parent[b] = pb, pa
-    for kids in (left, right):
-        if b in kids:
-            c = kids[a] = kids.pop(b)
-            parent[c] = a
-
-
 def psi_inv(t: Tree) -> Word:
     """The alternating permutation that psi maps to ``t``.
 
-    Undoes :func:`psi_b`'s replay on child and parent maps, its last step
-    first.  With k the pleaf and j the next smaller label: if j is not
-    k's parent, the step exchanged the labels j and k.  Otherwise, if j
-    has a right child m, and j is the root or its parent's right child is
-    missing or larger than m, the step was a strip; otherwise it was the
-    sibling rotation.  The steps then replay backwards on the base word.
-    Nothing is enumerated or grafted, and no size guard applies.
+    Undoes :func:`psi_b`'s replay on node ids, as :func:`_replay_maps`
+    runs it, its last step first.  With k the pleaf and j the next
+    smaller label: if j is not k's parent, the step exchanged the labels
+    j and k, which is four stores that move no child link.  Otherwise,
+    if j has a right child m, and j is the root or its parent's right
+    child is missing or larger than m, the step was a strip; otherwise
+    it was the sibling rotation.  Only a strip or a rotation moves nodes,
+    so only they send the walk down to the pleaf again.  The steps then
+    replay backwards on the base word.  Nothing is enumerated or grafted,
+    and no size guard applies.
 
     >>> from zigzag.core import tree_from_literal
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
@@ -444,30 +433,36 @@ def psi_inv(t: Tree) -> Word:
     n = len(parent) + 1
     if {root, *parent} != set(range(1, n + 1)):
         raise ValueError("psi_inv expects a tree labeled by 1..n")
+    # each node starts named by its label, as in the replay
+    label = list(range(n + 1))  # label[u]: the label node u carries
+    node = list(range(n + 1))  # node[v]: the node carrying label v
     below = list(range(-1, n + 1))  # below[v]: next smaller label still present
     above = list(range(1, n + 3))
     steps: list[tuple[bool, int, int]] = []
     size = n
+    kn = root  # the pleaf's node
     while size > 2:
-        k = root
-        while k in left:
-            k = left[k]
+        while kn in left:
+            kn = left[kn]
+        k = label[kn]
         j = below[k]
-        if parent[k] != j:
-            _exchange(left, right, parent, k, j)
+        jn = node[j]
+        if parent[kn] != jn:
+            node[j], node[k] = kn, jn
+            label[kn], label[jn] = j, k
             steps.append((False, j, k))
             continue
-        m, up = right.get(j), parent.get(j)
+        m, up = right.get(jn), parent.get(jn)
         beside = None if up is None else right.get(up)
-        if m is not None and (beside is None or beside > m):
+        if m is not None and (beside is None or label[beside] > label[m]):
             # a strip: j and its leaf k leave, and m takes j's place
-            del left[j], right[j], parent[k]
+            del left[jn], right[jn], parent[kn]
             if up is None:
                 root = m
                 del parent[m]
             else:
                 left[up], parent[m] = m, up
-                del parent[j]
+                del parent[jn]
             lo, hi = below[j], above[k]
             above[lo], below[hi] = hi, lo
             size -= 2
@@ -475,18 +470,19 @@ def psi_inv(t: Tree) -> Word:
         else:
             # the rotation: k becomes j's right sibling again, with the
             # child beside j on its left and j's right child on its right
-            del left[j]
-            kr = right.pop(j, None)
-            right[up], parent[k] = k, up
+            del left[jn]
+            kr = right.pop(jn, None)
+            right[up], parent[kn] = kn, up
             if beside is not None:
-                left[k], parent[beside] = beside, k
+                left[kn], parent[beside] = beside, kn
             if kr is not None:
-                right[k], parent[kr] = kr, k
+                right[kn], parent[kr] = kr, kn
             steps.append((False, j, k))
+        kn = root
 
     # replay the steps backwards on the base word, built from its end:
     # a strip puts k, j back in front, a swap exchanges the values j, k
-    rev = [root, left[root]] if root in left else [root]
+    rev = [label[root], label[left[root]]] if root in left else [label[root]]
     at = {v: i for i, v in enumerate(rev)}
     for strip, j, k in reversed(steps):
         if strip:

@@ -26,7 +26,10 @@ maps.  The six checks that test one object at a time are
 rows of the clause table ``_OBJECT_CHECKS`` run by :func:`_check_objects`,
 which walks n = 1..cap and runs every object of each clause's stream
 through the clause's property; clauses take turns at each n.  The two
-family-count checks compare each triangle row with counted statistics.
+scans of S_n must see exactly n! permutations at each n.  The two
+family-count checks compare each triangle row with counted statistics,
+and test every object of the four families that no bijection row
+targets with that family's predicate.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
 n = 6, the conjecture sweep to n = 100.
@@ -38,6 +41,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from math import factorial
 from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
@@ -147,10 +151,20 @@ def _check_objects(row: tuple, n_max_a: int, n_max_b: int) -> dict:
 # individual checks; each returns a counts dict or raises _Failure
 
 
+def _members(tag: FamilyTag, n: int, name: str) -> None:
+    # no bijection row has this family as its target, so no image set
+    # certifies it: every object must pass the predicate ``name`` on
+    # ``families``, looked up when the check runs
+    holds = getattr(families, name)
+    for p in _family(tag, n):
+        _expect(holds(p), lambda: f"{tag.value} word {perm_to_text(p)} fails {name}")
+
+
 def _check_entringer_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.entringer_table(n_max_a)
     objects = 0
     for n in range(1, n_max_a + 1):
+        _members(FamilyTag.ALT, n, "is_alternating")
         expected = {k: v for k, v in table.row(n) if v}
         for tag in (FamilyTag.ALT, FamilyTag.TREE, FamilyTag.ANDRE):
             objects += _compare_counts(tag.value, tag, n, expected)
@@ -163,6 +177,9 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.arnold_table(n_max_b)
     objects = 0
     for n in range(1, n_max_b + 1):
+        _members(FamilyTag.ALT_B, n, "is_alternating")
+        _members(FamilyTag.SNAKE, n, "is_snake")
+        _members(FamilyTag.ANDRE_H, n, "is_hetyei_andre")
         expected = {k: v for k, v in table.row(n) if v}
         positive = {k: v for k, v in expected.items() if k > 0}
         for tag, want in (
@@ -256,6 +273,18 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
                 lambda: f"{row.name} images at n={n} are not {row.image_set}",
             )
     return {"objects": objects}
+
+
+def _all_permutations(n: int):
+    # families.iter_permutations(n), which must yield exactly n! words
+    scanned = 0
+    for p in families.iter_permutations(n):
+        scanned += 1
+        yield p
+    _expect(
+        scanned == factorial(n),
+        lambda: f"permutations of [{n}]: {scanned} scanned, {factorial(n)} expected",
+    )
 
 
 def _spine_identity(t, w) -> None:
@@ -367,13 +396,13 @@ _OBJECT_CHECKS = {
         lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
     )),
     "andre-implies-simsun": (lambda a, b: a, (
-        lambda n: families.iter_permutations(n),
+        lambda n: _all_permutations(n),
         lambda p: not families.is_andre(p) or families.is_simsun(p),
         lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
     )),
     # the valley characterization is only asserted up to n = 7
     "valley-equivalence": (lambda a, b: min(a, 7), (
-        lambda n: families.iter_permutations(n),
+        lambda n: _all_permutations(n),
         lambda p: families.is_andre(p) == families.is_andre_valley(p),
         lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
     )),

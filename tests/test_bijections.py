@@ -191,7 +191,7 @@ class TestPsi:
         assert psi_inv(tree_from_literal("1(2)")) == (2, 1)
 
     def test_inverse_round_trip_exhaustive(self):
-        for n in range(1, 7):
+        for n in range(1, 10):
             for p in iter_family("alt", n):
                 assert psi_inv(psi(p)) == p
 
@@ -219,6 +219,12 @@ class TestPsi:
         for name in ("psi_c", "_graft_maps"):
             monkeypatch.setattr(bijections, name, refuse)
         assert psi_inv(t) == p
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (401, 2), (1000, 3)])
+    def test_psi_undoes_the_inverse_on_random_trees(self, n, seed):
+        t = _random_tree(n, seed)
+        assert len(tree_labels(t)) == n
+        assert psi(psi_inv(t)) == t
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -420,6 +426,26 @@ def _sample_alternating(n: int, seed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _random_tree(n: int, seed: int) -> Tree:
+    """A random increasing 1-2 tree on [n], grown one label at a time.
+
+    Each new largest label hangs under a free slot chosen at random: a
+    leaf's left slot or a unary node's right one, so no Entringer table
+    is needed at any n.
+    """
+    rng = random.Random(seed)
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    slots = [(left, 1)]
+    for v in range(2, n + 1):
+        kids, u = slots.pop(rng.randrange(len(slots)))
+        kids[u] = v
+        if kids is left:
+            slots.append((right, u))
+        slots.append((left, v))
+    return _link_tree(1, left, right)
+
+
 # The kernels as they stood before the first-above walk and the node-id
 # replay, kept as their oracles.
 
@@ -469,9 +495,23 @@ def _graft_maps_by_path(p: Word, visit=None):
     return root, left, right
 
 
+def _exchange(left, right, parent, a: int, b: int) -> None:
+    # exchange the labels a and b, neither of them the root; a is a leaf,
+    # so only b's child links move
+    pa, pb = parent[a], parent[b]
+    for u, old, new in ((pa, a, b), (pb, b, a)):
+        kids = left if left[u] == old else right
+        kids[u] = new
+    parent[a], parent[b] = pb, pa
+    for kids in (left, right):
+        if b in kids:
+            c = kids[a] = kids.pop(b)
+            parent[c] = a
+
+
 def _replay_maps_by_label(p: Word):
     """psi_b's replay on label-keyed maps, exchanging labels by moving
-    child links with ``bijections._exchange``."""
+    child links with ``_exchange``."""
     n = len(p)
     word = list(p)
     at = {v: i for i, v in enumerate(word)}
@@ -521,7 +561,7 @@ def _replay_maps_by_label(p: Word):
             else:
                 right[ell], parent[kl] = kl, ell
         else:
-            bijections._exchange(left, right, parent, j, k)
+            _exchange(left, right, parent, j, k)
     return root, left, right
 
 

@@ -572,6 +572,13 @@ def test_one_guard_raise_and_no_tree_checks_in_the_bijections():
     assert sum(_calls(path, "GuardExceededError", True) for path in sources) == 1
     assert _calls(package / "bijections.py", "InvalidTreeError", True) == 0
     assert _calls(package / "bijections.py", "_guard") == 0
+    # psi_inv undoes a label exchange on node ids, as the replay makes
+    # it, so no label-keyed exchange is left to define or call
+    source = ast.parse((package / "bijections.py").read_text(encoding="utf-8"))
+    assert _calls(package / "bijections.py", "_exchange") == 0
+    assert "_exchange" not in {
+        node.name for node in ast.walk(source) if isinstance(node, ast.FunctionDef)
+    }
 
 
 def test_one_site_makes_every_check_report():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -424,6 +425,18 @@ _CHECK_FAULTS = [
         "psi-bijection", "bijections", "_graft_maps", _stray_left_link,
         "psi step invariant broken at i=2 on 21435",
     ),
+    (
+        "entringer-families", "families", "is_alternating", _never,
+        "alt word 1 fails is_alternating",
+    ),
+    (
+        "arnold-families", "families", "is_snake", _never,
+        "snake word 1 fails is_snake",
+    ),
+    (
+        "arnold-families", "families", "is_hetyei_andre", _never,
+        "andre-h word 1 fails is_hetyei_andre",
+    ),
 ]
 
 
@@ -487,6 +500,41 @@ def test_conjugation_diagram_reports_the_smallest_failing_n(monkeypatch):
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == "omega conjugation square fails on -2(-1)"
+
+
+def _failures(reports) -> dict:
+    return {r.check_id: r.counterexample for r in reports if r.status == FAIL}
+
+
+def test_up_down_alternation_fails_the_family_counts(monkeypatch):
+    # is_alternating turned round to accept up-down words: the generators
+    # do not call it and no bijection row targets alt or alt-b, so only
+    # the membership tests of the family-count checks can see it
+    def up_down(p):
+        return all(
+            p[i] < p[i + 1] if i % 2 == 0 else p[i] > p[i + 1]
+            for i in range(len(p) - 1)
+        )
+
+    monkeypatch.setattr(verify.families, "is_alternating", up_down)
+    assert _failures(run_checks(n_max_a=4, n_max_b=3)) == {
+        "arnold-families": "alt-b word -1 -2 fails is_alternating",
+        "entringer-families": "alt word 21 fails is_alternating",
+    }
+
+
+def test_short_permutation_stream_fails_the_s_n_scans(monkeypatch):
+    # iter_permutations(n) yielding S_(n-2): every word it yields passes,
+    # so only the n! count of each scan can see it
+    monkeypatch.setattr(
+        verify.families, "iter_permutations",
+        lambda n: itertools.permutations(range(1, n - 1)),
+    )
+    witness = "permutations of [2]: 1 scanned, 2 expected"
+    assert _failures(run_checks(n_max_a=4, n_max_b=3)) == {
+        "andre-implies-simsun": witness,
+        "valley-equivalence": witness,
+    }
 
 
 def test_sweep_row_whose_count_raises_is_a_fail_report(monkeypatch):
