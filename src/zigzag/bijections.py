@@ -519,10 +519,10 @@ def psi_signed(p: Sequence[int]) -> Tree:
 def chuang_phi(t: Tree) -> Word:
     """Peel a tree into a Simsun permutation one letter shorter.
 
-    While the root has a single child, emit that child and descend into
-    it; when it has two, emit the right (larger) subtree in reverse
-    inorder and cut it off.  Finally shift every letter down by one.
-    Equals ``phi(omega(t))``.
+    While the root has a child, emit its right (larger) subtree in
+    reverse inorder, if it has one, then its left child, and descend
+    into that child.  Finally shift every letter down by one.  Equals
+    ``phi(omega(t))``.
 
     >>> from zigzag.core import tree_from_literal
     >>> chuang_phi(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
@@ -532,10 +532,8 @@ def chuang_phi(t: Tree) -> Word:
     word: list[int] = []
     cur = t
     while cur.left is not None:
-        if cur.right is None:
-            word.append(cur.left.label)
-            cur = cur.left
-        else:
+        if cur.right is not None:
             word.extend(reversed(inorder(cur.right)))
-            cur = Tree(cur.label, cur.left)
+        cur = cur.left
+        word.append(cur.label)
     return tuple(v - 1 for v in word)

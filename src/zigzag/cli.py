@@ -211,6 +211,9 @@ def _cmd_map(args, out: IO[str]) -> int:
     if domain == "tree":
         value = tree_from_literal(args.input)
         _check_tree_labels(args.name, value)
+    elif args.name == "phi-inv" and not args.input.strip():
+        # phi prints the empty Simsun word of a singleton as a blank line
+        value = ()
     else:
         value = perm_from_text(args.input)
     trace = None

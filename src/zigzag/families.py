@@ -135,10 +135,9 @@ def is_alternating(p: Word) -> bool:
     >>> is_alternating((1, 2, 3, 4))
     False
     """
-    return all(
-        p[i] > p[i + 1] if i % 2 == 0 else p[i] < p[i + 1]
-        for i in range(len(p) - 1)
-    )
+    # descents from the even (0-indexed) positions, ascents from the odd
+    odd = p[1::2]
+    return all(map(operator.gt, p[::2], odd)) and all(map(operator.lt, odd, p[2::2]))
 
 
 def is_snake(p: Word) -> bool:
@@ -200,7 +199,15 @@ def is_andre(p: Word) -> bool:
     True
     >>> is_andre((4, 3, 5, 1, 2))
     False
+
+    A word that ends in a descent is refused before anything is sorted.
+    That exit is exact: the bottom-n subword is the whole word, and
+    :func:`_bottom_up_ok` refuses such a word too, at the latest when it
+    deletes the second to last entry, which is then followed by the last
+    entry alone.
     """
+    if len(p) >= 2 and p[-2] > p[-1]:
+        return False
     return _bottom_up_ok(p, andre=True)
 
 

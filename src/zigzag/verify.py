@@ -49,12 +49,11 @@ from .core import (
     Tree,
     _link_tree,
     _linked_inorder,
+    _relabeled,
     inorder,
     minimal_path,
-    order_relabel,
     perm_to_text,
     rtl_min_positions,
-    tree_labels,
     tree_to_literal,
 )
 from .families import FamilyTag
@@ -363,13 +362,15 @@ _BIJECTIONS = {
 
 def _conjugate(unsigned: Callable, x, labels) -> tuple:
     """The word ``unsigned`` gives for ``x``, conjugated by the order
-    isomorphism onto [n]: ``x`` is relabeled down by rank, a tree through
-    ``order_relabel``, and the word back by indexing the sorted labels."""
+    isomorphism onto [n]: ``x`` is relabeled down by rank, and the word
+    back by indexing the sorted labels.  One rank dict serves both kinds
+    of ``x``: a word is looked up entry by entry, and a tree is rebuilt
+    in one walk, children before parents, with every label looked up."""
     ranked = sorted(labels)
+    rank = {v: i for i, v in enumerate(ranked, 1)}
     if isinstance(x, Tree):
-        down = order_relabel(x, range(1, len(ranked) + 1))
+        down = _relabeled(x, rank)
     else:
-        rank = {v: i for i, v in enumerate(ranked, 1)}
         down = tuple([rank[v] for v in x])
     return tuple([ranked[v - 1] for v in unsigned(down)])
 
@@ -417,7 +418,7 @@ _OBJECT_CHECKS = {
     ), (
         lambda n: _family(FamilyTag.TREE_B, n),
         lambda t: bijections.omega_signed(t)
-        == _conjugate(bijections.omega, t, tree_labels(t)),
+        == _conjugate(bijections.omega, t, inorder(t)),
         lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
     )),
 }

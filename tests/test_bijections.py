@@ -25,6 +25,8 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     Word,
+    _check_node,
+    _check_one_tree,
     _linked_inorder,
     inorder,
     minimal_path,
@@ -299,6 +301,31 @@ class TestLinkTree:
             _linked_inorder(root, left, right)
         assert str(read.value) == str(linked.value)
 
+    @pytest.mark.parametrize(
+        "tag, n_max", [("tree", 5), ("tree-b", 4)], ids=["unsigned", "signed"]
+    )
+    def test_bulk_check_matches_the_per_node_oracle(self, tag, n_max):
+        # every valid map links to the oracle's tree and word, and every
+        # single fault raises the oracle's first error, node by node from
+        # the largest label down and then the one-tree test
+        faults = 0
+        for n in range(1, n_max + 1):
+            for t in iter_family(tag, n):
+                maps = _tree_maps(t)
+                tree = _link_tree_by_node(*maps)
+                assert tree == t
+                assert _link_tree(*maps) == tree
+                assert _linked_inorder(*maps) == inorder(tree)
+                for root, left, right in _single_faults(*maps):
+                    with pytest.raises(InvalidTreeError) as oracle:
+                        _link_tree_by_node(root, left, right)
+                    for link in (_link_tree, _linked_inorder):
+                        with pytest.raises(InvalidTreeError) as got:
+                            link(root, left, right)
+                        assert str(got.value) == str(oracle.value), (root, left, right)
+                    faults += 1
+        assert faults > 100
+
     def test_word_reader_reads_the_linked_inorder(self):
         def read(_i, _a, _b, _case, root, left, right):
             # each state is read before the grafting moves on
@@ -313,6 +340,59 @@ class TestLinkTree:
         for p in iter_family("alt-b", 4):
             maps = bijections._graft_maps(p)
             assert _linked_inorder(*maps) == inorder(psi_signed(p))
+
+
+def _link_tree_by_node(root, left, right):
+    """``_link_tree`` as it stood before the bulk test, kept as its oracle:
+    every node passes ``_check_node`` as it is built, from the largest
+    label down, and then the maps must pass the one-tree test."""
+    labels = {root, *left.values(), *right.values()}
+    built = {}
+    for v in sorted(labels, reverse=True):
+        lk, rk = left.get(v), right.get(v)
+        _check_node(v, lk, rk)
+        built[v] = Tree(v, built.pop(lk, None), built.pop(rk, None))
+    _check_one_tree(root, left, right, labels)
+    return built[root]
+
+
+def _tree_maps(t: Tree):
+    left, right, stack = {}, {}, [t]
+    while stack:
+        cur = stack.pop()
+        for kids, child in ((left, cur.left), (right, cur.right)):
+            if child is not None:
+                kids[cur.label] = child.label
+                stack.append(child)
+    return t.label, left, right
+
+
+def _single_faults(root, left, right):
+    """The maps with one fault each: a label set to 0, a right child
+    without a left one, swapped children, a child linked a second time,
+    and a left or right edge out of a node not in the tree."""
+    labels = sorted({root, *left.values(), *right.values()})
+    for v in labels:
+        to = {v: 0}
+        yield (
+            to.get(root, root),
+            {to.get(u, u): to.get(c, c) for u, c in left.items()},
+            {to.get(u, u): to.get(c, c) for u, c in right.items()},
+        )
+    for v, c in left.items():
+        yield root, {u: d for u, d in left.items() if u != v}, {v: c, **right}
+    for v, c in right.items():
+        yield root, {**left, v: c}, {**right, v: left[v]}
+    for v in labels:
+        for c in labels:
+            if v not in left:
+                yield root, {**left, v: c}, right
+            elif v not in right:
+                yield root, left, {**right, v: c}
+    missing = max(map(abs, labels)) + 1
+    yield root, {**left, missing: missing + 1}, right
+    yield root, left, {**right, missing: missing + 1}
+    yield root, {**left, missing: labels[-1]}, right
 
 
 # The recursive psi_b that the iterative one replaced, kept as its oracle.
@@ -787,3 +867,13 @@ class TestChuangPhi:
         for n in range(1, 8):
             for t in iter_family("tree", n):
                 assert chuang_phi(t) == phi(omega(t))
+
+    def test_peeling_builds_no_node(self, monkeypatch):
+        trees = [t for n in range(1, 7) for t in iter_family("tree", n)]
+        expected = [phi(omega(t)) for t in trees]
+
+        def refuse(*args):
+            raise AssertionError("chuang_phi built a node")
+
+        monkeypatch.setattr(bijections, "Tree", refuse)
+        assert [chuang_phi(t) for t in trees] == expected

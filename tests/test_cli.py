@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,53 @@ def test_map_json(capsys):
     doc = json.loads(out)
     assert doc["map"] == "phi"
     assert doc["output"] == [2, 3, 1]
+
+
+def test_map_phi_inv_reads_back_the_empty_word(capsys):
+    # phi of the singleton prints a blank line, and phi-inv reads it back
+    code, out, _ = run(capsys, "map", "phi", "--input", "1")
+    assert (code, out) == (0, "\n")
+    for blank in (out.strip(), "", "  "):
+        code, out, err = run(capsys, "map", "phi-inv", "--input", blank)
+        assert (code, out, err) == (0, "1\n", "")
+
+
+def test_map_phi_inv_reads_back_the_empty_word_in_json(capsys):
+    code, out, _ = run(capsys, "map", "phi", "--input", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["output"] == []
+    code, out, _ = run(capsys, "map", "phi-inv", "--input", "", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["map"], doc["input"], doc["output"]) == ("phi-inv", [], [1])
+
+
+@pytest.mark.parametrize("name", ["phi", "psi", "psi-b", "omega-inv", "phi-signed"])
+def test_map_other_than_phi_inv_refuses_blank_input(capsys, name):
+    code, out, err = run(capsys, "map", name, "--input", " ")
+    assert (code, out) == (2, "")
+    assert err == "error: empty permutation text\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["enumerate", "andre", "--n", "8"], 1385,
+            "6e65df299904712c95e27425378418382f2a030f09202a910149142a9659477a",
+        ),
+        (
+            ["enumerate", "snake", "--n", "6"], 2763,
+            "39bb54f339eb18331a73eb71ac9780d2b2b75a280251b4c1656cdf6b48a4497e",
+        ),
+    ],
+    ids=["andre-8", "snake-6"],
+)
+def test_enumerate_text_output_is_pinned(capsys, argv, lines, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_map_bad_input_is_usage_error(capsys):

@@ -147,13 +147,24 @@ class TestPredicates:
         assert not is_signed_simsun((1, -2, 3))
 
 
+def _alternating_by_index(p):
+    # the per-index definition is_alternating replaced, kept as its oracle
+    return all(
+        p[i] > p[i + 1] if i % 2 == 0 else p[i] < p[i + 1]
+        for i in range(len(p) - 1)
+    )
+
+
 class TestFastPredicateOracle:
-    """The one-pass predicates agree with the subword definitions."""
+    """The one-pass predicates agree with the subword definitions, and
+    every early exit with the plain pass it skips."""
 
     @staticmethod
     def _agree(p):
         assert is_andre(p) == _andre_by_subwords(p), p
+        assert is_andre(p) == families._bottom_up_ok(p, andre=True), p
         assert is_simsun(p) == _simsun_by_subwords(p), p
+        assert is_alternating(p) == _alternating_by_index(p), p
 
     def test_every_permutation_up_to_eight(self):
         for n in range(0, 9):
@@ -198,6 +209,30 @@ class TestFastPredicateOracle:
                     outcomes.add((is_andre(near), is_simsun(near)))
         # the near misses include Andre words, Simsun-only words and neither
         assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_alternation_of_lists_and_short_words(self):
+        for p in ([], [5], [2, 1], [1, 2], [3, 1, 2], [3, 1, 0], [2, 1, 4, 3, 5]):
+            assert is_alternating(p) == _alternating_by_index(p), p
+            assert is_alternating(tuple(p)) == is_alternating(p), p
+
+    def test_final_descent_exits_before_the_pass(self, monkeypatch):
+        # 1 + sum(n!/2 for n = 2..6) of the 873 permutations scanned at cap
+        # 6 end in an ascent or have one entry, and only they may reach
+        # the pass with andre=True; the andre=False calls are is_simsun's,
+        # one per Andre word
+        real = families._bottom_up_ok
+        calls = {True: 0, False: 0}
+
+        def counted(p, andre):
+            calls[andre] += 1
+            return real(p, andre)
+
+        monkeypatch.setattr(families, "_bottom_up_ok", counted)
+        (report,) = run_checks(["andre-implies-simsun"], n_max_a=6, n_max_b=1)
+        assert report.status == "PASS"
+        assert report.counts == {"objects": 873}
+        assert calls[True] == 437
+        assert calls[False] == 86
 
     def test_generator_oracle_filters_through_the_definitions(self):
         assert _PREDICATES[FamilyTag.ANDRE] is _andre_by_subwords

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from zigzag.core import order_relabel, tree_from_literal
-from zigzag.families import GuardExceededError
+from zigzag.bijections import omega
+from zigzag.core import inorder, order_relabel, tree_from_literal
+from zigzag.families import GuardExceededError, iter_family
 from zigzag import verify
 from zigzag.verify import (
     DEFAULT_N_MAX_CONJECTURE,
@@ -177,6 +178,19 @@ def test_conjugation_diagram_compares_two_routes(monkeypatch):
     (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
     assert report.status == FAIL
     assert report.counterexample == "psi conjugation square fails on -1 -2"
+
+
+def test_conjugation_relabels_trees_as_order_relabel_does():
+    # the omega half relabels each tree down by the rank dict of its
+    # inorder word; order_relabel is the oracle
+    for n in range(1, 6):
+        for t in iter_family("tree-b", n):
+            seen = []
+            back = verify._conjugate(
+                lambda down: seen.append(down) or omega(down), t, inorder(t)
+            )
+            assert seen == [order_relabel(t, range(1, n + 1))]
+            assert back == omega(t)
 
 
 def test_psi_signed_image_set_is_compared(monkeypatch):
