@@ -23,11 +23,8 @@ Value conventions used across the whole package:
 - The per-node invariants live in one helper, ``_check_node``.  Parsers
   and maps build child maps keyed by label and freeze them with
   ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
-  word without building a tree.  Both check the maps through
-  ``_check_maps``: first in bulk, with C-level builtins over the whole
-  maps, and only if that test fails node by node from the largest label
-  down, which names the fault; then that the maps are one tree, through
-  ``_check_one_tree``.
+  word without building a tree.  Both check every node, and that the
+  maps are one tree through the shared ``_check_one_tree``.
   :func:`validate_tree` checks a finished :class:`Tree` node by node
   with the same helper, in one walk, ``_checked_nodes``, that also hands
   the nodes to ``psi_inv``, so every entry point gives the same error.
@@ -374,51 +371,39 @@ def _check_one_tree(
         raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
 
 
-def _check_maps(root: int, left: dict[int, int], right: dict[int, int]) -> set[int]:
-    """The labels of the child maps, once every node passes
-    :func:`_check_node` and the maps pass :func:`_check_one_tree`.
-
-    The maps are tested in bulk first: no label 0, no right child
-    without a left one, every left child above its parent and below its
-    sibling.  That implies every node passes :func:`_check_node`, so the
-    per-node loop, from the largest label down, runs only on maps that
-    fail the bulk test, to name their first fault.
-    """
-    labels = {root, *left.values(), *right.values()}
-    if not (
-        0 not in labels
-        and right.keys() <= left.keys()
-        and all(map(operator.gt, left.values(), left))
-        and all(map(operator.lt, map(left.__getitem__, right), right.values()))
-    ):
-        for v in sorted(labels, reverse=True):
-            _check_node(v, left.get(v), right.get(v))
-    _check_one_tree(root, left, right, labels)
-    return labels
-
-
 def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
     """Freeze child maps into a :class:`Tree` without recursion.
 
-    The maps are checked by :func:`_check_maps` first.  Labels increase
-    away from the root, so building nodes from the largest label down
-    finishes every child before its parent.
+    Labels must increase away from the root, so building nodes from the
+    largest label down finishes every child before its parent.  Each node
+    passes :func:`_check_node` on the way, and maps that are not one tree
+    rooted at ``root`` fail :func:`_check_one_tree`.
     """
+    labels = {root, *left.values(), *right.values()}
     built: dict[int, Tree] = {}
-    for v in sorted(_check_maps(root, left, right), reverse=True):
-        built[v] = Tree(v, built.pop(left.get(v), None), built.pop(right.get(v), None))
+    for v in sorted(labels, reverse=True):
+        lk, rk = left.get(v), right.get(v)
+        _check_node(v, lk, rk)
+        # a child linked twice is gone already; the maps fail the
+        # one-tree test then
+        built[v] = Tree(v, built.pop(lk, None), built.pop(rk, None))
+    _check_one_tree(root, left, right, labels)
     return built[root]
 
 
 def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> Word:
     """The inorder word of the tree :func:`_link_tree` would build.
 
-    The maps are checked as :func:`_link_tree` checks them, by
-    :func:`_check_maps`, with the same errors, but no :class:`Tree` is
-    built.  Inorder is injective on increasing binary trees, so equal
-    words mean equal trees, and the first entry is the pleaf.
+    The maps are checked as :func:`_link_tree` checks them, node by node
+    from the largest label down and then by :func:`_check_one_tree`, with
+    the same errors, but no :class:`Tree` is built.  Inorder is injective
+    on increasing binary trees, so equal words mean equal trees, and the
+    first entry is the pleaf.
     """
-    _check_maps(root, left, right)
+    labels = {root, *left.values(), *right.values()}
+    for v in sorted(labels, reverse=True):
+        _check_node(v, left.get(v), right.get(v))
+    _check_one_tree(root, left, right, labels)
     out: list[int] = []
     stack: list[int] = []
     v: int | None = root
@@ -654,7 +639,11 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
     target = _exact_ints(target_labels, InvalidPermutationError)
     if len(set(target)) != len(target):
         raise ValueError("target labels must be pairwise distinct")
-    current = tree_labels(obj) if isinstance(obj, Tree) else sorted(obj)
+    if isinstance(obj, Tree):
+        nodes = list(_walk(obj))
+        current = sorted(cur.label for cur in nodes)
+    else:
+        current = sorted(obj)
     if len(current) != len(target):
         raise ValueError(
             f"size mismatch: object has {len(current)} labels, "
@@ -662,20 +651,21 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
         )
     mapping = dict(zip(current, sorted(target)))
     if isinstance(obj, Tree):
-        return _relabeled(obj, mapping)
+        return _relabeled(nodes, mapping)
     return tuple(mapping[v] for v in obj)
 
 
-def _relabeled(t: Tree, mapping: dict[int, int]) -> Tree:
-    """``t`` with every label v replaced by ``mapping[v]``, in one walk.
+def _relabeled(nodes: list[Tree], mapping: dict[int, int]) -> Tree:
+    """The tree whose preorder walk, as :func:`_walk` gives it, is
+    ``nodes``, with every label v replaced by ``mapping[v]``.
 
     ``mapping`` must preserve order, or the result is not canonical.
-    The reverse of the preorder walk :func:`_walk` finishes each node's
-    left subtree, then its right one, then the node, so the two subtrees
-    built last are its children, the right one on top.
+    The reverse of a preorder walk finishes each node's left subtree,
+    then its right one, then the node, so the two subtrees built last
+    are its children, the right one on top.
     """
     built: list[Tree] = []
-    for cur in reversed(list(_walk(t))):
+    for cur in reversed(nodes):
         right = None if cur.right is None else built.pop()
         left = None if cur.left is None else built.pop()
         built.append(Tree(mapping[cur.label], left, right))

@@ -50,6 +50,7 @@ from .core import (
     _link_tree,
     _linked_inorder,
     _relabeled,
+    _walk,
     inorder,
     minimal_path,
     perm_to_text,
@@ -369,7 +370,7 @@ def _conjugate(unsigned: Callable, x, labels) -> tuple:
     ranked = sorted(labels)
     rank = {v: i for i, v in enumerate(ranked, 1)}
     if isinstance(x, Tree):
-        down = _relabeled(x, rank)
+        down = _relabeled(list(_walk(x)), rank)
     else:
         down = tuple([rank[v] for v in x])
     return tuple([ranked[v - 1] for v in unsigned(down)])
