@@ -1,17 +1,28 @@
 """Command-line front end.
 
 Subcommands: ``triangle``, ``enumerate``, ``map``, ``verify``,
-``conjecture``.  Exit codes: 0 success, 1 verification failure, 2 usage
-or guard error, 3 conjecture sweep FAIL (a counterexample, or a row whose
-count raised).
+``conjecture``.  Each command returns its exit code and its output as
+text chunks of at most one row or one object, and :func:`dispatch`
+writes every command's chunks through one path.  That path draws the
+first chunk before it opens ``--output``, so a refused command leaves an
+existing file untouched.
+
+Exit codes: 0 success, 1 verification failure, 2 usage or guard error,
+3 conjecture sweep FAIL (a counterexample, or a row whose count raised),
+141 (128 + SIGPIPE) when the reader closes standard output before the
+output ends, as ``zigzag enumerate andre --n 10 | head -2`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import json
+import os
 import sys
-from typing import IO, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijections, families, triangles, verify
 from .core import (
@@ -47,7 +58,9 @@ class _CliError(ValueError):
     """A usage error; like every ValueError it exits with code 2."""
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="zigzag",
         description="Entringer/Arnold triangles, zigzag families, and bijections",
@@ -111,7 +124,7 @@ def _object_json(obj):
     return list(obj)
 
 
-def _cmd_triangle(args, out: IO[str]) -> int:
+def _cmd_triangle(args) -> tuple[int, Iterable[str]]:
     families._guard(f"{args.kind} triangle", args.n, TRIANGLE_N_CAP, args.force)
     if args.n < 1:
         raise _CliError("--n must be at least 1")
@@ -121,28 +134,28 @@ def _cmd_triangle(args, out: IO[str]) -> int:
         else triangles.arnold_table(args.n)
     )
     if args.format == "json":
-        out.writelines(triangles.json_chunks(table, SCHEMA))
-        out.write("\n")
-    else:
-        lines = {
-            "csv": triangles.csv_lines,
-            "boustrophedon": triangles.boustrophedon_lines,
-            "text": triangles.text_lines,
-        }[args.format](table)
-        out.writelines(f"{line}\n" for line in lines)
-    return 0
+        return 0, itertools.chain(triangles.json_chunks(table, SCHEMA), ("\n",))
+    if args.format == "boustrophedon":
+        return 0, map("{}\n".format, triangles.boustrophedon_lines(table))
+    if args.format == "csv":
+        return 0, triangles.csv_chunks(table)
+    return 0, triangles.text_chunks(table)
 
 
-def _object_json_text(obj) -> str:
-    """``_object_json(obj)`` as ``json.dumps(..., indent=2)`` renders an
-    entry of a list two levels deep; trees are walked with a stack."""
-    if not isinstance(obj, Tree):
-        if not obj:
-            return "[]"
-        return "[\n" + ",\n".join(f"      {v}" for v in obj) + "\n    ]"
+def _perm_json_text(p) -> str:
+    """``list(p)`` as ``json.dumps(..., indent=2)`` renders an entry of a
+    list two levels deep."""
+    if not p:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
+
+
+def _tree_json_text(t: Tree) -> str:
+    """``tree_to_json(t)`` as ``json.dumps(..., indent=2)`` renders an
+    entry of a list two levels deep; the tree is walked with a stack."""
     out: list[str] = []
     # a pending node with the indent of its closing brace, or text to emit
-    stack: list = [(obj, "    ")]
+    stack: list = [(t, "    ")]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -158,14 +171,14 @@ def _object_json_text(obj) -> str:
     return "".join(out)
 
 
-def _enumerate_json_chunks(args, stream) -> Iterator[str]:
+def _enumerate_json_chunks(args, stream, render: Callable) -> Iterator[str]:
     """The ``enumerate --format json`` document, one object per chunk.
 
-    The chunks join to ``json.dumps(doc, indent=2)`` exactly, for the
-    document whose ``objects`` list holds every object, without building
-    the list or running the pure-Python indenting encoder.  The first
-    object is drawn before anything is yielded, so arguments the family
-    refuses leave no partial output.
+    The chunks join to ``json.dumps(doc, indent=2)`` plus a newline, for
+    the document whose ``objects`` list holds every object, without
+    building the list or running the pure-Python indenting encoder.  The
+    first chunk carries the first object, so arguments the family refuses
+    raise before anything is written.
     """
     objs = iter(stream)
     first = next(objs, None)
@@ -175,22 +188,23 @@ def _enumerate_json_chunks(args, stream) -> Iterator[str]:
         f'  "n": {args.n},\n  "k": {json.dumps(args.k)},\n  "objects": ['
     )
     if first is None:
-        yield head + "]\n}"
+        yield head + "]\n}\n"
         return
-    yield f"{head}\n    {_object_json_text(first)}"
+    yield f"{head}\n    {render(first)}"
     for obj in objs:
-        yield f",\n    {_object_json_text(obj)}"
-    yield "\n  ]\n}"
+        yield f",\n    {render(obj)}"
+    yield "\n  ]\n}\n"
 
 
-def _cmd_enumerate(args, out: IO[str]) -> int:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     stream = families.iter_family(args.family, args.n, args.k, args.force)
+    # the family fixes the kind of object, so its renderer is picked once
+    tree = families.FamilyTag(args.family) in families._TREE_TAGS
     if args.format == "json":
-        out.writelines(_enumerate_json_chunks(args, stream))
-        out.write("\n")
-    else:
-        out.writelines(f"{_object_out(obj)}\n" for obj in stream)
-    return 0
+        render = _tree_json_text if tree else _perm_json_text
+        return 0, _enumerate_json_chunks(args, stream, render)
+    render = tree_to_literal if tree else perm_to_text
+    return 0, map("{}\n".format, map(render, stream))
 
 
 def _check_tree_labels(name: str, t: Tree) -> None:
@@ -204,7 +218,7 @@ def _check_tree_labels(name: str, t: Tree) -> None:
         raise _CliError(f"{name} expects labels exactly 1..{n}, got {labels}")
 
 
-def _cmd_map(args, out: IO[str]) -> int:
+def _cmd_map(args) -> tuple[int, Iterable[str]]:
     if args.trace and args.name != "psi":
         raise _CliError(f"--trace applies only to map psi, not {args.name}")
     func, domain = _MAPS[args.name]
@@ -240,28 +254,27 @@ def _cmd_map(args, out: IO[str]) -> int:
             raise _CliError(
                 "tree too deep for --format json; use --format text"
             ) from None
-        print(text, file=out)
-    else:
-        print(_object_out(result), file=out)
-        if trace is not None:
-            for line in trace.lines():
-                print(line, file=out)
-    return 0
+        return 0, (text + "\n",)
+    lines = [_object_out(result)]
+    if trace is not None:
+        lines.extend(trace.lines())
+    return 0, map("{}\n".format, lines)
 
 
-def _print_reports(reports, fmt: str, out: IO[str]) -> None:
+def _report_chunks(reports, fmt: str) -> list[str]:
     if fmt == "json":
-        print(json.dumps([r.as_dict() for r in reports], indent=2), file=out)
-    else:
-        for r in reports:
-            label = r.check_id
-            if "n" in r.params:
-                label = f"{r.check_id} n={r.params['n']}"
-            extra = f"  [{r.counterexample}]" if r.counterexample else ""
-            print(f"{r.status}  {label}  ({r.elapsed:.2f}s){extra}", file=out)
+        return [json.dumps([r.as_dict() for r in reports], indent=2) + "\n"]
+    chunks = []
+    for r in reports:
+        label = r.check_id
+        if "n" in r.params:
+            label = f"{r.check_id} n={r.params['n']}"
+        extra = f"  [{r.counterexample}]" if r.counterexample else ""
+        chunks.append(f"{r.status}  {label}  ({r.elapsed:.2f}s){extra}\n")
+    return chunks
 
 
-def _cmd_verify(args, out: IO[str]) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     selection = None
     if args.checks is not None:
         selection = [c.strip() for c in args.checks.split(",")]
@@ -270,25 +283,30 @@ def _cmd_verify(args, out: IO[str]) -> int:
     reports = verify.run_checks(
         selection, args.n_max_a, args.n_max_b, force=args.force
     )
-    _print_reports(reports, args.format, out)
-    return 0 if all(r.status == verify.PASS for r in reports) else 1
+    code = 0 if all(r.status == verify.PASS for r in reports) else 1
+    return code, _report_chunks(reports, args.format)
 
 
-def _cmd_conjecture(args, out: IO[str]) -> int:
+def _cmd_conjecture(args) -> tuple[int, Iterable[str]]:
     reports = verify.check_conjecture(args.n_max, force=args.force)
-    _print_reports(reports, args.format, out)
-    if all(r.status == verify.PASS for r in reports):
-        return 0
-    for r in reports:
-        if r.status != verify.PASS:
-            print(f"counterexample: {r.counterexample}", file=out)
-    return 3
+    chunks = _report_chunks(reports, args.format)
+    failed = [r for r in reports if r.status != verify.PASS]
+    chunks += [f"counterexample: {r.counterexample}\n" for r in failed]
+    return (3 if failed else 0), chunks
+
+
+def _opened(path: str | None):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run the chosen command, and return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = {
         "triangle": _cmd_triangle,
         "enumerate": _cmd_enumerate,
@@ -297,14 +315,20 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         "conjecture": _cmd_conjecture,
     }[args.command]
     try:
-        if getattr(args, "output", None):
-            try:
-                out = open(args.output, "w", encoding="utf-8")
-            except OSError as exc:
-                raise _CliError(f"cannot write {args.output}: {exc.strerror}") from None
-            with out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
+        code, chunks = handler(args)
+        chunks = iter(chunks)
+        # a stream the family refuses raises here, before --output is opened
+        first = next(chunks, "")
+        with _opened(args.output) as out:
+            out.write(first)
+            out.writelines(chunks)
+            out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout once more at
+        # exit, which would fail again; send that flush to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         # usage, guard, and invalid permutation or tree errors alike
         message = str(exc)

@@ -676,10 +676,18 @@ def _relabeled(nodes: list[Tree], mapping: dict[int, int]) -> Tree:
 # text formats
 
 
+# byte v -> the ASCII digit of v, for the entries 1..9 of a compact word
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def perm_to_text(p: Sequence[int]) -> str:
-    """Render a (signed) permutation; compact digits when unambiguous."""
+    """Render a (signed) permutation; compact digits when unambiguous.
+
+    A compact word is rendered by one ``bytes.translate``, which equals
+    ``"".join(map(str, p))`` on entries 1..9.
+    """
     if p and min(p) >= 1 and max(p) <= 9:
-        return "".join(map(str, p))
+        return bytes(p).translate(_DIGITS).decode()
     return " ".join(map(str, p))
 
 

@@ -319,7 +319,9 @@ def _iter_alternating(tag: FamilyTag, n: int, k: int | None) -> Iterator[Word]:
         values = list(range(1, n + 1))
     else:
         values = list(range(-n, 0)) + list(range(1, n + 1))
-    rank = {v: i for i, v in enumerate(values)}
+    # the values below and above each value, sliced once and not at every node
+    below = {v: values[:i] for i, v in enumerate(values)}
+    above = {v: values[i + 1 :] for i, v in enumerate(values)}
     first = [v for v in values if k is None or v == k]
     if tag is FamilyTag.SNAKE:
         first = [v for v in first if v > 0]
@@ -336,8 +338,7 @@ def _iter_alternating(tag: FamilyTag, n: int, k: int | None) -> Iterator[Word]:
             used[abs(v)] = True
             prefix.append(v)
             # the entry after an even (0-indexed) position is smaller
-            i = rank[v]
-            yield from extend(values[:i] if len(prefix) % 2 else values[i + 1 :])
+            yield from extend(below[v] if len(prefix) % 2 else above[v])
             prefix.pop()
             used[abs(v)] = False
 

@@ -121,40 +121,39 @@ def springer_number(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# renderings: lines without their newline, or JSON text in chunks
+# renderings, one per export format.  CSV and text stream newline-terminated
+# chunks of one row each; the JSON chunks, one row object each, join to
+# ``json.dumps(..., indent=2)``, which ends without a newline.  The
+# boustrophedon lines are centred on the widest row, so they come as one
+# list.  The tests keep the line-by-line forms as oracles for the chunks.
+
+
+def csv_chunks(table: TriangleTable) -> Iterator[str]:
+    """CSV export with header ``n,k,value``; rows by n then k ascending."""
+    yield "n,k,value\n"
+    for n, row in enumerate(table.rows, 1):
+        yield "".join(map(f"{n},{{}},{{}}\n".format, table.row_ks(n), row))
 
 
 def csv_lines(table: TriangleTable) -> Iterator[str]:
-    """CSV export with header ``n,k,value``; rows by n then k ascending."""
-    yield "n,k,value"
-    for n, row in enumerate(table.rows, 1):
-        yield from (f"{n},{k},{v}" for k, v in zip(table.row_ks(n), row))
+    """The lines of :func:`csv_chunks`, without their newlines."""
+    for chunk in csv_chunks(table):
+        yield from chunk.splitlines()
 
 
-def text_lines(table: TriangleTable) -> Iterator[str]:
+def text_chunks(table: TriangleTable) -> Iterator[str]:
     """``n=N: entries | row sum``, one line per row."""
     for n, row in enumerate(table.rows, 1):
-        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}"
-
-
-def json_rows(table: TriangleTable) -> list[dict]:
-    """JSON export: one object per row."""
-    return [
-        {
-            "n": n,
-            "values": [{"k": k, "value": v} for k, v in table.row(n)],
-            "row_sum": table.row_sums[n - 1],
-        }
-        for n in range(1, table.n_max + 1)
-    ]
+        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}\n"
 
 
 def json_chunks(table: TriangleTable, schema: str) -> Iterator[str]:
     """The JSON document, one row object per chunk.
 
     The chunks join to ``json.dumps({"schema": schema, "kind":
-    table.kind, "rows": json_rows(table)}, indent=2)`` exactly, without
-    building the rows' dicts or the whole string.
+    table.kind, "rows": rows}, indent=2)`` exactly, where row n of
+    ``rows`` is ``{"n": n, "values": [{"k": k, "value": v}, ...],
+    "row_sum": s}``, without building the rows' dicts or the whole string.
     """
     import json  # here, so that importing the package does not load json
 
@@ -162,11 +161,9 @@ def json_chunks(table: TriangleTable, schema: str) -> Iterator[str]:
         f'{{\n  "schema": {json.dumps(schema)},\n'
         f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
     )
+    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
     for n, row in enumerate(table.rows, 1):
-        values = ",\n".join(
-            f'        {{\n          "k": {k},\n          "value": {v}\n        }}'
-            for k, v in zip(table.row_ks(n), row)
-        )
+        values = ",\n".join(map(entry, table.row_ks(n), row))
         yield (
             f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
             f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'

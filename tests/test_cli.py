@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zigzag.cli import SCHEMA, _object_json, dispatch
+from zigzag.cli import SCHEMA, _build_parser, _object_json, dispatch
 from zigzag.families import _SIGNED_TAGS, FamilyTag, iter_family
 
 
@@ -396,6 +396,22 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_reuse_keeps_the_defaults(capsys):
+    assert _build_parser() is _build_parser()
+    argv = ["enumerate", "alt", "--n", "4"]
+    code, out, _ = run(capsys, *argv, "--k", "2", "--force", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["objects"] == [[2, 1, 4, 3]]
+    args = _build_parser().parse_args(argv)
+    assert (args.k, args.force, args.format, args.output) == (None, False, "text", None)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "2143\n3142\n3241\n4132\n4231\n")
+    for bad in (["triangle"], [*argv, "--k", "x"], ["enumerate", "alt"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(bad)
+        assert exc.value.code == 2
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run(
@@ -405,6 +421,25 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "3,2,1" in target.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "andre", "--n", "13"], "enumeration of andre at n=13"),
+        (["triangle", "entringer", "--n", "60"], "entringer triangle at n=60"),
+        (["map", "phi", "--input", "1 1"], "duplicate value 1"),
+        (["enumerate", "andre", "--n", "4", "--k", "9"], "refinement k must"),
+    ],
+    ids=["guarded-family", "guarded-triangle", "bad-word", "bad-k"],
+)
+def test_refused_command_leaves_the_output_file_alone(tmp_path, capsys, argv, message):
+    target = tmp_path / "kept.txt"
+    target.write_text("precious")
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert target.read_text() == "precious"
 
 
 def test_output_to_missing_directory(tmp_path, capsys):
@@ -417,13 +452,40 @@ def test_output_to_missing_directory(tmp_path, capsys):
     assert err.startswith("error: cannot write")
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "zigzag", "triangle", "entringer", "--n", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "n=3: 0 1 1 | 2"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["enumerate", "andre", "--n", "10"], b"1 2 3 4 5 6 7 8 9 10\n"),
+        (["triangle", "entringer", "--n", "200", "--force", "--format", "csv"],
+         b"n,k,value\n"),
+    ],
+    ids=["enumerate", "triangle"],
+)
+def test_closed_pipe_exits_141_without_a_traceback(argv, first):
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zigzag", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert (line, err) == (first, b"")

@@ -555,6 +555,25 @@ class TestPermText:
         assert perm_from_text("6 -3 9 -8 2 -1 7 -4 5") == p
         assert perm_from_text("1,-2,3") == (1, -2, 3)
 
+    def test_compact_path_matches_joining_strs(self):
+        # the oracle is the per-entry join the bytes.translate path replaces
+        words = [
+            *(p for n in range(1, 10) for p in iter_family("alt", n)),
+            *(p for n in range(1, 10) for p in iter_family("andre", n)),
+            *(p for n in range(1, 6) for p in iter_family("alt-b", n)),
+            *iter_family("alt", 10, 3),
+            (10, 9, 8, 7, 6, 5, 4, 3, 2, 1),
+            (),
+        ]
+        compact = 0
+        for p in words:
+            digits = bool(p) and min(p) >= 1 and max(p) <= 9
+            compact += digits
+            oracle = ("" if digits else " ").join(map(str, p))
+            assert perm_to_text(p) == oracle, p
+            assert perm_to_text(list(p)) == oracle, p
+        assert compact == 2 * 9679 + 25  # alt and andre to n = 9, alt-b words > 0
+
     def test_single_value(self):
         assert perm_from_text("7") == (7,)
         assert perm_from_text("-1") == (-1,)

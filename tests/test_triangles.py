@@ -9,12 +9,13 @@ from zigzag.cli import dispatch
 from zigzag.triangles import (
     arnold_table,
     boustrophedon_lines,
+    csv_chunks,
     csv_lines,
     entringer_table,
     euler_number,
     json_chunks,
-    json_rows,
     springer_number,
+    text_chunks,
 )
 
 
@@ -45,6 +46,30 @@ ORACLES = {
     "entringer": (entringer_table, dict_entringer),
     "arnold": (arnold_table, dict_arnold),
 }
+
+
+# The line-by-line renderings the chunked ones replaced, kept as oracles.
+def csv_lines_by_entry(table):
+    yield "n,k,value"
+    for n, row in enumerate(table.rows, 1):
+        yield from (f"{n},{k},{v}" for k, v in zip(table.row_ks(n), row))
+
+
+def text_lines(table):
+    for n, row in enumerate(table.rows, 1):
+        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}"
+
+
+def json_rows(table):
+    return [
+        {
+            "n": n,
+            "values": [{"k": k, "value": v} for k, v in table.row(n)],
+            "row_sum": table.row_sums[n - 1],
+        }
+        for n in range(1, table.n_max + 1)
+    ]
+
 
 # published triangle of E(n, k) for n <= 7, one row per n
 ENTRINGER_ROWS = {
@@ -235,10 +260,36 @@ def test_row_outside_the_triangle_is_a_key_error(kind, n):
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 def test_json_chunks_join_to_json_dumps(kind):
-    for n_max in (1, 2, 7):
+    for n_max in range(1, 31):
         table = ORACLES[kind][0](n_max)
         doc = {"schema": "zigzag/1", "kind": kind, "rows": json_rows(table)}
-        assert "".join(json_chunks(table, "zigzag/1")) == json.dumps(doc, indent=2)
+        chunks = list(json_chunks(table, "zigzag/1"))
+        assert "".join(chunks) == json.dumps(doc, indent=2)
+        assert len(chunks) == n_max + 2  # the head, one per row, the tail
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_chunks_match_the_line_oracles_row_by_row(kind):
+    for n_max in range(1, 31):
+        table = ORACLES[kind][0](n_max)
+        e = ORACLES[kind][1](n_max)
+        rendered = {
+            "csv": (csv_chunks(table), csv_lines_by_entry(table)),
+            "text": (text_chunks(table), text_lines(table)),
+            "boustrophedon": (
+                [f"{line}\n" for line in boustrophedon_lines(table)],
+                _old_boustrophedon(kind, n_max, e),
+            ),
+        }
+        for fmt, (chunks, oracle) in rendered.items():
+            chunks = list(chunks)
+            assert all(c.endswith("\n") for c in chunks), fmt
+            assert "".join(chunks) == "".join(f"{line}\n" for line in oracle), fmt
+        # one row per chunk, after the CSV header
+        row_lines = [c.count("\n") for c in csv_chunks(table)]
+        assert row_lines == [1, *(len(table.row_ks(n)) for n in range(1, n_max + 1))]
+        assert len(list(text_chunks(table))) == n_max
+        assert list(csv_lines(table)) == list(csv_lines_by_entry(table))
 
 
 def _old_rendering(kind, n_max, fmt):
