@@ -16,7 +16,9 @@ The maps and their statistic bookkeeping:
   first entry of the pair just placed, so the final pleaf is the
   permutation's first entry.  The minimal path increases downward, so
   each step walks it from the root only to the first vertex above the
-  pair's second entry, remembering that vertex's parent.  The kernel
+  pair's second entry, remembering that vertex's parent.  A C1 step
+  then walks the right chain below that vertex once and rewires each
+  link in place as the walk reaches it, building no list.  The kernel
   ``_graft_maps`` runs the grafting once and returns the final child
   maps, showing the maps after every step to an optional visitor;
   ``psi``, ``psi_signed`` and ``psi_c`` link those maps into a
@@ -78,14 +80,32 @@ from .core import (
 from .families import is_alternating, is_andre, is_hetyei_andre, is_simsun
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AlgoCStep:
-    """One grafting step: which vertex was split and how."""
+    """One grafting step: which vertex was split and how.
+
+    A slotted frozen record like :class:`~zigzag.core.Tree`, whose
+    constructor stores each field through its slot's own setter, past
+    the frozen ``__setattr__``, since ``psi_c`` records every step.
+    """
 
     index: int  # step number i, executed from m-1 down to 1
     a: int  # smallest minimal-path vertex above the even entry
     b: int | None  # end of the rebuilt chain; absent in the C2 case
     case: str  # "C1" or "C2"
+
+    def __init__(self, index: int, a: int, b: int | None, case: str) -> None:
+        _set_index(self, index)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_case(self, case)
+
+
+# the slots' own setters, as for ``core.Tree``
+_set_index = AlgoCStep.index.__set__
+_set_a = AlgoCStep.a.__set__
+_set_b = AlgoCStep.b.__set__
+_set_case = AlgoCStep.case.__set__
 
 
 @dataclass(frozen=True)
@@ -252,23 +272,27 @@ def _graft_maps(
         while a < y:
             parent, a = a, left[a]
         if a < x:
-            # chain of right edges out of a, stopping at the last vertex
-            # below x; its hanging subtrees swing over to the right side
-            chain = [a]
-            while chain[-1] in right and right[chain[-1]] < x:
-                chain.append(right[chain[-1]])
-            b = chain[-1]
-            hang = [left.get(v) for v in chain] + [right.get(b)]
-            spine = [y, *chain, x]
-            for u, v in zip(spine, spine[1:]):
+            # walk the chain of right edges out of a down to b, its last
+            # vertex below x, relinking as the walk goes: each chain
+            # vertex becomes the left child of the vertex above it (y
+            # above a), and its old left subtree swings over to the right
+            # of that vertex; x becomes b's left child, and b keeps its
+            # right child
+            u, v = y, a
+            while True:
+                hang = left.get(v)
                 left[u] = v
-            for v, s in zip(spine, hang):
-                if s is None:
-                    right.pop(v, None)
+                if hang is None:
+                    right.pop(u, None)
                 else:
-                    right[v] = s
+                    right[u] = hang
+                r = right.get(v)
+                if r is None or r > x:
+                    break
+                u, v = v, r
+            left[v] = x
             case: str = "C1"
-            brec: int | None = b
+            brec: int | None = v
         else:
             # x slips under y, the whole subtree at a swings right
             right[y] = a

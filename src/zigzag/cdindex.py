@@ -17,6 +17,7 @@ reduced variation.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .core import Word, perm_from_sequence
@@ -31,10 +32,17 @@ def variation(w: Sequence[int]) -> str:
     """
     if len(w) < 1:
         raise ValueError("variation needs a nonempty word")
-    return "".join("a" if w[i] < w[i + 1] else "b" for i in range(len(w) - 1))
+    return "".join(map(("b", "a").__getitem__, map(operator.lt, w, w[1:])))
 
 
 def _reduce(var: str, pair: str) -> str:
+    # str.replace contracts the same pairs as the loop below, leftmost
+    # first and without overlaps; when no b is left, every other letter
+    # is an a, which the loop turns into c.  Otherwise the loop names the
+    # first b that survives.
+    fast = var.replace(pair, "d")
+    if "b" not in fast:
+        return fast.replace("a", "c")
     out: list[str] = []
     i = 0
     while i < len(var):

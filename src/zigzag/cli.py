@@ -10,7 +10,9 @@ existing file untouched.
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error,
 3 conjecture sweep FAIL (a counterexample, or a row whose count raised),
 141 (128 + SIGPIPE) when the reader closes standard output before the
-output ends, as ``zigzag enumerate andre --n 10 | head -2`` does.
+output ends, as ``zigzag enumerate andre --n 10 | head -2`` does.  Any
+other failed write, such as to a full device, exits 2 with ``error:
+cannot write`` and the path or standard output.
 """
 
 from __future__ import annotations
@@ -304,6 +306,14 @@ def _opened(path: str | None):
         raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _quiet_stdout() -> None:
+    # Python flushes stdout once more at exit, which would fail again;
+    # send that flush to the null device
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run the chosen command, and return the exit code."""
     args = _build_parser().parse_args(argv)
@@ -319,16 +329,22 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         chunks = iter(chunks)
         # a stream the family refuses raises here, before --output is opened
         first = next(chunks, "")
-        with _opened(args.output) as out:
-            out.write(first)
-            out.writelines(chunks)
-            out.flush()
+        try:
+            with _opened(args.output) as out:
+                out.write(first)
+                out.writelines(chunks)
+                out.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe
+            _quiet_stdout()
+            return 141
+        except OSError as exc:
+            # a failed write, flush or close, such as a full device
+            if not args.output:
+                _quiet_stdout()
+            where = args.output or "standard output"
+            raise _CliError(f"cannot write {where}: {exc.strerror}") from None
         return code
-    except BrokenPipeError:
-        # The reader closed the pipe.  Python flushes stdout once more at
-        # exit, which would fail again; send that flush to the null device.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except ValueError as exc:
         # usage, guard, and invalid permutation or tree errors alike
         message = str(exc)

@@ -25,9 +25,13 @@ Value conventions used across the whole package:
   ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
   word without building a tree.  Both check every node, and that the
   maps are one tree through the shared ``_check_one_tree``.
-  :func:`validate_tree` checks a finished :class:`Tree` node by node
-  with the same helper, in one walk, ``_checked_nodes``, that also hands
-  the nodes to ``psi_inv``, so every entry point gives the same error.
+  :func:`validate_tree` checks a finished :class:`Tree` node by node in
+  one walk, ``_checked_nodes``, that also hands the nodes to
+  ``psi_inv``.  These three readers test each node inline, with the
+  same conditions, and call ``_check_node`` only for a node that fails,
+  to raise its message, so every entry point gives the same error.
+  ``_link_tree`` makes its nodes through the slot setters, without the
+  frame of ``Tree.__init__``.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -301,7 +305,11 @@ def tree_labels(t: Tree) -> tuple[int, ...]:
 
 def _check_node(v: int, left_label: int | None, right_label: int | None) -> None:
     """Raise :class:`InvalidTreeError` unless node ``v``, with these child
-    labels (None if absent), keeps the per-node tree invariants."""
+    labels (None if absent), keeps the per-node tree invariants.
+
+    The tree readers test the same conditions inline and call this only
+    for a node that fails them, so the two must change together.
+    """
     if v == 0:
         raise InvalidTreeError("label 0 is not allowed")
     if left_label is None:
@@ -331,15 +339,20 @@ def _check_distinct(labels: Iterable[int]) -> None:
 
 def _checked_nodes(t: Tree) -> list[Tree]:
     """Every node of ``t``, once its labels are distinct and every node
-    passes :func:`_check_node`; :class:`InvalidTreeError` otherwise."""
+    passes the test of :func:`_check_node`; otherwise its
+    :class:`InvalidTreeError` for the first failing node in walk order."""
     nodes = list(_walk(t))
     _check_distinct(cur.label for cur in nodes)
     for cur in nodes:
-        _check_node(
-            cur.label,
-            None if cur.left is None else cur.left.label,
-            None if cur.right is None else cur.right.label,
-        )
+        v, lt, rt = cur.label, cur.left, cur.right
+        lk = None if lt is None else lt.label
+        rk = None if rt is None else rt.label
+        # _check_node's test inline; it runs only to name a fault
+        if lk is None:
+            if rk is not None or not v:
+                _check_node(v, lk, rk)
+        elif lk <= v or not v or (rk is not None and lk > rk):
+            _check_node(v, lk, rk)
     return nodes
 
 
@@ -376,17 +389,31 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
 
     Labels must increase away from the root, so building nodes from the
     largest label down finishes every child before its parent.  Each node
-    passes :func:`_check_node` on the way, and maps that are not one tree
-    rooted at ``root`` fail :func:`_check_one_tree`.
+    is tested on the way, a failing one raising :func:`_check_node`'s
+    message, and maps that are not one tree rooted at ``root`` fail
+    :func:`_check_one_tree`.
     """
     labels = {root, *left.values(), *right.values()}
     built: dict[int, Tree] = {}
+    new = object.__new__
     for v in sorted(labels, reverse=True):
         lk, rk = left.get(v), right.get(v)
-        _check_node(v, lk, rk)
-        # a child linked twice is gone already; the maps fail the
-        # one-tree test then
-        built[v] = Tree(v, built.pop(lk, None), built.pop(rk, None))
+        # Tree(v, ...) without its Python frame
+        built[v] = t = new(Tree)
+        _set_label(t, v)
+        # _check_node's test inline; it runs only to name a fault
+        if lk is None:
+            if rk is not None or not v:
+                _check_node(v, lk, rk)
+            _set_left(t, None)
+            _set_right(t, None)
+        else:
+            if lk <= v or not v or (rk is not None and lk > rk):
+                _check_node(v, lk, rk)
+            # both children are larger, so built already; one linked
+            # twice is shared, and the maps fail the one-tree test then
+            _set_left(t, built[lk])
+            _set_right(t, None if rk is None else built[rk])
     _check_one_tree(root, left, right, labels)
     return built[root]
 
@@ -402,7 +429,13 @@ def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> W
     """
     labels = {root, *left.values(), *right.values()}
     for v in sorted(labels, reverse=True):
-        _check_node(v, left.get(v), right.get(v))
+        lk, rk = left.get(v), right.get(v)
+        # _check_node's test inline; it runs only to name a fault
+        if lk is None:
+            if rk is not None or not v:
+                _check_node(v, lk, rk)
+        elif lk <= v or not v or (rk is not None and lk > rk):
+            _check_node(v, lk, rk)
     _check_one_tree(root, left, right, labels)
     out: list[int] = []
     stack: list[int] = []

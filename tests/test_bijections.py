@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 from functools import lru_cache
 
@@ -6,6 +9,7 @@ import pytest
 
 from zigzag import bijections
 from zigzag.bijections import (
+    AlgoCStep,
     _link_tree,
     chuang_phi,
     omega,
@@ -167,6 +171,25 @@ class TestPsi:
             (2, 9, None, "C2"),
             (1, 5, 5, "C1"),
         ]
+
+    def test_recorded_steps_behave_like_constructed_ones(self):
+        _, trace = psi_c(perm_from_text("748591623"))
+        built = AlgoCStep(index=2, a=9, b=None, case="C2")
+        step = trace.steps[2]
+        assert type(step) is AlgoCStep
+        assert step == built and hash(step) == hash(built)
+        assert repr(step) == "AlgoCStep(index=2, a=9, b=None, case='C2')"
+        for round_trip in (copy.copy, copy.deepcopy, dataclasses.replace):
+            assert round_trip(step) == built
+        assert pickle.loads(pickle.dumps(step)) == built
+        assert dataclasses.replace(step, b=4) == AlgoCStep(2, 9, 4, "C2")
+        assert step != AlgoCStep(2, 9, 9, "C2")
+        for name in ("index", "a", "b", "case"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(step, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(step, name)
+        assert step == built
 
     def test_trace_lines(self):
         _, trace = psi_c(perm_from_text("748591623"))
@@ -555,6 +578,59 @@ def _graft_maps_by_path(p: Word, visit=None):
     return root, left, right
 
 
+def _graft_maps_by_lists(p: Word, visit=None):
+    """The grafting whose C1 step lists the right chain, the subtrees
+    hanging off it and the new spine, then relinks them."""
+    n = len(p)
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    root = p[-1]
+    if n % 2 == 0:
+        left[root] = p[-2]
+    for i in range((n - 1) // 2, 0, -1):
+        x, y = p[2 * i - 2], p[2 * i - 1]
+        a, parent = root, None
+        while a < y:
+            parent, a = a, left[a]
+        if a < x:
+            chain = [a]
+            while chain[-1] in right and right[chain[-1]] < x:
+                chain.append(right[chain[-1]])
+            b = chain[-1]
+            hang = [left.get(v) for v in chain] + [right.get(b)]
+            spine = [y, *chain, x]
+            for u, v in zip(spine, spine[1:]):
+                left[u] = v
+            for v, s in zip(spine, hang):
+                if s is None:
+                    right.pop(v, None)
+                else:
+                    right[v] = s
+            case, brec = "C1", b
+        else:
+            right[y] = a
+            left[y] = x
+            case, brec = "C2", None
+        if parent is None:
+            root = y
+        else:
+            left[parent] = y
+        if visit is not None:
+            visit(i, a, brec, case, root, left, right)
+    return root, left, right
+
+
+def _graft_states(graft, p: Word):
+    """The final maps of one grafting run, and after every step the
+    ``AlgoCStep`` that ``psi_c`` records beside a copy of the maps."""
+    states = []
+
+    def visit(i, a, b, case, root, left, right):
+        states.append((AlgoCStep(i, a, b, case), root, dict(left), dict(right)))
+
+    return graft(p, visit), states
+
+
 def _exchange(left, right, parent, a: int, b: int) -> None:
     # exchange the labels a and b, neither of them the root; a is a leaf,
     # so only b's child links move
@@ -644,6 +720,17 @@ class TestKernelOracles:
             assert _graft_run(bijections._graft_maps, p) == _graft_run(
                 _graft_maps_by_path, p
             ), p
+
+    def test_grafting_matches_the_list_oracle_after_every_step(self):
+        words = [p for n in range(1, 10) for p in iter_family("alt", n)]
+        words += [p for n in range(1, 7) for p in iter_family("alt-b", n)]
+        words += [_sample_alternating(n, seed) for n in (40, 400) for seed in range(20)]
+        c1 = 0
+        for p in words:
+            expected = _graft_states(_graft_maps_by_lists, p)
+            assert _graft_states(bijections._graft_maps, p) == expected, p
+            c1 += sum(step.case == "C1" for step, *_maps in expected[1])
+        assert c1 > 10_000
 
     def test_replay_matches_the_label_oracle_exhaustively(self):
         for n in range(1, 11):

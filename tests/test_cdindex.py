@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from zigzag.bijections import phi
 from zigzag.cdindex import (
+    _reduce,
     reduced_variation_andre,
     reduced_variation_simsun,
     variation,
@@ -62,3 +66,67 @@ def test_shrink_map_preserves_reduced_variation():
     for n in range(1, 8):
         for p in iter_family("andre", n):
             assert reduced_variation_andre(p) == reduced_variation_simsun(phi(p))
+
+
+# The letter-by-letter forms that the map and str.replace paths replaced,
+# kept as their oracles.
+
+
+def _variation_by_index(w) -> str:
+    return "".join("a" if w[i] < w[i + 1] else "b" for i in range(len(w) - 1))
+
+
+def _reduce_by_loop(var: str, pair: str) -> str:
+    out = []
+    i = 0
+    while i < len(var):
+        if var[i : i + 2] == pair:
+            out.append("d")
+            i += 2
+        elif var[i] == "a":
+            out.append("c")
+            i += 1
+        else:
+            raise ValueError(f"letter 'b' at position {i + 1} survives reduction")
+    return "".join(out)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_reductions_match_the_loop_on_andre_and_simsun_words():
+    for n in range(1, 10):
+        for p in iter_family("andre", n):
+            var = _variation_by_index(p)
+            assert variation(p) == var
+            assert reduced_variation_andre(p) == _reduce_by_loop(var, "ba")
+        for s in iter_family("simsun", n):
+            var = _variation_by_index((0, *s))
+            assert variation((0, *s)) == var
+            assert reduced_variation_simsun(s) == _reduce_by_loop(var, "ab")
+
+
+def test_reduce_matches_the_loop_on_any_letters():
+    # every a/b string up to length 10, then random longer ones; most
+    # leave a b, and both paths must name the same one
+    strings = [
+        "".join(letters)
+        for size in range(11)
+        for letters in itertools.product("ab", repeat=size)
+    ]
+    rng = random.Random(5)
+    strings += [
+        "".join(rng.choice("aab") for _ in range(rng.randrange(11, 60)))
+        for _ in range(500)
+    ]
+    raised = 0
+    for var in strings:
+        for pair in ("ba", "ab"):
+            expected = _outcome(_reduce_by_loop, var, pair)
+            assert _outcome(_reduce, var, pair) == expected, (var, pair)
+            raised += expected.startswith("ValueError")
+    assert 0 < raised < 2 * len(strings)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -489,3 +490,24 @@ def test_closed_pipe_exits_141_without_a_traceback(argv, first):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert (line, err) == (first, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "to_file, where", [(True, "/dev/full"), (False, "standard output")],
+    ids=["output", "stdout"],
+)
+def test_full_device_exits_2_without_a_traceback(to_file, where):
+    # every write to /dev/full fails with ENOSPC, at the flush or at close
+    argv = [sys.executable, "-m", "zigzag", "triangle", "entringer", "--n", "5"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            argv + ["--output", "/dev/full"] if to_file else argv,
+            stdout=subprocess.PIPE if to_file else full,
+            stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert done.stdout == ("" if to_file else None)

@@ -12,7 +12,10 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     TreeParseError,
+    _check_distinct,
+    _check_node,
     _linked_inorder,
+    _walk,
     ends_with_ascent,
     has_double_descent,
     inorder,
@@ -351,6 +354,72 @@ def test_every_tree_entry_point_applies_one_rule(t, literal, maps, message):
         assert str(info.value) == message
 
 
+def _node_by_node(t: Tree) -> None:
+    """``validate_tree`` as it stood: distinct labels, then
+    ``_check_node`` on every node in ``_walk`` order."""
+    nodes = list(_walk(t))
+    _check_distinct(cur.label for cur in nodes)
+    for cur in nodes:
+        _check_node(
+            cur.label,
+            None if cur.left is None else cur.left.label,
+            None if cur.right is None else cur.right.label,
+        )
+
+
+def _rebuilt(cur: Tree | None, at: Tree, make) -> Tree | None:
+    # the tree with the node ``at`` replaced by ``make(at)``
+    if cur is None:
+        return None
+    if cur is at:
+        return make(cur)
+    return Tree(cur.label, _rebuilt(cur.left, at, make), _rebuilt(cur.right, at, make))
+
+
+def _tree_faults(t: Tree):
+    """Copies of ``t`` built with ``Tree(...)``, each with one fault at
+    one node: its label set to 0, its label swapped with a child's (a
+    child below its parent), a right child without a left one, or its
+    two children swapped."""
+    for at in _walk(t):
+        yield _rebuilt(t, at, lambda c: Tree(0, c.left, c.right))
+        if at.left is None:
+            continue
+        yield _rebuilt(
+            t, at,
+            lambda c: Tree(c.left.label, Tree(c.label, c.left.left, c.left.right), c.right),
+        )
+        if at.right is None:
+            yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.left))
+            continue
+        yield _rebuilt(
+            t, at,
+            lambda c: Tree(c.right.label, c.left, Tree(c.label, c.right.left, c.right.right)),
+        )
+        yield _rebuilt(t, at, lambda c: Tree(c.label, c.right, c.left))
+        yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.right))
+
+
+@pytest.mark.parametrize(
+    "tag, n_max", [("tree", 5), ("tree-b", 4)], ids=["unsigned", "signed"]
+)
+def test_tree_checks_name_every_single_fault_as_the_node_oracle(tag, n_max):
+    # the inline node test passes what _check_node passes, and a fault
+    # gets _check_node's message for the first failing node in walk order
+    faults = 0
+    for n in range(1, n_max + 1):
+        for t in iter_family(tag, n):
+            validate_tree(t)
+            for bad in _tree_faults(t):
+                with pytest.raises(InvalidTreeError) as oracle:
+                    _node_by_node(bad)
+                with pytest.raises(InvalidTreeError) as got:
+                    validate_tree(bad)
+                assert str(got.value) == str(oracle.value), tree_to_literal(bad)
+                faults += 1
+    assert faults > 200
+
+
 class TestTreeTraversals:
     def test_inorder_running_tree(self):
         assert inorder(tree_from_literal(RUNNING_TREE)) == (7, 3, 9, 2, 1, 5, 4, 8, 6)
@@ -635,6 +704,23 @@ class TestTreeRecord:
         t = round_trip(self.T)
         assert t == self.T
         assert tree_to_literal(t) == "1(2(4),3)"
+
+    def test_linked_nodes_behave_like_constructed_ones(self):
+        # _link_tree makes its nodes without calling Tree's constructor
+        linked = _link_tree(1, {1: 2, 2: 4}, {1: 3})
+        for got, built in zip(_walk(linked), _walk(self.T), strict=True):
+            assert type(got) is Tree
+            assert got == built and hash(got) == hash(built)
+            assert repr(got) == repr(built)
+            for round_trip in (copy.copy, copy.deepcopy, dataclasses.replace):
+                assert round_trip(got) == built
+            assert pickle.loads(pickle.dumps(got)) == built
+            for name in ("label", "left", "right"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(got, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(got, name)
+        assert dataclasses.replace(linked, right=None) == tree_from_literal("1(2(4))")
 
     def test_replace_and_keywords(self):
         assert dataclasses.replace(self.T, right=None) == tree_from_literal("1(2(4))")
