@@ -80,32 +80,14 @@ from .core import (
 from .families import is_alternating, is_andre, is_hetyei_andre, is_simsun
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AlgoCStep:
-    """One grafting step: which vertex was split and how.
-
-    A slotted frozen record like :class:`~zigzag.core.Tree`, whose
-    constructor stores each field through its slot's own setter, past
-    the frozen ``__setattr__``, since ``psi_c`` records every step.
-    """
+    """One grafting step: which vertex was split and how."""
 
     index: int  # step number i, executed from m-1 down to 1
     a: int  # smallest minimal-path vertex above the even entry
     b: int | None  # end of the rebuilt chain; absent in the C2 case
     case: str  # "C1" or "C2"
-
-    def __init__(self, index: int, a: int, b: int | None, case: str) -> None:
-        _set_index(self, index)
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_case(self, case)
-
-
-# the slots' own setters, as for ``core.Tree``
-_set_index = AlgoCStep.index.__set__
-_set_a = AlgoCStep.a.__set__
-_set_b = AlgoCStep.b.__set__
-_set_case = AlgoCStep.case.__set__
 
 
 @dataclass(frozen=True)

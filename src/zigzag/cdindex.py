@@ -36,25 +36,16 @@ def variation(w: Sequence[int]) -> str:
 
 
 def _reduce(var: str, pair: str) -> str:
-    # str.replace contracts the same pairs as the loop below, leftmost
-    # first and without overlaps; when no b is left, every other letter
-    # is an a, which the loop turns into c.  Otherwise the loop names the
-    # first b that survives.
+    # str.replace contracts pairs leftmost first and without overlaps, as
+    # a left-to-right pass does; when no b is left, every other letter is
+    # an a, which becomes c.  A surviving b is named by its position in
+    # var: each d before it stands for two letters, any other for one.
     fast = var.replace(pair, "d")
-    if "b" not in fast:
-        return fast.replace("a", "c")
-    out: list[str] = []
-    i = 0
-    while i < len(var):
-        if var[i : i + 2] == pair:
-            out.append("d")
-            i += 2
-        elif var[i] == "a":
-            out.append("c")
-            i += 1
-        else:
-            raise ValueError(f"letter 'b' at position {i + 1} survives reduction")
-    return "".join(out)
+    j = fast.find("b")
+    if j >= 0:
+        pos = j + fast.count("d", 0, j) + 1
+        raise ValueError(f"letter 'b' at position {pos} survives reduction")
+    return fast.replace("a", "c")
 
 
 def reduced_variation_andre(p: Sequence[int]) -> str:

@@ -25,13 +25,13 @@ Value conventions used across the whole package:
   ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
   word without building a tree.  Both check every node, and that the
   maps are one tree through the shared ``_check_one_tree``.
-  :func:`validate_tree` checks a finished :class:`Tree` node by node in
-  one walk, ``_checked_nodes``, that also hands the nodes to
-  ``psi_inv``.  These three readers test each node inline, with the
-  same conditions, and call ``_check_node`` only for a node that fails,
-  to raise its message, so every entry point gives the same error.
-  ``_link_tree`` makes its nodes through the slot setters, without the
-  frame of ``Tree.__init__``.
+  :func:`validate_tree` checks a finished :class:`Tree` node by node
+  with the same helper, in one walk, ``_checked_nodes``, that also hands
+  the nodes to ``psi_inv``, so every entry point gives the same error.
+  ``_link_tree``, the hot one of the maps chain, tests each node inline
+  with the same conditions and calls ``_check_node`` only for a node
+  that fails, to raise its message; it makes its nodes through the slot
+  setters, without the frame of ``Tree.__init__``.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -307,7 +307,7 @@ def _check_node(v: int, left_label: int | None, right_label: int | None) -> None
     """Raise :class:`InvalidTreeError` unless node ``v``, with these child
     labels (None if absent), keeps the per-node tree invariants.
 
-    The tree readers test the same conditions inline and call this only
+    ``_link_tree`` tests the same conditions inline and calls this only
     for a node that fails them, so the two must change together.
     """
     if v == 0:
@@ -339,20 +339,15 @@ def _check_distinct(labels: Iterable[int]) -> None:
 
 def _checked_nodes(t: Tree) -> list[Tree]:
     """Every node of ``t``, once its labels are distinct and every node
-    passes the test of :func:`_check_node`; otherwise its
-    :class:`InvalidTreeError` for the first failing node in walk order."""
+    passes :func:`_check_node`; :class:`InvalidTreeError` otherwise."""
     nodes = list(_walk(t))
     _check_distinct(cur.label for cur in nodes)
     for cur in nodes:
-        v, lt, rt = cur.label, cur.left, cur.right
-        lk = None if lt is None else lt.label
-        rk = None if rt is None else rt.label
-        # _check_node's test inline; it runs only to name a fault
-        if lk is None:
-            if rk is not None or not v:
-                _check_node(v, lk, rk)
-        elif lk <= v or not v or (rk is not None and lk > rk):
-            _check_node(v, lk, rk)
+        _check_node(
+            cur.label,
+            None if cur.left is None else cur.left.label,
+            None if cur.right is None else cur.right.label,
+        )
     return nodes
 
 
@@ -429,13 +424,7 @@ def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> W
     """
     labels = {root, *left.values(), *right.values()}
     for v in sorted(labels, reverse=True):
-        lk, rk = left.get(v), right.get(v)
-        # _check_node's test inline; it runs only to name a fault
-        if lk is None:
-            if rk is not None or not v:
-                _check_node(v, lk, rk)
-        elif lk <= v or not v or (rk is not None and lk > rk):
-            _check_node(v, lk, rk)
+        _check_node(v, left.get(v), right.get(v))
     _check_one_tree(root, left, right, labels)
     out: list[int] = []
     stack: list[int] = []

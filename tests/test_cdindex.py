@@ -112,7 +112,7 @@ def test_reductions_match_the_loop_on_andre_and_simsun_words():
 
 def test_reduce_matches_the_loop_on_any_letters():
     # every a/b string up to length 10, then random longer ones; most
-    # leave a b, and both paths must name the same one
+    # leave a b, and the loop and _reduce must name the same one
     strings = [
         "".join(letters)
         for size in range(11)

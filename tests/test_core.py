@@ -404,8 +404,8 @@ def _tree_faults(t: Tree):
     "tag, n_max", [("tree", 5), ("tree-b", 4)], ids=["unsigned", "signed"]
 )
 def test_tree_checks_name_every_single_fault_as_the_node_oracle(tag, n_max):
-    # the inline node test passes what _check_node passes, and a fault
-    # gets _check_node's message for the first failing node in walk order
+    # validate_tree passes what a per-node _check_node walk passes, and a
+    # fault gets its message for the first failing node in walk order
     faults = 0
     for n in range(1, n_max + 1):
         for t in iter_family(tag, n):
