@@ -10,6 +10,8 @@ The maps and their statistic bookkeeping:
   drops by exactly one.  ``phi`` and ``phi_signed`` each validate their
   own input, then run one kernel, ``_shrink``, which works on the
   absolute values and keeps signs; on an unsigned word it is ``phi``.
+  ``_shrink`` and ``phi_inv`` each fill the image from the whole word
+  in one pass and then overwrite the suffix-minimum slots.
 - ``psi_c``: alternating permutation -> tree, grafting pairs of entries
   from the back of the permutation to the front.  The grafting works on
   child maps keyed by label; the pleaf of each intermediate state is the
@@ -50,6 +52,8 @@ The maps and their statistic bookkeeping:
   keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
+  Like ``psi_inv``, it checks the tree and its labels 1..n through
+  ``core._checked_nodes``.
 - ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  One
   walk checks the tree and reads its child maps; the pleaf and the next
   smaller label tell which replay step came last (a label exchange, a
@@ -75,7 +79,6 @@ from .core import (
     perm_from_sequence,
     rtl_min_positions,
     signed_perm_from_sequence,
-    validate_tree,
 )
 from .families import is_alternating, is_andre, is_hetyei_andre, is_simsun
 
@@ -166,22 +169,13 @@ def phi(p: Sequence[int]) -> Word:
 
 
 def _shrink(p: Word) -> Word:
-    # each suffix minimum of the absolute-value word takes the next one's
-    # value less one, so the value 1 and the last position drop out;
-    # every other entry keeps its sign while its absolute value shrinks
-    n = len(p)
-    if n == 1:
-        return ()
-    absw = tuple(abs(v) for v in p)
-    mins = rtl_min_positions(absw)
-    out: list[int] = [0] * (n - 1)
-    skip = set(mins)
-    for i in range(1, n):
-        if i not in skip:
-            v = p[i - 1]
-            out[i - 1] = v - 1 if v > 0 else v + 1
+    # every entry but the last shrinks by one in absolute value, keeping
+    # its sign; then each suffix minimum of the absolute-value word takes
+    # the next one's value less one, so the value 1 drops out
+    mins = rtl_min_positions(tuple(map(abs, p)))
+    out = [v - 1 if v > 0 else v + 1 for v in p[:-1]]
     for t in range(1, len(mins)):
-        out[mins[t - 1] - 1] = absw[mins[t] - 1] - 1
+        out[mins[t - 1] - 1] = abs(p[mins[t] - 1]) - 1
     return tuple(out)
 
 
@@ -196,17 +190,14 @@ def phi_inv(s: Sequence[int]) -> Word:
         raise ValueError("phi_inv requires a Simsun permutation")
     if not s:
         return (1,)
-    n = len(s) + 1
+    # every entry grows by one and the last repeats; then each suffix
+    # minimum takes the previous one's value, the first one taking 1
     mins = rtl_min_positions(s)
-    out: list[int] = [0] * n
-    skip = set(mins)
-    for i in range(1, n):
-        if i not in skip:
-            out[i - 1] = s[i - 1] + 1
+    out = [v + 1 for v in s]
+    out.append(out[-1])
     out[mins[0] - 1] = 1
     for t in range(1, len(mins)):
         out[mins[t] - 1] = s[mins[t - 1] - 1] + 1
-    out[n - 1] = s[mins[-1] - 1] + 1
     return tuple(out)
 
 
@@ -431,14 +422,14 @@ def psi_inv(t: Tree) -> Word:
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    nodes = _checked_nodes(t)
+    nodes, labels = _checked_nodes(t)
+    n = len(nodes)
+    if labels != set(range(1, n + 1)):
+        raise ValueError("psi_inv expects a tree labeled by 1..n")
     left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
     right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
     root = t.label
     parent = {c: v for kids in (left, right) for v, c in kids.items()}
-    n = len(parent) + 1
-    if {root, *parent} != set(range(1, n + 1)):
-        raise ValueError("psi_inv expects a tree labeled by 1..n")
     # each node starts named by its label, as in the replay
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v
@@ -528,13 +519,15 @@ def chuang_phi(t: Tree) -> Word:
     While the root has a child, emit its right (larger) subtree in
     reverse inorder, if it has one, then its left child, and descend
     into that child.  Finally shift every letter down by one.  Equals
-    ``phi(omega(t))``.
+    ``phi(omega(t))``; like :func:`psi_inv`, it needs labels 1..n.
 
     >>> from zigzag.core import tree_from_literal
     >>> chuang_phi(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (5, 7, 3, 4, 1, 2, 8, 6)
     """
-    validate_tree(t)
+    nodes, labels = _checked_nodes(t)
+    if labels != set(range(1, len(nodes) + 1)):
+        raise ValueError("chuang_phi expects a tree labeled by 1..n")
     word: list[int] = []
     cur = t
     while cur.left is not None:

@@ -114,12 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _object_out(obj) -> str:
-    if isinstance(obj, Tree):
-        return tree_to_literal(obj)
-    return perm_to_text(obj)
-
-
 def _object_json(obj):
     if isinstance(obj, Tree):
         return tree_to_json(obj)
@@ -257,7 +251,8 @@ def _cmd_map(args) -> tuple[int, Iterable[str]]:
                 "tree too deep for --format json; use --format text"
             ) from None
         return 0, (text + "\n",)
-    lines = [_object_out(result)]
+    render = tree_to_literal if isinstance(result, Tree) else perm_to_text
+    lines = [render(result)]
     if trace is not None:
         lines.extend(trace.lines())
     return 0, map("{}\n".format, lines)

@@ -27,7 +27,14 @@ Value conventions used across the whole package:
   maps are one tree through the shared ``_check_one_tree``.
   :func:`validate_tree` checks a finished :class:`Tree` node by node
   with the same helper, in one walk, ``_checked_nodes``, that also hands
-  the nodes to ``psi_inv``, so every entry point gives the same error.
+  the nodes and their label set to ``psi_inv`` and ``chuang_phi``; it
+  compares the size of that set with the node count and names a
+  duplicate only when they differ.  When one node fails, every reader
+  names it with the same message.  When several fail, the readers may
+  differ: :func:`validate_tree` names the first in walk order, and the
+  map readers, which check from the largest label down, the one with
+  the largest label.  A lone right child has no literal; it renders as
+  ``v(,c)``, which the parser refuses as text.
   ``_link_tree``, the hot one of the maps chain, tests each node inline
   with the same conditions and calls ``_check_node`` only for a node
   that fails, to raise its message; it makes its nodes through the slot
@@ -111,11 +118,10 @@ def perm_from_sequence(values: Sequence[int]) -> Word:
         if v in seen:
             raise InvalidPermutationError(f"duplicate value {v}")
         seen.add(v)
-    if seen != set(range(1, len(entries) + 1)):
-        raise InvalidPermutationError(
-            f"entries must be exactly 1..{len(entries)}, got {sorted(seen)}"
-        )
-    return entries
+    # n distinct entries that missed the fast path miss some of 1..n
+    raise InvalidPermutationError(
+        f"entries must be exactly 1..{len(entries)}, got {sorted(seen)}"
+    )
 
 
 def signed_perm_from_sequence(values: Sequence[int]) -> Word:
@@ -140,11 +146,9 @@ def signed_perm_from_sequence(values: Sequence[int]) -> Word:
         if abs(v) in seen:
             raise InvalidPermutationError(f"duplicate absolute value {abs(v)}")
         seen.add(abs(v))
-    if seen != set(range(1, len(entries) + 1)):
-        raise InvalidPermutationError(
-            f"absolute values must be exactly 1..{len(entries)}, got {sorted(seen)}"
-        )
-    return entries
+    raise InvalidPermutationError(
+        f"absolute values must be exactly 1..{len(entries)}, got {sorted(seen)}"
+    )
 
 
 def subword_smallest(w: Sequence[int], k: int) -> Word:
@@ -218,10 +222,11 @@ class Tree:
     ``FrozenInstanceError``, and pickling, copying and
     ``dataclasses.replace`` work as for any frozen dataclass.  The
     constructor stores through the slots' own setters, past the frozen
-    ``__setattr__``, since every map builds many nodes.  Equality and
-    hashing are structural, as for a frozen dataclass, but walk the tree
-    with a stack, so chains deeper than the recursion limit compare and
-    hash too.
+    ``__setattr__``, since every map builds many nodes.  Equality is
+    structural, as for a frozen dataclass, but walks the tree with a
+    stack; the hash reads the inorder word, which equal trees share,
+    through the stack walk of :func:`inorder`.  So chains deeper than the
+    recursion limit compare and hash too.
     """
 
     label: int
@@ -253,18 +258,8 @@ class Tree:
         return True
 
     def __hash__(self) -> int:
-        # the labels in breadth-first order, with None for every missing
-        # child, determine the tree
-        key: list[int | None] = [self.label]
-        order = [self]
-        for cur in order:
-            for child in (cur.left, cur.right):
-                if child is None:
-                    key.append(None)
-                else:
-                    key.append(child.label)
-                    order.append(child)
-        return hash(tuple(key))
+        # equal trees have equal inorder words
+        return hash(inorder(self))
 
 
 # the slots' own setters, which the frozen ``__setattr__`` does not guard
@@ -337,18 +332,21 @@ def _check_distinct(labels: Iterable[int]) -> None:
         seen.add(v)
 
 
-def _checked_nodes(t: Tree) -> list[Tree]:
-    """Every node of ``t``, once its labels are distinct and every node
-    passes :func:`_check_node`; :class:`InvalidTreeError` otherwise."""
+def _checked_nodes(t: Tree) -> tuple[list[Tree], set[int]]:
+    """Every node of ``t`` and its label set, once its labels are distinct
+    and every node passes :func:`_check_node`; :class:`InvalidTreeError`
+    otherwise."""
     nodes = list(_walk(t))
-    _check_distinct(cur.label for cur in nodes)
+    labels = {cur.label for cur in nodes}
+    if len(labels) != len(nodes):
+        _check_distinct(cur.label for cur in nodes)
     for cur in nodes:
         _check_node(
             cur.label,
             None if cur.left is None else cur.left.label,
             None if cur.right is None else cur.right.label,
         )
-    return nodes
+    return nodes, labels
 
 
 def validate_tree(t: Tree) -> None:
@@ -475,45 +473,40 @@ def tree_from_literal(text: str) -> Tree:
     Tree[1(2,3)]
     """
     tokens = _tokenize_literal(text)
-    end = len(tokens)
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     labels: list[int] = []
     # per open node: its label and the map its next child goes into
     stack: list[tuple[int, dict[int, int]]] = []
-    pos = 0
-    while True:
-        if pos == end:
-            raise TreeParseError("unexpected end of tree literal")
-        tok = tokens[pos]
-        pos += 1
-        try:
-            label = int(tok)
-        except ValueError:
-            raise TreeParseError(f"expected a label, got {tok!r}") from None
-        labels.append(label)
-        if stack:
-            parent, kids = stack[-1]
-            kids[parent] = label
-        if pos < end and tokens[pos] == "(":
-            pos += 1
-            stack.append((label, left))
+    due = True  # a label must come next
+    opens = False  # the last token was a label, whose "(" may follow
+    for tok in tokens:
+        if due:
+            try:
+                label = int(tok)
+            except ValueError:
+                raise TreeParseError(f"expected a label, got {tok!r}") from None
+            labels.append(label)
+            if stack:
+                parent, kids = stack[-1]
+                kids[parent] = label
+            due, opens = False, True
             continue
-        while stack:
-            if pos == end:
-                raise TreeParseError("unexpected end of tree literal")
-            tok = tokens[pos]
-            pos += 1
-            if tok == "," and stack[-1][1] is left:
-                stack[-1] = (stack[-1][0], right)
-                break
-            if tok != ")":
-                raise TreeParseError(f"expected ')', got {tok!r}")
+        if opens and tok == "(":
+            stack.append((label, left))
+            due = True
+        elif not stack:
+            raise TreeParseError(f"trailing text in tree literal {text!r}")
+        elif tok == "," and stack[-1][1] is left:
+            stack[-1] = (stack[-1][0], right)
+            due = True
+        elif tok == ")":
             stack.pop()
         else:
-            break
-    if pos != end:
-        raise TreeParseError(f"trailing text in tree literal {text!r}")
+            raise TreeParseError(f"expected ')', got {tok!r}")
+        opens = False
+    if due or stack:
+        raise TreeParseError("unexpected end of tree literal")
     _check_distinct(labels)
     return _link_tree(labels[0], left, right)
 
@@ -536,6 +529,13 @@ def tree_to_literal(t: Tree) -> str:
             out.append(f"{cur.label}(")
             stack.append(cur.right)
             cur = cur.left
+        if cur.right is not None:
+            # a right child without a left one, which no valid tree has,
+            # written so that the parser refuses it
+            out.append(f"{cur.label}(,")
+            stack.append(None)
+            cur = cur.right
+            continue
         out.append(str(cur.label))
         while stack:
             right = stack.pop()

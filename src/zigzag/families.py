@@ -417,23 +417,13 @@ def _gen_trees(labels: Sequence[int]) -> list[Tree]:
     return trees
 
 
-def iter_trees(n: int) -> Iterator[Tree]:
-    """All increasing 1-2 trees on [n], ordered by their inorder words."""
-    yield from sorted(_gen_trees(range(1, n + 1)), key=inorder)
-
-
-def iter_signed_trees(n: int) -> Iterator[Tree]:
-    """All signed increasing 1-2 trees on [n], ordered by inorder words."""
-    yield from sorted(_over_sign_sets(n, _gen_trees), key=inorder)
-
-
 # ---------------------------------------------------------------------------
 # family enumeration
 
 
 _BUILDERS = {
-    FamilyTag.TREE: iter_trees,
-    FamilyTag.TREE_B: iter_signed_trees,
+    FamilyTag.TREE: lambda n: sorted(_gen_trees(range(1, n + 1)), key=inorder),
+    FamilyTag.TREE_B: lambda n: sorted(_over_sign_sets(n, _gen_trees), key=inorder),
     FamilyTag.ANDRE: lambda n: sorted(_iter_bottom_up(range(1, n + 1), True)),
     FamilyTag.SIMSUN: lambda n: sorted(_iter_bottom_up(range(1, n + 1), False)),
     FamilyTag.ANDRE_B: lambda n: sorted(

@@ -152,6 +152,65 @@ class TestPhi:
             phi_inv((3, 2, 1))
 
 
+def _shrink_by_skip(p: Word) -> Word:
+    """``bijections._shrink`` as it stood: the entries off the suffix
+    minima first, then the suffix minima."""
+    n = len(p)
+    if n == 1:
+        return ()
+    absw = tuple(abs(v) for v in p)
+    mins = rtl_min_positions(absw)
+    out: list[int] = [0] * (n - 1)
+    skip = set(mins)
+    for i in range(1, n):
+        if i not in skip:
+            v = p[i - 1]
+            out[i - 1] = v - 1 if v > 0 else v + 1
+    for t in range(1, len(mins)):
+        out[mins[t - 1] - 1] = absw[mins[t] - 1] - 1
+    return tuple(out)
+
+
+def _phi_inv_by_skip(s: Word) -> Word:
+    """The body of ``phi_inv`` as it stood, for a nonempty Simsun word."""
+    n = len(s) + 1
+    mins = rtl_min_positions(s)
+    out: list[int] = [0] * n
+    skip = set(mins)
+    for i in range(1, n):
+        if i not in skip:
+            out[i - 1] = s[i - 1] + 1
+    out[mins[0] - 1] = 1
+    for t in range(1, len(mins)):
+        out[mins[t] - 1] = s[mins[t - 1] - 1] + 1
+    out[n - 1] = s[mins[-1] - 1] + 1
+    return tuple(out)
+
+
+class TestShrinkOracle:
+    """The one-pass shrink kernels agree with the skip-set oracles."""
+
+    def test_every_small_word(self):
+        andre = [p for n in range(1, 10) for p in iter_family("andre", n)]
+        simsun = [s for n in range(1, 10) for s in iter_family("simsun", n)]
+        forced = [p for n in range(1, 7) for p in iter_family("andre-h", n)]
+        for p in andre:
+            assert phi(p) == _shrink_by_skip(p), p
+        for p in forced:
+            assert phi_signed(p) == _shrink_by_skip(p), p
+        for s in simsun:
+            assert phi_inv(s) == _phi_inv_by_skip(s), s
+        assert len(andre) + len(simsun) + len(forced) == 70_312
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_sampled_words(self, n):
+        for seed in range(50):
+            p = omega(_random_tree(n, seed))
+            s = _shrink_by_skip(p)
+            assert phi(p) == s
+            assert phi_inv(s) == _phi_inv_by_skip(s) == p
+
+
 class TestPsi:
     def test_running_example(self):
         tree, trace = psi_c(perm_from_text("739154826"))
@@ -280,7 +339,7 @@ class TestPsi:
         def refuse(t):
             raise AssertionError("the tree was walked again after linking")
 
-        monkeypatch.setattr(bijections, "validate_tree", refuse)
+        monkeypatch.setattr(bijections, "_checked_nodes", refuse)
         assert [psi_c(p)[0] for p in iter_family("alt", 6)] == expected
         assert [psi(p) for p in iter_family("alt", 6)] == expected
         assert [psi_b(p) for p in iter_family("alt", 6)] == expected
@@ -934,6 +993,24 @@ class TestChuangPhi:
         for n in range(1, 8):
             for t in iter_family("tree", n):
                 assert chuang_phi(t) == phi(omega(t))
+
+    @pytest.mark.parametrize(
+        "t",
+        [Tree(2, Tree(5)), Tree(1, Tree(3)), SIGNED_TREE, Tree(-1, Tree(1))],
+        ids=["off-range", "gap", "signed", "signed-pair"],
+    )
+    def test_refuses_labels_other_than_1_to_n(self, t):
+        # the rule and wording of psi_inv
+        for refuse in (chuang_phi, psi_inv):
+            with pytest.raises(ValueError) as info:
+                refuse(t)
+            assert str(info.value) == f"{refuse.__name__} expects a tree labeled by 1..n"
+
+    def test_cli_keeps_its_own_label_message(self, capsys):
+        assert dispatch(["map", "chuang-phi", "--input", "2(5)"]) == 2
+        assert capsys.readouterr().err == (
+            "error: chuang-phi expects labels exactly 1..2, got (2, 5)\n"
+        )
 
     def test_peeling_builds_no_node(self, monkeypatch):
         trees = [t for n in range(1, 7) for t in iter_family("tree", n)]

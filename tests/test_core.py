@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
+import random
 import time
 
 import pytest
@@ -14,7 +16,9 @@ from zigzag.core import (
     TreeParseError,
     _check_distinct,
     _check_node,
+    _exact_ints,
     _linked_inorder,
+    _tokenize_literal,
     _walk,
     ends_with_ascent,
     has_double_descent,
@@ -38,6 +42,7 @@ from zigzag.core import (
     validate_tree,
 )
 from zigzag.bijections import _link_tree, omega, omega_signed, phi_inv, psi, psi_inv
+from zigzag import core
 from zigzag.families import iter_family
 
 RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
@@ -91,6 +96,47 @@ def _attach(t, at, label):
     return Tree(t.label, left, right)
 
 
+def _perm_by_final_comparison(values) -> tuple[int, ...]:
+    """``perm_from_sequence`` as it stood, ending in a comparison of the
+    entries with 1..n."""
+    entries = _exact_ints(values, InvalidPermutationError)
+    if not entries:
+        raise InvalidPermutationError("a permutation has length n >= 1")
+    if set(entries).issuperset(range(1, len(entries) + 1)):
+        return entries
+    seen: set[int] = set()
+    for v in entries:
+        if v in seen:
+            raise InvalidPermutationError(f"duplicate value {v}")
+        seen.add(v)
+    if seen != set(range(1, len(entries) + 1)):
+        raise InvalidPermutationError(
+            f"entries must be exactly 1..{len(entries)}, got {sorted(seen)}"
+        )
+    return entries
+
+
+def _signed_perm_by_final_comparison(values) -> tuple[int, ...]:
+    """``signed_perm_from_sequence`` as it stood."""
+    entries = _exact_ints(values, InvalidPermutationError)
+    if not entries:
+        raise InvalidPermutationError("a signed permutation has length n >= 1")
+    if set(map(abs, entries)).issuperset(range(1, len(entries) + 1)):
+        return entries
+    seen: set[int] = set()
+    for v in entries:
+        if v == 0:
+            raise InvalidPermutationError("zero entries are not allowed")
+        if abs(v) in seen:
+            raise InvalidPermutationError(f"duplicate absolute value {abs(v)}")
+        seen.add(abs(v))
+    if seen != set(range(1, len(entries) + 1)):
+        raise InvalidPermutationError(
+            f"absolute values must be exactly 1..{len(entries)}, got {sorted(seen)}"
+        )
+    return entries
+
+
 class TestPermValidation:
     def test_accepts_permutation(self):
         assert perm_from_sequence([2, 1, 4, 3]) == (2, 1, 4, 3)
@@ -119,6 +165,22 @@ class TestPermValidation:
             with pytest.raises(InvalidPermutationError) as info:
                 signed_perm_from_sequence(entries)
             assert str(info.value) == message
+
+    def test_messages_match_the_final_comparison_oracle(self):
+        def outcome(call, values):
+            try:
+                return call(values)
+            except InvalidPermutationError as exc:
+                return str(exc)
+
+        for size in range(5):
+            for values in itertools.product(range(-1, 6), repeat=size):
+                assert outcome(perm_from_sequence, values) == outcome(
+                    _perm_by_final_comparison, values
+                ), values
+                assert outcome(signed_perm_from_sequence, values) == outcome(
+                    _signed_perm_by_final_comparison, values
+                ), values
 
     # each of these once truncated its floats and answered for other input
     @pytest.mark.parametrize(
@@ -305,8 +367,9 @@ class TestTreeLiterals:
         assert tree_from_literal(tree_to_literal(t)) == t
 
 
-# (tree, its literal, its child maps, the one message); the literal cannot
-# write a lone right child, and child maps cannot hold a duplicate label
+# (tree, its literal, its child maps, the one message); the literal of a
+# lone right child fails the grammar instead, and child maps cannot hold a
+# duplicate label
 _MALFORMED_TREES = [
     pytest.param(
         Tree(1, Tree(2, None, Tree(3))), None, (1, {1: 2}, {2: 3}),
@@ -418,6 +481,221 @@ def test_tree_checks_name_every_single_fault_as_the_node_oracle(tag, n_max):
                 assert str(got.value) == str(oracle.value), tree_to_literal(bad)
                 faults += 1
     assert faults > 200
+
+
+def _failing_nodes(t: Tree) -> list[tuple[int, str]]:
+    """Each node of ``t`` that fails ``_check_node``, with its message."""
+    failed = []
+    for cur in _walk(t):
+        try:
+            _check_node(
+                cur.label,
+                None if cur.left is None else cur.left.label,
+                None if cur.right is None else cur.right.label,
+            )
+        except InvalidTreeError as exc:
+            failed.append((cur.label, str(exc)))
+    return failed
+
+
+def _message(read) -> str:
+    with pytest.raises(InvalidTreeError) as info:
+        read()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "tag, n_max, single, several",
+    [("tree", 5, 185, 92), ("tree-b", 4, 817, 113)],
+    ids=["unsigned", "signed"],
+)
+def test_readers_name_a_single_failing_node_alike(tag, n_max, single, several):
+    # one failing node gets one message from every reader; of several,
+    # validate_tree names the first in walk order and the map readers the
+    # one with the largest label
+    counts = [0, 0]
+    for n in range(1, n_max + 1):
+        for t in iter_family(tag, n):
+            for bad in _tree_faults(t):
+                failed = _failing_nodes(bad)
+                text = tree_to_literal(bad)
+                from_json = _message(lambda: tree_from_json(tree_to_json(bad)))
+                from_literal = _message(lambda: tree_from_literal(text))
+                if "(," in text:
+                    # a lone right child, which the grammar refuses
+                    assert from_literal == "expected a label, got ','", text
+                    from_literal = from_json
+                assert _message(lambda: validate_tree(bad)) == failed[0][1]
+                assert from_json == from_literal == max(failed)[1], text
+                counts[len(failed) > 1] += 1
+    assert counts == [single, several]
+
+
+@pytest.mark.parametrize(
+    "tag, n_max, count",
+    [("tree", 5, 277), ("tree-b", 4, 930)],
+    ids=["unsigned", "signed"],
+)
+def test_no_faulty_tree_renders_as_a_valid_literal(tag, n_max, count):
+    faults = 0
+    for n in range(1, n_max + 1):
+        for t in iter_family(tag, n):
+            assert tree_from_literal(tree_to_literal(t)) == t
+            for bad in _tree_faults(t):
+                text = tree_to_literal(bad)
+                assert repr(bad) == f"Tree[{text}]"
+                with pytest.raises(InvalidTreeError):
+                    tree_from_literal(text)
+                faults += 1
+    assert faults == count
+
+
+def test_lone_right_child_renders_as_a_refused_literal():
+    assert tree_to_literal(Tree(1, None, Tree(2))) == "1(,2)"
+    assert repr(Tree(1, Tree(2, None, Tree(4, Tree(5))), Tree(3))) == (
+        "Tree[1(2(,4(5)),3)]"
+    )
+    with pytest.raises(TreeParseError) as info:
+        tree_from_literal("1(,2)")
+    assert str(info.value) == "expected a label, got ','"
+
+
+def test_distinct_check_runs_only_for_a_repeated_label(monkeypatch):
+    calls = []
+
+    def counted(labels):
+        calls.append(1)
+        return _check_distinct(labels)
+
+    monkeypatch.setattr(core, "_check_distinct", counted)
+    for tag, n_max in (("tree", 7), ("tree-b", 4)):
+        for n in range(1, n_max + 1):
+            for t in iter_family(tag, n):
+                validate_tree(t)
+    assert not calls
+    repeats = 0
+    for n in range(2, 6):
+        for t in iter_family("tree", n):
+            nodes = list(_walk(t))
+            for a, b in itertools.permutations(nodes, 2):
+                bad = _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
+                with pytest.raises(InvalidTreeError) as oracle:
+                    _node_by_node(bad)
+                with pytest.raises(InvalidTreeError) as got:
+                    validate_tree(bad)
+                assert str(got.value) == str(oracle.value) == f"duplicate label {a.label}"
+                repeats += 1
+    assert len(calls) == repeats == 394
+
+
+def _parse_by_index(text: str) -> Tree:
+    """``tree_from_literal`` as it stood: a label loop over token indices
+    with a nested loop that closes nodes, and a ``while ... else``."""
+    tokens = _tokenize_literal(text)
+    end = len(tokens)
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    labels: list[int] = []
+    stack: list[tuple[int, dict[int, int]]] = []
+    pos = 0
+    while True:
+        if pos == end:
+            raise TreeParseError("unexpected end of tree literal")
+        tok = tokens[pos]
+        pos += 1
+        try:
+            label = int(tok)
+        except ValueError:
+            raise TreeParseError(f"expected a label, got {tok!r}") from None
+        labels.append(label)
+        if stack:
+            parent, kids = stack[-1]
+            kids[parent] = label
+        if pos < end and tokens[pos] == "(":
+            pos += 1
+            stack.append((label, left))
+            continue
+        while stack:
+            if pos == end:
+                raise TreeParseError("unexpected end of tree literal")
+            tok = tokens[pos]
+            pos += 1
+            if tok == "," and stack[-1][1] is left:
+                stack[-1] = (stack[-1][0], right)
+                break
+            if tok != ")":
+                raise TreeParseError(f"expected ')', got {tok!r}")
+            stack.pop()
+        else:
+            break
+    if pos != end:
+        raise TreeParseError(f"trailing text in tree literal {text!r}")
+    _check_distinct(labels)
+    return _link_tree(labels[0], left, right)
+
+
+def _parsed(parse, text: str):
+    try:
+        return parse(text)
+    except InvalidTreeError as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_matches_the_index_loop_oracle_on_random_text():
+    rng = random.Random(20)
+    alphabet = ["1", "2", "3", "4", "5", "-1", "0", "(", ")", ",", " "]
+    texts = [
+        "".join(rng.choices(alphabet, k=rng.randint(1, 14))) for _ in range(100_000)
+    ]
+    texts += [tree_to_literal(t) for n in range(1, 6) for t in iter_family("tree", n)]
+    parsed = 0
+    for text in texts:
+        got = _parsed(tree_from_literal, text)
+        assert got == _parsed(_parse_by_index, text), text
+        parsed += isinstance(got, Tree)
+    assert parsed > 1_000
+
+
+def _bfs_key(t: Tree) -> tuple[int | None, ...]:
+    """The key ``Tree.__hash__`` hashed as it stood: the labels breadth
+    first, with None for every missing child."""
+    key: list[int | None] = [t.label]
+    order = [t]
+    for cur in order:
+        for child in (cur.left, cur.right):
+            if child is None:
+                key.append(None)
+            else:
+                key.append(child.label)
+                order.append(child)
+    return tuple(key)
+
+
+def test_hash_agrees_with_equality_on_every_construction():
+    trees = [t for n in range(1, 7) for t in iter_family("tree", n)]
+    trees += [t for n in range(1, 5) for t in iter_family("tree-b", n)]
+    for t in trees:
+        nodes = list(_walk(t))
+        linked = _link_tree(
+            t.label,
+            {c.label: c.left.label for c in nodes if c.left is not None},
+            {c.label: c.right.label for c in nodes if c.right is not None},
+        )
+        copies = [
+            _rebuilt(t, t, lambda c: Tree(c.label, c.left, c.right)),
+            linked,
+            copy.copy(t),
+            copy.deepcopy(t),
+            pickle.loads(pickle.dumps(t)),
+            tree_from_literal(tree_to_literal(t)),
+        ]
+        for other in copies:
+            assert other == t and hash(other) == hash(t) == hash(inorder(t))
+    # the inorder word tells these trees apart as the old key did
+    assert len({_bfs_key(t) for t in trees}) == len({inorder(t) for t in trees})
+    assert len(set(trees)) == len({inorder(t) for t in trees})
+    chain = _link_tree(1, {v: v + 1 for v in range(1, 3000)}, {})
+    assert hash(chain) == hash(tuple(range(3000, 0, -1)))
 
 
 class TestTreeTraversals:
