@@ -28,8 +28,10 @@ The maps and their statistic bookkeeping:
   :class:`AlgoCTrace`.  The checks read the
   maps as checked inorder words instead (``core._linked_inorder``).
   Every map that builds a tree fills child maps and freezes them with
-  ``core._link_tree``, which checks every tree invariant as it links;
-  this module checks no tree invariant itself.
+  ``core._link_tree``, which checks every tree invariant as it links,
+  and ``omega`` reads its tree through ``core._checked_reverse_inorder``,
+  which checks it as it reads; this module checks no tree invariant
+  itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -74,6 +76,7 @@ from .core import (
     Tree,
     Word,
     _checked_nodes,
+    _checked_reverse_inorder,
     _link_tree,
     inorder,
     perm_from_sequence,
@@ -116,8 +119,12 @@ def omega(t: Tree) -> Word:
     >>> from zigzag.core import tree_from_literal
     >>> omega(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (6, 8, 4, 5, 1, 2, 9, 3, 7)
+
+    A tree that fails :func:`~zigzag.core.validate_tree` raises
+    :class:`~zigzag.core.InvalidTreeError`; with one failing node, with
+    the same message.
     """
-    return tuple(reversed(inorder(t)))
+    return _checked_reverse_inorder(t)
 
 
 def omega_inv(p: Sequence[int]) -> Tree:

@@ -38,7 +38,11 @@ Value conventions used across the whole package:
   ``_link_tree``, the hot one of the maps chain, tests each node inline
   with the same conditions and calls ``_check_node`` only for a node
   that fails, to raise its message; it makes its nodes through the slot
-  setters, without the frame of ``Tree.__init__``.
+  setters, without the frame of ``Tree.__init__``.  ``omega``'s reader,
+  ``_checked_reverse_inorder``, tests each node inline the same way
+  inside the walk that builds its word, and compares one label set's
+  size with the word's length; of several failing nodes it names the
+  first that walk reaches.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -302,8 +306,9 @@ def _check_node(v: int, left_label: int | None, right_label: int | None) -> None
     """Raise :class:`InvalidTreeError` unless node ``v``, with these child
     labels (None if absent), keeps the per-node tree invariants.
 
-    ``_link_tree`` tests the same conditions inline and calls this only
-    for a node that fails them, so the two must change together.
+    ``_link_tree`` and ``_checked_reverse_inorder`` test the same
+    conditions inline and call this only for a node that fails them, so
+    the three must change together.
     """
     if v == 0:
         raise InvalidTreeError("label 0 is not allowed")
@@ -409,6 +414,50 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
             _set_right(t, None if rk is None else built[rk])
     _check_one_tree(root, left, right, labels)
     return built[root]
+
+
+def _checked_reverse_inorder(t: Tree) -> Word:
+    """The reverse inorder word of ``t`` (right subtree, node, left
+    subtree), once ``t`` passes :func:`validate_tree`.
+
+    Each node is tested inline as the walk first reaches it, a failing
+    one raising :func:`_check_node`'s message, and a repeated label is
+    named by :func:`_check_distinct` once the word is read.  The walk
+    uses a stack, so chains deeper than the recursion limit read too.
+
+    >>> _checked_reverse_inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
+    (6, 8, 4, 5, 1, 2, 9, 3, 7)
+    >>> _checked_reverse_inorder(Tree(2, Tree(1)))
+    Traceback (most recent call last):
+    ...
+    zigzag.core.InvalidTreeError: child 1 must be greater than parent 2
+    """
+    out: list[int] = []
+    stack: list[Tree] = []
+    cur: Tree | None = t
+    while True:
+        while True:
+            v, lt, rt = cur.label, cur.left, cur.right
+            # _check_node's test inline; it runs only to name a fault
+            if lt is None:
+                if rt is not None or not v:
+                    _check_node(v, None, None if rt is None else rt.label)
+            elif lt.label <= v or not v or (rt is not None and lt.label > rt.label):
+                _check_node(v, lt.label, None if rt is None else rt.label)
+            if rt is None:
+                break
+            stack.append(cur)
+            cur = rt
+        out.append(v)
+        cur = lt
+        while cur is None:
+            if not stack:
+                if len(set(out)) != len(out):
+                    _check_distinct(out)
+                return tuple(out)
+            cur = stack.pop()
+            out.append(cur.label)
+            cur = cur.left
 
 
 def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> Word:

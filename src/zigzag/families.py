@@ -48,15 +48,19 @@ against.  Guards keep accidental huge enumerations out; pass
 and in ``verify`` and ``cli``, raises through one helper, ``_guard``,
 with one message format; each cap stays a constant in its module.
 
-:func:`is_andre` and :func:`is_simsun` rest on the same insertion fact,
-run backwards: they sort the positions by value once and delete entries
-from the largest down on a doubly linked list of positions, looking only
-at the two live entries after each maximum, in O(n log n) time.  The
-subword definitions they replace, ``_andre_by_subwords`` and
-``_simsun_by_subwords``, sort the word once for every k.  They stay as the
-oracle the tests compare the one-pass predicates against, and they are
-what ``_PREDICATES`` filters through, so the generator oracle does not
-rest on the argument the generators use.
+:func:`is_andre` and :func:`is_simsun` read the word once, left to
+right, in O(n) time.  They keep the suffix minima on a stack, and a
+double descent of some bottom-k subword shows when an entry pops a
+minimum u whose own smallest pop is below every entry between the two
+(see ``_stack_scan``).  ``is_andre`` is the same scan on the word with
+an entry smaller than all the others appended.  Both take words of
+distinct entries, signed ones distinct in absolute value, and refuse a
+word that repeats one.  The subword definitions they replace,
+``_andre_by_subwords`` and ``_simsun_by_subwords``, sort the word once
+for every k.  They stay as the oracle the tests compare the scan
+against, and they are what ``_PREDICATES`` filters through, so the
+generator oracle rests neither on the scan nor on the insertion
+argument the generators use.
 
 :func:`count_hetyei_fast`, the count behind the conjecture sweep, visits
 no word.  Reverse inorder reading (``omega``) is a bijection from trees
@@ -164,32 +168,65 @@ def _simsun_by_subwords(p: Word) -> bool:
     return True
 
 
-def _bottom_up_ok(p: Word, andre: bool) -> bool:
-    """Check every bottom-k subword in one pass, deleting the largest first.
+def _stack_scan(p: Word, andre: bool) -> bool:
+    """Check every bottom-k subword in one left-to-right stack scan.
 
-    Before the current maximum is deleted, the live entries form the
-    bottom-k subword.  If the bottom-(k-1) subword is fine, a double
-    descent of the bottom-k one can only start at the maximum, and the
-    word can only stop ending in an ascent if the maximum is second to
-    last.  So it suffices to look at the two live entries after each
-    maximum, kept in a doubly linked list of positions.
+    A bottom-k subword has a double descent a > b > c exactly when the
+    word has positions i < j < l holding a > b > c, and every other entry
+    strictly between i and l is larger than a: take k = a.  The scan
+    keeps the suffix minima of the prefix read so far on a stack, with
+    values increasing toward the top.  Each stack entry u records a(u),
+    the smallest entry it popped when it was pushed; that entry is the
+    only candidate for a with b = u.  When a new entry v pops u, the
+    entry popped just before u, if there is one, is the minimum of the
+    entries strictly between u and v.  There is a double descent with
+    b = u and c = v exactly when a(u) exists, and that minimum is either
+    absent or larger than a(u).
+
+    With ``andre``, the scan goes on as if an entry smaller than all the
+    others came next, popping the whole stack with the same test.  A word
+    p is Andre exactly when p with such an entry appended is Simsun: the
+    bottom-k subwords of the longer word are that entry alone and w
+    followed by it, for each bottom-(k-1) subword w of p, and the latter
+    avoids double descents exactly when w avoids them and does not end
+    in a descent.
+
+    The argument needs distinct entries.  A word that passes the scan is
+    still refused if it repeats an absolute value; the bottom of the
+    stack, its smallest entry, tells whether signs can hide a repeat.
+
+    >>> _stack_scan((2, 5, 1, 3, 4), andre=False)
+    True
+    >>> _stack_scan((4, 3, 5, 1, 2), andre=False)
+    False
+    >>> _stack_scan((2, 1), andre=False), _stack_scan((2, 1), andre=True)
+    (True, False)
+    >>> _stack_scan((1, 1), andre=False)
+    False
     """
-    n = len(p)
-    after = list(range(1, n + 1))  # next live position; n is past the end
-    before = list(range(-1, n - 1))  # previous live position; -1 is none
-    for i in sorted(range(n), key=p.__getitem__, reverse=True):
-        r = after[i]
-        if r < n:
-            s = after[r]
-            if s < n:
-                if p[r] > p[s]:
-                    return False
-            elif andre:
+    vals: list[int] = []  # the suffix minima of the prefix read so far
+    mins: list[int | None] = []  # the smallest entry each of them popped
+    for v in p:
+        above = None  # the entry popped just before: the minimum since it
+        while vals and vals[-1] > v:
+            u = vals.pop()
+            a = mins.pop()
+            if a is not None and (above is None or above > a):
                 return False
-            before[r] = before[i]
-        if before[i] >= 0:
-            after[before[i]] = r
-    return True
+            above = u
+        vals.append(v)
+        mins.append(above)
+    if not vals:
+        return True
+    low = vals[0]
+    if andre:
+        above = None
+        while vals:
+            a = mins.pop()
+            if a is not None and (above is None or above > a):
+                return False
+            above = vals.pop()
+    return len(set(p if low > 0 else map(abs, p))) == len(p)
 
 
 def is_andre(p: Word) -> bool:
@@ -200,15 +237,16 @@ def is_andre(p: Word) -> bool:
     >>> is_andre((4, 3, 5, 1, 2))
     False
 
-    A word that ends in a descent is refused before anything is sorted.
-    That exit is exact: the bottom-n subword is the whole word, and
-    :func:`_bottom_up_ok` refuses such a word too, at the latest when it
-    deletes the second to last entry, which is then followed by the last
-    entry alone.
+    ``p`` is a word of distinct entries, signed ones distinct in absolute
+    value; a word that repeats one is not Andre.  A word that ends in a
+    descent is refused before the scan.  That exit is exact: the
+    bottom-n subword is the whole word, and :func:`_stack_scan` refuses
+    such a word too, at the latest at its first flush pop: the last entry
+    is then on top of the stack, and it popped the entry before it.
     """
     if len(p) >= 2 and p[-2] > p[-1]:
         return False
-    return _bottom_up_ok(p, andre=True)
+    return _stack_scan(p, andre=True)
 
 
 def is_andre_valley(p: Word) -> bool:
@@ -245,8 +283,11 @@ def is_simsun(p: Word) -> bool:
     True
     >>> is_simsun((3, 2, 1))
     False
+
+    As for :func:`is_andre`, a word that repeats an absolute value is not
+    Simsun.
     """
-    return _bottom_up_ok(p, andre=False)
+    return _stack_scan(p, andre=False)
 
 
 # is_andre only compares entries, so on a signed word it takes the
@@ -255,25 +296,29 @@ is_signed_andre_b = is_andre
 
 
 def _forced_signs(p: Word, absolute_ok: Callable[[Word], bool]) -> bool:
-    absw = tuple(abs(v) for v in p)
+    absw = tuple(map(abs, p))
     if not absolute_ok(absw):
         return False
     return all(p[i - 1] > 0 for i in rtl_min_positions(absw))
 
 
 def is_hetyei_andre(p: Word) -> bool:
-    """Absolute word is Andre and every suffix minimum carries a plus sign."""
+    """Absolute word is Andre and every suffix minimum carries a plus sign.
+
+    A word that repeats an absolute value is refused."""
     return _forced_signs(p, is_andre)
 
 
 def is_signed_simsun(p: Word) -> bool:
-    """Absolute word is Simsun and every suffix minimum carries a plus sign."""
+    """Absolute word is Simsun and every suffix minimum carries a plus sign.
+
+    A word that repeats an absolute value is refused."""
     return _forced_signs(p, is_simsun)
 
 
 # the generator oracle filters through the subword definitions, not the
-# one-pass predicates, which rest on the same insertion fact as the
-# generators
+# stack scan, so that it rests on no argument of its own beyond the
+# definitions
 _PREDICATES = {
     FamilyTag.ALT: is_alternating,
     FamilyTag.ALT_B: is_alternating,

@@ -511,14 +511,16 @@ def _message(read) -> str:
 )
 def test_readers_name_a_single_failing_node_alike(tag, n_max, single, several):
     # one failing node gets one message from every reader; of several,
-    # validate_tree names the first in walk order and the map readers the
-    # one with the largest label
+    # validate_tree names the first in walk order, the map readers the
+    # one with the largest label, and omega the first it reaches
     counts = [0, 0]
     for n in range(1, n_max + 1):
         for t in iter_family(tag, n):
             for bad in _tree_faults(t):
                 failed = _failing_nodes(bad)
                 text = tree_to_literal(bad)
+                from_omega = _message(lambda: omega(bad))
+                assert from_omega in {message for _, message in failed}, text
                 from_json = _message(lambda: tree_from_json(tree_to_json(bad)))
                 from_literal = _message(lambda: tree_from_literal(text))
                 if "(," in text:
@@ -527,6 +529,8 @@ def test_readers_name_a_single_failing_node_alike(tag, n_max, single, several):
                     from_literal = from_json
                 assert _message(lambda: validate_tree(bad)) == failed[0][1]
                 assert from_json == from_literal == max(failed)[1], text
+                if len(failed) == 1:
+                    assert from_omega == failed[0][1], text
                 counts[len(failed) > 1] += 1
     assert counts == [single, several]
 
@@ -586,6 +590,39 @@ def test_distinct_check_runs_only_for_a_repeated_label(monkeypatch):
                 assert str(got.value) == str(oracle.value) == f"duplicate label {a.label}"
                 repeats += 1
     assert len(calls) == repeats == 394
+
+
+def test_omega_checks_the_tree_it_reads(monkeypatch):
+    calls = []
+
+    def counted(labels):
+        calls.append(1)
+        return _check_distinct(labels)
+
+    monkeypatch.setattr(core, "_check_distinct", counted)
+    for tag, n_max in (("tree", 7), ("tree-b", 4)):
+        for n in range(1, n_max + 1):
+            for t in iter_family(tag, n):
+                assert omega(t) == tuple(reversed(inorder(t)))
+    assert not calls
+    with pytest.raises(InvalidTreeError, match="child 1 must be greater than parent 2"):
+        omega(Tree(2, Tree(1)))
+    with pytest.raises(InvalidTreeError, match="duplicate label 2"):
+        omega(Tree(1, Tree(2), Tree(2)))
+    # a repeated label where every node passes is named as validate_tree
+    # names it; with a failing node as well, omega may name either
+    calls.clear()
+    named = 0
+    for n in range(2, 6):
+        for t in iter_family("tree", n):
+            nodes = list(_walk(t))
+            for a, b in itertools.permutations(nodes, 2):
+                bad = _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
+                message = _message(lambda: omega(bad))
+                if not _failing_nodes(bad):
+                    assert message == f"duplicate label {a.label}"
+                    named += 1
+    assert named == len(calls) == 79
 
 
 def _parse_by_index(text: str) -> Tree:

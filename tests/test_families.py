@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import pathlib
 import random
@@ -155,15 +156,43 @@ def _alternating_by_index(p):
     )
 
 
+def _bottom_up_ok(p, andre):
+    """The linked-list pass the stack scan replaced, kept as its oracle.
+
+    Before the current maximum is deleted, the live entries form the
+    bottom-k subword.  If the bottom-(k-1) subword is fine, a double
+    descent of the bottom-k one can only start at the maximum, and the
+    word can only stop ending in an ascent if the maximum is second to
+    last.  So it suffices to look at the two live entries after each
+    maximum, kept in a doubly linked list of positions.
+    """
+    n = len(p)
+    after = list(range(1, n + 1))  # next live position; n is past the end
+    before = list(range(-1, n - 1))  # previous live position; -1 is none
+    for i in sorted(range(n), key=p.__getitem__, reverse=True):
+        r = after[i]
+        if r < n:
+            s = after[r]
+            if s < n:
+                if p[r] > p[s]:
+                    return False
+            elif andre:
+                return False
+            before[r] = before[i]
+        if before[i] >= 0:
+            after[before[i]] = r
+    return True
+
+
 class TestFastPredicateOracle:
-    """The one-pass predicates agree with the subword definitions, and
-    every early exit with the plain pass it skips."""
+    """The stack-scan predicates agree with the subword definitions and
+    with the linked-list pass, and every early exit with the plain scan
+    it skips."""
 
     @staticmethod
     def _agree(p):
-        assert is_andre(p) == _andre_by_subwords(p), p
-        assert is_andre(p) == families._bottom_up_ok(p, andre=True), p
-        assert is_simsun(p) == _simsun_by_subwords(p), p
+        assert is_andre(p) == _andre_by_subwords(p) == _bottom_up_ok(p, True), p
+        assert is_simsun(p) == _simsun_by_subwords(p) == _bottom_up_ok(p, False), p
         assert is_alternating(p) == _alternating_by_index(p), p
 
     def test_every_permutation_up_to_eight(self):
@@ -210,6 +239,12 @@ class TestFastPredicateOracle:
         # the near misses include Andre words, Simsun-only words and neither
         assert outcomes == {(True, True), (False, True), (False, False)}
 
+    def test_andre_is_simsun_with_a_smallest_entry_appended(self):
+        # the flush of the scan treats the word so
+        for n in range(0, 9):
+            for p in iter_permutations(n):
+                assert is_andre(p) == is_simsun((*p, 0)), p
+
     def test_alternation_of_lists_and_short_words(self):
         for p in ([], [5], [2, 1], [1, 2], [3, 1, 2], [3, 1, 0], [2, 1, 4, 3, 5]):
             assert is_alternating(p) == _alternating_by_index(p), p
@@ -218,16 +253,16 @@ class TestFastPredicateOracle:
     def test_final_descent_exits_before_the_pass(self, monkeypatch):
         # 1 + sum(n!/2 for n = 2..6) of the 873 permutations scanned at cap
         # 6 end in an ascent or have one entry, and only they may reach
-        # the pass with andre=True; the andre=False calls are is_simsun's,
+        # the scan with andre=True; the andre=False calls are is_simsun's,
         # one per Andre word
-        real = families._bottom_up_ok
+        real = families._stack_scan
         calls = {True: 0, False: 0}
 
         def counted(p, andre):
             calls[andre] += 1
             return real(p, andre)
 
-        monkeypatch.setattr(families, "_bottom_up_ok", counted)
+        monkeypatch.setattr(families, "_stack_scan", counted)
         (report,) = run_checks(["andre-implies-simsun"], n_max_a=6, n_max_b=1)
         assert report.status == "PASS"
         assert report.counts == {"objects": 873}
@@ -252,6 +287,77 @@ class TestFastPredicateOracle:
         assert is_signed_simsun((2, -3, 1))
         with pytest.raises(AssertionError):
             _andre_by_subwords((2, 1, 3))
+
+
+_MEMBERSHIP = (is_andre, is_simsun, is_signed_andre_b, is_hetyei_andre, is_signed_simsun)
+
+
+class TestRepeatedEntries:
+    """A word that repeats an entry, or a signed word that repeats an
+    absolute value, belongs to no Andre or Simsun family."""
+
+    def test_unsigned_words_with_a_repeat(self):
+        refused = 0
+        for n in range(2, 7):
+            for p in itertools.product(range(1, n + 1), repeat=n):
+                if len(set(p)) < n:
+                    for pred in _MEMBERSHIP:
+                        assert not pred(p), (pred.__name__, p)
+                    refused += 1
+        assert refused == 49196
+
+    def test_signed_words_with_a_repeated_absolute_value(self):
+        letters = (-3, -2, -1, 1, 2, 3)
+        refused = 0
+        for n in range(2, 5):
+            for p in itertools.product(letters, repeat=n):
+                if len(set(map(abs, p))) < n:
+                    for pred in _MEMBERSHIP:
+                        assert not pred(p), (pred.__name__, p)
+                    refused += 1
+        assert refused == 1476
+
+
+# mutants of the stack scan, each an edit of its source (the first match
+# only: the pop test of the scan loop, not of the flush), pinned to the
+# check that catches it at caps 6/4 and to that check's witness.
+# Flipping the pop test's own ``>`` to ``>=`` changes nothing on distinct
+# entries, so it is not pinned.
+_MUTANTS = {
+    "above-none": (
+        "(above is None or above > a)",
+        "above is not None and above > a",
+        "valley-equivalence",
+        "valley characterization disagrees on 4312",
+    ),
+    "above-flipped": (
+        "above > a)",
+        "above < a)",
+        "omega-bijection",
+        "omega(1(2,3(4,5))) not Andre",
+    ),
+    "no-flush": (
+        "    if andre:\n",
+        "    if False:\n",
+        "valley-equivalence",
+        "valley characterization disagrees on 213",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANTS))
+def test_the_checks_catch_pinned_mutants_of_the_scan(monkeypatch, name):
+    old, new, check_id, witness = _MUTANTS[name]
+    (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
+    assert report.status == "PASS"
+    source = inspect.getsource(families._stack_scan)
+    assert old in source
+    namespace = {"Word": families.Word}
+    exec(source.replace(old, new, 1), namespace)
+    monkeypatch.setattr(families, "_stack_scan", namespace["_stack_scan"])
+    (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
+    assert report.status == "FAIL"
+    assert report.counterexample == witness
 
 
 class TestEnumeration:
