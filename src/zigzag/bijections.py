@@ -29,9 +29,9 @@ The maps and their statistic bookkeeping:
   maps as checked inorder words instead (``core._linked_inorder``).
   Every map that builds a tree fills child maps and freezes them with
   ``core._link_tree``, which checks every tree invariant as it links,
-  and ``omega`` reads its tree through ``core._checked_reverse_inorder``,
-  which checks it as it reads; this module checks no tree invariant
-  itself.
+  and every map that takes a tree reads it through
+  ``core._checked_reverse_inorder``, which checks it as it reads; this
+  module checks no tree invariant itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -54,17 +54,17 @@ The maps and their statistic bookkeeping:
   keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
-  Like ``psi_inv``, it checks the tree and its labels 1..n through
-  ``core._checked_nodes``.
-- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  One
-  walk checks the tree and reads its child maps; the pleaf and the next
-  smaller label tell which replay step came last (a label exchange, a
-  strip or a sibling rotation), and undoing the steps one by one leaves
-  the base tree.  Like the replay, the undoing keys its maps by node
-  ids, so an exchange is four stores on the label tables and the pleaf
-  is looked for again only after a strip or a rotation.  The steps then
-  replay backwards on the base word.  Nothing is enumerated and nothing
-  is grafted.
+  Like ``psi_inv``, it reads the tree and its labels 1..n through
+  ``core._checked_reverse_inorder``.
+- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  The
+  checked walk reads the tree, and one more walk its child maps; the
+  pleaf and the next smaller label tell which replay step came last (a
+  label exchange, a strip or a sibling rotation), and undoing the steps
+  one by one leaves the base tree.  Like the replay, the undoing keys
+  its maps by node ids, so an exchange is four stores on the label
+  tables and the pleaf is looked for again only after a strip or a
+  rotation.  The steps then replay backwards on the base word.  Nothing
+  is enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from typing import Callable, Sequence
 from .core import (
     Tree,
     Word,
-    _checked_nodes,
     _checked_reverse_inorder,
     _link_tree,
+    _walk,
     inorder,
     perm_from_sequence,
     rtl_min_positions,
@@ -429,10 +429,11 @@ def psi_inv(t: Tree) -> Word:
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    nodes, labels = _checked_nodes(t)
-    n = len(nodes)
-    if labels != set(range(1, n + 1)):
+    labels = _checked_reverse_inorder(t)
+    n = len(labels)
+    if not set(labels).issuperset(range(1, n + 1)):
         raise ValueError("psi_inv expects a tree labeled by 1..n")
+    nodes = list(_walk(t))
     left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
     right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
     root = t.label
@@ -532,8 +533,8 @@ def chuang_phi(t: Tree) -> Word:
     >>> chuang_phi(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (5, 7, 3, 4, 1, 2, 8, 6)
     """
-    nodes, labels = _checked_nodes(t)
-    if labels != set(range(1, len(nodes) + 1)):
+    labels = _checked_reverse_inorder(t)
+    if not set(labels).issuperset(range(1, len(labels) + 1)):
         raise ValueError("chuang_phi expects a tree labeled by 1..n")
     word: list[int] = []
     cur = t

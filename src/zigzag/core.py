@@ -20,29 +20,25 @@ Value conventions used across the whole package:
   re-canonicalize before returning.  A :class:`Tree` node is a slotted
   frozen record: a frozen dataclass with ``__slots__``, whose
   constructor stores each field through its slot.
-- The per-node invariants live in one helper, ``_check_node``.  Parsers
-  and maps build child maps keyed by label and freeze them with
-  ``_link_tree``; ``_linked_inorder`` reads the same maps as an inorder
-  word without building a tree.  Both check every node, and that the
-  maps are one tree through the shared ``_check_one_tree``.
-  :func:`validate_tree` checks a finished :class:`Tree` node by node
-  with the same helper, in one walk, ``_checked_nodes``, that also hands
-  the nodes and their label set to ``psi_inv`` and ``chuang_phi``; it
-  compares the size of that set with the node count and names a
-  duplicate only when they differ.  When one node fails, every reader
-  names it with the same message.  When several fail, the readers may
-  differ: :func:`validate_tree` names the first in walk order, and the
-  map readers, which check from the largest label down, the one with
-  the largest label.  A lone right child has no literal; it renders as
-  ``v(,c)``, which the parser refuses as text.
-  ``_link_tree``, the hot one of the maps chain, tests each node inline
-  with the same conditions and calls ``_check_node`` only for a node
-  that fails, to raise its message; it makes its nodes through the slot
-  setters, without the frame of ``Tree.__init__``.  ``omega``'s reader,
-  ``_checked_reverse_inorder``, tests each node inline the same way
-  inside the walk that builds its word, and compares one label set's
-  size with the word's length; of several failing nodes it names the
-  first that walk reaches.
+- The per-node invariants live in one helper, ``_check_node``, and each
+  tree form has one checked reader.  A :class:`Tree` is read by
+  ``_checked_reverse_inorder``, the walk behind :func:`validate_tree`,
+  ``omega``, ``psi_inv`` and ``chuang_phi``.  Parsers and maps build
+  child maps keyed by label and freeze them with ``_link_tree``;
+  ``_linked_inorder`` reads the same maps as an inorder word without
+  building a tree.  Both check every node, and that the maps are one
+  tree through the shared ``_check_one_tree``.  Every reader of a
+  :class:`Tree` names what :func:`validate_tree` names: a repeated
+  label first, then the first failing node in walk order.  The map
+  readers check from the largest label down and name the failing node
+  with the largest label, so when one node fails, every reader names it
+  with the same message.  A lone right child has no literal; it renders
+  as ``v(,c)``, which the parser refuses as text.  ``_link_tree`` and
+  ``_checked_reverse_inorder`` test each node inline with
+  ``_check_node``'s conditions and call it only for a node that fails,
+  to raise its message; ``_link_tree``, the hot one of the maps chain,
+  makes its nodes through the slot setters, without the frame of
+  ``Tree.__init__``.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -337,21 +333,57 @@ def _check_distinct(labels: Iterable[int]) -> None:
         seen.add(v)
 
 
-def _checked_nodes(t: Tree) -> tuple[list[Tree], set[int]]:
-    """Every node of ``t`` and its label set, once its labels are distinct
-    and every node passes :func:`_check_node`; :class:`InvalidTreeError`
-    otherwise."""
-    nodes = list(_walk(t))
-    labels = {cur.label for cur in nodes}
-    if len(labels) != len(nodes):
-        _check_distinct(cur.label for cur in nodes)
-    for cur in nodes:
-        _check_node(
-            cur.label,
-            None if cur.left is None else cur.left.label,
-            None if cur.right is None else cur.right.label,
-        )
-    return nodes, labels
+def _checked_reverse_inorder(t: Tree) -> Word:
+    """The reverse inorder word of ``t`` (right subtree, node, left
+    subtree), once ``t`` passes the increasing 1-2 tree invariants.
+
+    Each node is tested inline as the walk first reaches it.  The walk
+    reaches a node, then its right subtree, then its left one, the order
+    in which :func:`_walk` visits them, since it pops the right child
+    first; so the first failing node it meets is the first in
+    :func:`_walk` order.  A repeated label is named first: at a failing
+    node, and when the word holds fewer distinct labels than entries,
+    :func:`_check_distinct` reads the labels in :func:`_walk` order
+    before any node is named.  That second walk runs only on a faulty
+    tree.  The walk uses a stack, so chains deeper than the recursion
+    limit read too.
+
+    >>> _checked_reverse_inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
+    (6, 8, 4, 5, 1, 2, 9, 3, 7)
+    >>> _checked_reverse_inorder(Tree(2, Tree(1)))
+    Traceback (most recent call last):
+    ...
+    zigzag.core.InvalidTreeError: child 1 must be greater than parent 2
+    """
+    out: list[int] = []
+    stack: list[Tree] = []
+    cur: Tree | None = t
+    while True:
+        while True:
+            v, lt, rt = cur.label, cur.left, cur.right
+            # _check_node's test inline; it runs only to name a fault,
+            # after any repeated label
+            if lt is None:
+                if rt is not None or not v:
+                    _check_distinct(n.label for n in _walk(t))
+                    _check_node(v, None, None if rt is None else rt.label)
+            elif lt.label <= v or not v or (rt is not None and lt.label > rt.label):
+                _check_distinct(n.label for n in _walk(t))
+                _check_node(v, lt.label, None if rt is None else rt.label)
+            if rt is None:
+                break
+            stack.append(cur)
+            cur = rt
+        out.append(v)
+        cur = lt
+        while cur is None:
+            if not stack:
+                if len(set(out)) != len(out):
+                    _check_distinct(n.label for n in _walk(t))
+                return tuple(out)
+            cur = stack.pop()
+            out.append(cur.label)
+            cur = cur.left
 
 
 def validate_tree(t: Tree) -> None:
@@ -362,7 +394,7 @@ def validate_tree(t: Tree) -> None:
     :func:`tree_spans_range` to additionally demand that the absolute
     label values are exactly 1..n.
     """
-    _checked_nodes(t)
+    _checked_reverse_inorder(t)
 
 
 def _check_one_tree(
@@ -414,50 +446,6 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
             _set_right(t, None if rk is None else built[rk])
     _check_one_tree(root, left, right, labels)
     return built[root]
-
-
-def _checked_reverse_inorder(t: Tree) -> Word:
-    """The reverse inorder word of ``t`` (right subtree, node, left
-    subtree), once ``t`` passes :func:`validate_tree`.
-
-    Each node is tested inline as the walk first reaches it, a failing
-    one raising :func:`_check_node`'s message, and a repeated label is
-    named by :func:`_check_distinct` once the word is read.  The walk
-    uses a stack, so chains deeper than the recursion limit read too.
-
-    >>> _checked_reverse_inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
-    (6, 8, 4, 5, 1, 2, 9, 3, 7)
-    >>> _checked_reverse_inorder(Tree(2, Tree(1)))
-    Traceback (most recent call last):
-    ...
-    zigzag.core.InvalidTreeError: child 1 must be greater than parent 2
-    """
-    out: list[int] = []
-    stack: list[Tree] = []
-    cur: Tree | None = t
-    while True:
-        while True:
-            v, lt, rt = cur.label, cur.left, cur.right
-            # _check_node's test inline; it runs only to name a fault
-            if lt is None:
-                if rt is not None or not v:
-                    _check_node(v, None, None if rt is None else rt.label)
-            elif lt.label <= v or not v or (rt is not None and lt.label > rt.label):
-                _check_node(v, lt.label, None if rt is None else rt.label)
-            if rt is None:
-                break
-            stack.append(cur)
-            cur = rt
-        out.append(v)
-        cur = lt
-        while cur is None:
-            if not stack:
-                if len(set(out)) != len(out):
-                    _check_distinct(out)
-                return tuple(out)
-            cur = stack.pop()
-            out.append(cur.label)
-            cur = cur.left
 
 
 def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> Word:

@@ -40,9 +40,9 @@ families grow by path copying: each new largest label is hung under
 every node with a free child slot, and only the nodes on the path to
 the new leaf are rebuilt, the rest of the tree being shared.  tree-b
 grows the same way on each of the 2^n sign-choice label sets.  Both are
-then sorted by inorder word.  The definitions
-filtering :func:`iter_permutations` or :func:`iter_signed_permutations`
-(``_PREDICATES``) remain the oracle the tests compare the generators
+then sorted by inorder word.  The definitions (``_PREDICATES``)
+filtering :func:`iter_permutations`, or the tests' stream of all signed
+permutations, remain the oracle the tests compare the generators
 against.  Guards keep accidental huge enumerations out; pass
 ``force=True`` to override them.  Every size guard in the package, here
 and in ``verify`` and ``cli``, raises through one helper, ``_guard``,
@@ -254,7 +254,9 @@ def is_andre_valley(p: Word) -> bool:
 
     No double descents, the word ends with an ascent, and at every valley
     the run of larger letters just before it has a larger minimum than
-    the run of larger letters just after it.
+    the run of larger letters just after it.  As for :func:`is_andre`,
+    ``p`` is a word of distinct entries, signed ones distinct in absolute
+    value, and a word that repeats one is refused.
     """
     n = len(p)
     if n <= 1:
@@ -273,7 +275,8 @@ def is_andre_valley(p: Word) -> bool:
                 hi += 1
             if min(p[lo + 1 : i]) <= min(p[i + 1 : hi]):
                 return False
-    return True
+    # the argument needs distinct entries; only a word that passes pays
+    return len(set(map(abs, p))) == n
 
 
 def is_simsun(p: Word) -> bool:
@@ -338,19 +341,6 @@ _PREDICATES = {
 def iter_permutations(n: int) -> Iterator[Word]:
     """All permutations of [n] in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
-
-
-def iter_signed_permutations(n: int) -> Iterator[Word]:
-    """All signed permutations of [n], lexicographic in signed entry order.
-
-    All 2^n n! words are built and sorted before the first is yielded.
-    """
-    words = [
-        tuple(map(operator.mul, signs, p))
-        for signs in itertools.product((1, -1), repeat=n)
-        for p in iter_permutations(n)
-    ]
-    return iter(sorted(words))
 
 
 # ---------------------------------------------------------------------------

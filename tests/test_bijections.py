@@ -339,7 +339,7 @@ class TestPsi:
         def refuse(t):
             raise AssertionError("the tree was walked again after linking")
 
-        monkeypatch.setattr(bijections, "_checked_nodes", refuse)
+        monkeypatch.setattr(bijections, "_checked_reverse_inorder", refuse)
         assert [psi_c(p)[0] for p in iter_family("alt", 6)] == expected
         assert [psi(p) for p in iter_family("alt", 6)] == expected
         assert [psi_b(p) for p in iter_family("alt", 6)] == expected

@@ -41,7 +41,15 @@ from zigzag.core import (
     tree_to_literal,
     validate_tree,
 )
-from zigzag.bijections import _link_tree, omega, omega_signed, phi_inv, psi, psi_inv
+from zigzag.bijections import (
+    _link_tree,
+    chuang_phi,
+    omega,
+    omega_signed,
+    phi_inv,
+    psi,
+    psi_inv,
+)
 from zigzag import core
 from zigzag.families import iter_family
 
@@ -609,8 +617,8 @@ def test_omega_checks_the_tree_it_reads(monkeypatch):
         omega(Tree(2, Tree(1)))
     with pytest.raises(InvalidTreeError, match="duplicate label 2"):
         omega(Tree(1, Tree(2), Tree(2)))
-    # a repeated label where every node passes is named as validate_tree
-    # names it; with a failing node as well, omega may name either
+    # a repeated label is named as validate_tree names it, whether or not
+    # a node fails too
     calls.clear()
     named = 0
     for n in range(2, 6):
@@ -618,11 +626,39 @@ def test_omega_checks_the_tree_it_reads(monkeypatch):
             nodes = list(_walk(t))
             for a, b in itertools.permutations(nodes, 2):
                 bad = _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
-                message = _message(lambda: omega(bad))
-                if not _failing_nodes(bad):
-                    assert message == f"duplicate label {a.label}"
-                    named += 1
-    assert named == len(calls) == 79
+                assert _message(lambda: omega(bad)) == f"duplicate label {a.label}"
+                named += 1
+    assert named == len(calls) == 394
+
+
+@pytest.mark.parametrize(
+    "tag, n_max, count",
+    [("tree", 5, 671), ("tree-b", 4, 1994)],
+    ids=["unsigned", "signed"],
+)
+def test_every_tree_reader_names_what_validate_tree_names(tag, n_max, count):
+    # one checked walk reads a Tree for all four, so on every single fault
+    # and every copied label each names what the node oracle names
+    faulty = 0
+    for n in range(1, n_max + 1):
+        for t in iter_family(tag, n):
+            copies = [
+                _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
+                for a, b in itertools.permutations(list(_walk(t)), 2)
+            ]
+            for bad in [*_tree_faults(t), *copies]:
+                with pytest.raises(InvalidTreeError) as oracle:
+                    _node_by_node(bad)
+                for read in (validate_tree, omega, psi_inv, chuang_phi):
+                    with pytest.raises(InvalidTreeError) as got:
+                        read(bad)
+                    assert got.type is InvalidTreeError
+                    assert str(got.value) == str(oracle.value), (
+                        read.__name__,
+                        tree_to_literal(bad),
+                    )
+                faulty += 1
+    assert faulty == count
 
 
 def _parse_by_index(text: str) -> Tree:

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import operator
 import pathlib
 import random
 
@@ -36,7 +37,6 @@ from zigzag.families import (
     is_snake,
     iter_family,
     iter_permutations,
-    iter_signed_permutations,
     refinement_statistic,
 )
 from zigzag.triangles import arnold_table, entringer_table
@@ -306,6 +306,30 @@ class TestRepeatedEntries:
                     refused += 1
         assert refused == 49196
 
+    def test_valley_refuses_a_repeat_and_keeps_every_permutation(self):
+        # refusing a repeat changes no answer on a permutation: the valley
+        # test agrees with is_andre on every one up to n = 8
+        kept = 0
+        for n in range(1, 9):
+            for p in iter_permutations(n):
+                assert is_andre_valley(p) == is_andre(p), p
+                kept += 1
+        assert kept == 46233
+        refused = 0
+        for n in range(2, 7):
+            for p in itertools.product(range(1, n + 1), repeat=n):
+                if len(set(p)) < n:
+                    assert not is_andre_valley(p), p
+                    refused += 1
+        assert refused == 49196
+        refused = 0
+        for n in range(2, 5):
+            for p in itertools.product((-3, -2, -1, 1, 2, 3), repeat=n):
+                if len(set(map(abs, p))) < n:
+                    assert not is_andre_valley(p), p
+                    refused += 1
+        assert refused == 1476
+
     def test_signed_words_with_a_repeated_absolute_value(self):
         letters = (-3, -2, -1, 1, 2, 3)
         refused = 0
@@ -460,6 +484,19 @@ SIGNED_PERM_TAGS = [
     FamilyTag.ANDRE_H,
     FamilyTag.SIMSUN_B,
 ]
+
+
+def iter_signed_permutations(n):
+    """All signed permutations of [n], lexicographic in signed entry order.
+
+    All 2^n n! words are built and sorted before the first is yielded.
+    """
+    words = [
+        tuple(map(operator.mul, signs, p))
+        for signs in itertools.product((1, -1), repeat=n)
+        for p in iter_permutations(n)
+    ]
+    return iter(sorted(words))
 
 
 def _filtered(tag, n, k=None):

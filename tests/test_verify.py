@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 
@@ -580,3 +581,51 @@ def test_sweep_mismatch_keeps_its_witness_and_count(monkeypatch):
     assert reports[2].counterexample == (
         "n=3 k=2: arnold=4 forced-sign-andre(n+1=4, last=3)=5"
     )
+
+
+# one mutant per module, pinned to the check that catches it at caps 6/4
+# and to that check's witness: an edit (old, new) of the function's
+# source, the first match only, or a function that stands in for it
+_MODULE_MUTANTS = {
+    # the previous row accumulated forwards
+    "triangles": (
+        "triangles", "entringer_table",
+        ("accumulate(reversed(rows[-1]))", "accumulate(rows[-1])"),
+        "entringer-families", "alt: n=3 k=2 expected=0 actual=1",
+    ),
+    # the 0 appended to the word instead of prepended
+    "cdindex": (
+        "cdindex", "reduced_variation_simsun", ("(0, *s)", "(*s, 0)"),
+        "cd-preservation", "ValueError: letter 'b' at position 1 survives reduction",
+    ),
+    # each moved suffix minimum left one too small
+    "bijections": (
+        "bijections", "phi_inv",
+        ("s[mins[t - 1] - 1] + 1", "s[mins[t - 1] - 1]"),
+        "phi-bijection", "phi_inv round trip failed on 123",
+    ),
+    # core's tree reader, where bijections reads it, giving the inorder word
+    "core": (
+        "bijections", "_checked_reverse_inorder", inorder,
+        "omega-bijection", "omega(1(2)) not Andre",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODULE_MUTANTS))
+def test_the_checks_catch_a_pinned_mutant_of_each_module(monkeypatch, name):
+    module, attr, mutant, check_id, witness = _MODULE_MUTANTS[name]
+    (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
+    assert report.status == PASS
+    target = getattr(verify, module)
+    if isinstance(mutant, tuple):
+        old, new = mutant
+        source = inspect.getsource(getattr(target, attr))
+        assert old in source
+        namespace = dict(vars(target))
+        exec(source.replace(old, new, 1), namespace)
+        mutant = namespace[attr]
+    monkeypatch.setattr(target, attr, mutant)
+    (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
+    assert report.status == FAIL
+    assert report.counterexample == witness
