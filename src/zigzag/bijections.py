@@ -29,9 +29,9 @@ The maps and their statistic bookkeeping:
   maps as checked inorder words instead (``core._linked_inorder``).
   Every map that builds a tree fills child maps and freezes them with
   ``core._link_tree``, which checks every tree invariant as it links,
-  and every map that takes a tree reads it through
-  ``core._checked_reverse_inorder``, which checks it as it reads; this
-  module checks no tree invariant itself.
+  and every map that takes a tree reads it through a checked walk of
+  ``core``, which checks it as it reads; this module checks no tree
+  invariant itself.
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
@@ -54,17 +54,17 @@ The maps and their statistic bookkeeping:
   keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
-  Like ``psi_inv``, it reads the tree and its labels 1..n through
+  It reads the tree and its labels 1..n through
   ``core._checked_reverse_inorder``.
-- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  The
-  checked walk reads the tree, and one more walk its child maps; the
-  pleaf and the next smaller label tell which replay step came last (a
-  label exchange, a strip or a sibling rotation), and undoing the steps
-  one by one leaves the base tree.  Like the replay, the undoing keys
-  its maps by node ids, so an exchange is four stores on the label
-  tables and the pleaf is looked for again only after a strip or a
-  rotation.  The steps then replay backwards on the base word.  Nothing
-  is enumerated and nothing is grafted.
+- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  One
+  checked walk, ``core._checked_maps``, fills the tree's child and
+  parent maps.  The pleaf and the next smaller label tell which replay
+  step came last (a label exchange, a strip or a sibling rotation), and
+  undoing the steps one by one leaves the base tree.  Like the replay,
+  the undoing keys its maps by node ids, so an exchange is four stores
+  on the label tables and the pleaf is looked for again only after a
+  strip or a rotation.  The steps then replay backwards on the base
+  word.  Nothing is enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from typing import Callable, Sequence
 from .core import (
     Tree,
     Word,
+    _checked_maps,
     _checked_reverse_inorder,
     _link_tree,
-    _walk,
     inorder,
     perm_from_sequence,
     rtl_min_positions,
@@ -423,21 +423,18 @@ def psi_inv(t: Tree) -> Word:
     it was the sibling rotation.  Only a strip or a rotation moves nodes,
     so only they send the walk down to the pleaf again.  The steps then
     replay backwards on the base word.  Nothing is enumerated or grafted,
-    and no size guard applies.
+    and no size guard applies.  The tree is read in one checked walk,
+    which fills its child and parent maps.
 
     >>> from zigzag.core import tree_from_literal
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    labels = _checked_reverse_inorder(t)
-    n = len(labels)
-    if not set(labels).issuperset(range(1, n + 1)):
-        raise ValueError("psi_inv expects a tree labeled by 1..n")
-    nodes = list(_walk(t))
-    left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
-    right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
+    left, right, parent = _checked_maps(t)
     root = t.label
-    parent = {c: v for kids in (left, right) for v, c in kids.items()}
+    n = len(parent) + 1
+    if not {root, *parent}.issuperset(range(1, n + 1)):
+        raise ValueError("psi_inv expects a tree labeled by 1..n")
     # each node starts named by its label, as in the replay
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v

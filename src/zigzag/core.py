@@ -21,24 +21,26 @@ Value conventions used across the whole package:
   frozen record: a frozen dataclass with ``__slots__``, whose
   constructor stores each field through its slot.
 - The per-node invariants live in one helper, ``_check_node``, and each
-  tree form has one checked reader.  A :class:`Tree` is read by
-  ``_checked_reverse_inorder``, the walk behind :func:`validate_tree`,
-  ``omega``, ``psi_inv`` and ``chuang_phi``.  Parsers and maps build
-  child maps keyed by label and freeze them with ``_link_tree``;
-  ``_linked_inorder`` reads the same maps as an inorder word without
-  building a tree.  Both check every node, and that the maps are one
-  tree through the shared ``_check_one_tree``.  Every reader of a
+  tree form has one checked reader that names faults.  A :class:`Tree`
+  is read by ``_checked_reverse_inorder``, the walk behind
+  :func:`validate_tree`, ``omega`` and ``chuang_phi``; ``psi_inv``
+  reads its tree's child maps with ``_checked_maps``, one walk that
+  hands a faulty tree to the checked walk.  Parsers and maps build
+  child maps keyed by label and freeze them with ``_link_tree``, which
+  checks every node, and that the maps are one tree with
+  ``_check_one_tree``.  ``_linked_inorder`` reads the same maps as an
+  inorder word in one walk from the root, without building a tree,
+  and hands maps that fail to ``_link_tree``.  Every reader of a
   :class:`Tree` names what :func:`validate_tree` names: a repeated
   label first, then the first failing node in walk order.  The map
-  readers check from the largest label down and name the failing node
-  with the largest label, so when one node fails, every reader names it
-  with the same message.  A lone right child has no literal; it renders
-  as ``v(,c)``, which the parser refuses as text.  ``_link_tree`` and
-  ``_checked_reverse_inorder`` test each node inline with
-  ``_check_node``'s conditions and call it only for a node that fails,
-  to raise its message; ``_link_tree``, the hot one of the maps chain,
-  makes its nodes through the slot setters, without the frame of
-  ``Tree.__init__``.
+  readers name the failing node with the largest label, so when one
+  node fails, every reader names it with the same message.  A lone
+  right child has no literal; it renders as ``v(,c)``, which the
+  parser refuses as text.  All four readers test each node inline with
+  ``_check_node``'s conditions and call it, directly or through the
+  reader that names faults, only for a node that fails; ``_link_tree``,
+  the hot one of the maps chain, makes its nodes through the slot
+  setters, without the frame of ``Tree.__init__``.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -302,9 +305,10 @@ def _check_node(v: int, left_label: int | None, right_label: int | None) -> None
     """Raise :class:`InvalidTreeError` unless node ``v``, with these child
     labels (None if absent), keeps the per-node tree invariants.
 
-    ``_link_tree`` and ``_checked_reverse_inorder`` test the same
-    conditions inline and call this only for a node that fails them, so
-    the three must change together.
+    Four readers test the same conditions inline: ``_link_tree`` and
+    ``_checked_reverse_inorder`` call this only for a node that fails
+    them, and ``_linked_inorder`` and ``_checked_maps`` hand a failing
+    node to one of those two.  So the five must change together.
     """
     if v == 0:
         raise InvalidTreeError("label 0 is not allowed")
@@ -386,6 +390,51 @@ def _checked_reverse_inorder(t: Tree) -> Word:
             cur = cur.left
 
 
+def _checked_maps(t: Tree) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """The ``left``, ``right`` and ``parent`` maps of ``t``, keyed by
+    label, once ``t`` passes the increasing 1-2 tree invariants.
+
+    One stack walk fills the maps and tests each node inline, with
+    :func:`_check_node`'s conditions, as it reaches it.  The labels are
+    distinct exactly when the parent map holds one label fewer than the
+    walk met nodes, and the root's label is not among them.  A tree that
+    fails either test goes to :func:`_checked_reverse_inorder`, which
+    names its fault as :func:`validate_tree` does.
+
+    >>> _checked_maps(tree_from_literal("1(2(4),3)"))
+    ({1: 2, 2: 4}, {1: 3}, {2: 1, 3: 1, 4: 2})
+    """
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    nodes = 0
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        nodes += 1
+        v, lt, rt = cur.label, cur.left, cur.right
+        # _check_node's test inline; the checked walk runs only to name
+        # a fault
+        if lt is None:
+            if rt is not None or not v:
+                _checked_reverse_inorder(t)
+            continue
+        lk = lt.label
+        rk = None if rt is None else rt.label
+        if lk <= v or not v or (rk is not None and lk > rk):
+            _checked_reverse_inorder(t)
+        left[v] = lk
+        parent[lk] = v
+        stack.append(lt)
+        if rk is not None:
+            right[v] = rk
+            parent[rk] = v
+            stack.append(rt)
+    if len(parent) != nodes - 1 or t.label in parent:
+        _checked_reverse_inorder(t)
+    return left, right, parent
+
+
 def validate_tree(t: Tree) -> None:
     """Check the increasing 1-2 tree invariants, raising on violation.
 
@@ -449,33 +498,60 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
 
 
 def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> Word:
-    """The inorder word of the tree :func:`_link_tree` would build.
+    """The inorder word of the tree :func:`_link_tree` would build, read
+    in one walk from the root without building a :class:`Tree`.
 
-    The maps are checked as :func:`_link_tree` checks them, node by node
-    from the largest label down and then by :func:`_check_one_tree`, with
-    the same errors, but no :class:`Tree` is built.  Inorder is injective
-    on increasing binary trees, so equal words mean equal trees, and the
+    Each node is tested inline, with :func:`_check_node`'s conditions, as
+    the walk first reaches it, so every edge the walk follows leads to a
+    larger label and the walk ends.  The maps are one tree rooted at
+    ``root`` exactly when the word holds ``len(left) + len(right) + 1``
+    distinct labels: then no node was reached twice, and every map entry
+    is an edge out of a node the walk reached, which is what
+    :func:`_check_one_tree` tests.  A node with two parents is walked
+    once for every path to it, so the walk stops as soon as the word
+    outgrows one tree.  Maps that fail any test go to :func:`_link_tree`,
+    which names their fault; with one failing node, that is the node and
+    message every other reader names.  Inorder is injective on
+    increasing binary trees, so equal words mean equal trees, and the
     first entry is the pleaf.
+
+    >>> _linked_inorder(1, {1: 2, 2: 3}, {1: 4})
+    (3, 2, 1, 4)
+    >>> _linked_inorder(1, {1: 2, 2: 1}, {})
+    Traceback (most recent call last):
+    ...
+    zigzag.core.InvalidTreeError: child 1 must be greater than parent 2
     """
-    labels = {root, *left.values(), *right.values()}
-    for v in sorted(labels, reverse=True):
-        _check_node(v, left.get(v), right.get(v))
-    _check_one_tree(root, left, right, labels)
+    size = len(left) + len(right) + 1
     out: list[int] = []
     stack: list[int] = []
-    v: int | None = root
+    v = root
     while True:
-        while v in left:
+        lk, rk = left.get(v), right.get(v)
+        # _check_node's test inline
+        if lk is not None:
+            if lk <= v or not v or (rk is not None and lk > rk):
+                break
             stack.append(v)
-            v = left[v]
+            v = lk
+            continue
+        if rk is not None or not v:
+            break
         out.append(v)
-        v = right.get(v)
-        while v is None:
-            if not stack:
-                return tuple(out)
+        if len(out) > size:
+            break
+        while stack:
             v = stack.pop()
             out.append(v)
             v = right.get(v)
+            if v is not None:
+                break
+        else:
+            if len(out) == size == len(set(out)):
+                return tuple(out)
+            break
+    # the walk refused the maps, and _link_tree raises naming the fault
+    return inorder(_link_tree(root, left, right))
 
 
 def tree_spans_range(t: Tree) -> bool:
@@ -608,18 +684,32 @@ def tree_from_json(obj: dict) -> Tree:
     """Inverse of :func:`tree_to_json`; the result is validated.
 
     The dicts are read breadth first into child maps, which
-    :func:`_link_tree` links and checks without recursion.
+    :func:`_link_tree` links and checks without recursion.  A node that
+    is not a dict with a label raises :class:`InvalidTreeError` naming
+    it.
+
+    >>> tree_from_json({"label": 1, "left": 5})
+    Traceback (most recent call last):
+    ...
+    zigzag.core.InvalidTreeError: a tree node must be a dict with a label, got 5
     """
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     labels: list[int] = []
-    docs = [obj]
-    for doc in docs:
-        labels.append(_exact_int(doc["label"], InvalidTreeError))
-        for kids, child in ((left, doc.get("left")), (right, doc.get("right"))):
+    # per node: its dict, then the map that links it and its parent
+    docs: list[tuple[object, dict[int, int] | None, int]] = [(obj, None, 0)]
+    for doc, kids, parent in docs:
+        if not isinstance(doc, dict) or "label" not in doc:
+            raise InvalidTreeError(
+                f"a tree node must be a dict with a label, got {reprlib.repr(doc)}"
+            )
+        v = _exact_int(doc["label"], InvalidTreeError)
+        if kids is not None:
+            kids[parent] = v
+        labels.append(v)
+        for side, child in ((left, doc.get("left")), (right, doc.get("right"))):
             if child is not None:
-                kids[labels[-1]] = _exact_int(child["label"], InvalidTreeError)
-                docs.append(child)
+                docs.append((child, side, v))
     _check_distinct(labels)
     return _link_tree(labels[0], left, right)
 

@@ -86,6 +86,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import (
     Tree,
     Word,
+    _exact_int,
     ends_with_ascent,
     has_double_descent,
     inorder,
@@ -516,9 +517,13 @@ def iter_family(
     Permutation families come out in lexicographic order of their entry
     tuples (signed entries in signed order); tree families in
     lexicographic order of their inorder words.  ``k`` filters on the
-    family's refinement statistic.
+    family's refinement statistic.  ``n`` and ``k`` convert exactly
+    (``operator.index``): a float such as 1.5 raises ``ValueError``.
     """
     tag = FamilyTag(tag)
+    n = _exact_int(n, ValueError)
+    if k is not None:
+        k = _exact_int(k, ValueError)
     if n < 1:
         raise ValueError("families start at n = 1")
     cap = TYPE_B_GUARD if tag in _SIGNED_TAGS else TYPE_A_GUARD
@@ -570,6 +575,12 @@ def count_hetyei_fast(n: int, k: int) -> int:
     >>> [count_hetyei_fast(4, k) for k in range(1, 5)]
     [0, 4, 4, 3]
     """
+    # n and k convert exactly, as _exact_int converts them, but without
+    # its frame on ints: the sweep makes one call per (n, k)
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        n, k = _exact_int(n, ValueError), _exact_int(k, ValueError)
     if n < 1:
         raise ValueError("families start at n = 1")
     if not 1 <= k <= n:

@@ -26,7 +26,10 @@ maps.  The six checks that test one object at a time are
 rows of the clause table ``_OBJECT_CHECKS`` run by :func:`_check_objects`,
 which walks n = 1..cap and runs every object of each clause's stream
 through the clause's property; clauses take turns at each n.  The two
-scans of S_n must see exactly n! permutations at each n.  The two
+scans of S_n must see exactly n! permutations at each n: their clauses
+carry ``factorial`` as the size of their stream, which the loop that
+tests the permutations counts.  Every test raises its ``_Failure``
+inline, so a witness is built only on failure.  The two
 family-count checks compare each triangle row with counted statistics,
 and the pass that counts each of the four families that no bijection
 row targets tests every object with that family's predicate.
@@ -47,6 +50,7 @@ from typing import Callable, Iterable
 from . import bijections, cdindex, families, triangles
 from .core import (
     Tree,
+    _exact_int,
     _link_tree,
     _linked_inorder,
     _relabeled,
@@ -108,12 +112,6 @@ def _family(tag: FamilyTag, n: int) -> tuple:
     return tuple(families.iter_family(tag, n))
 
 
-def _expect(condition: bool, witness: Callable[[], str]) -> None:
-    # the witness text is built only on failure
-    if not condition:
-        raise _Failure(witness())
-
-
 def _compare_counts(
     label: str, tag: FamilyTag, n: int, expected: dict[int, int] | None,
     shift: int = 0, member: str | None = None,
@@ -134,22 +132,32 @@ def _compare_counts(
         expected = {k - shift: v for k, v in expected.items()}
         for k in sorted(set(expected) | set(actual)):
             e, a = expected.get(k, 0), actual[k]
-            _expect(e == a, lambda: f"{label}: n={size} k={k} expected={e} actual={a}")
+            if e != a:
+                raise _Failure(f"{label}: n={size} k={k} expected={e} actual={a}")
     return actual
 
 
 def _check_objects(row: tuple, n_max_a: int, n_max_b: int) -> dict:
-    """Test every object of each clause ``(stream, holds, witness)`` of
-    ``row`` for n = 1..cap.  The clauses take turns at each n, so the
-    failure reported is one at the smallest failing n."""
+    """Test every object of each clause ``(stream, holds, witness,
+    size)`` of ``row`` for n = 1..cap.  The clauses take turns at each n,
+    so the failure reported is one at the smallest failing n.  ``size``
+    is None, or the number of objects the stream must yield at n, which
+    the loop that tests them counts; only the scans of S_n, whose
+    streams are ``families.iter_permutations``, fix one."""
     cap, *clauses = row
     objects = 0
     for n in range(1, cap(n_max_a, n_max_b) + 1):
-        for stream, holds, witness in clauses:
+        for stream, holds, witness, size in clauses:
+            start = objects
             for x in stream(n):
                 objects += 1
                 if not holds(x):
                     raise _Failure(witness(x))
+            if size is not None and objects - start != size(n):
+                raise _Failure(
+                    f"permutations of [{n}]: {objects - start} scanned, "
+                    f"{size(n)} expected"
+                )
     return {"objects": objects}
 
 
@@ -196,8 +204,8 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
             label = "simsun-b vs andre-h"
             counts = _compare_counts(label, FamilyTag.SIMSUN_B, n, hetyei, 1)
             objects += counts.total()
-        else:
-            _expect(hetyei == {1: 1}, lambda: f"andre-h: n=1 counts {dict(hetyei)}")
+        elif hetyei != {1: 1}:
+            raise _Failure(f"andre-h: n=1 counts {dict(hetyei)}")
     return {"objects": objects, "rows": n_max_b}
 
 
@@ -248,51 +256,29 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
             word = inorder(y) if isinstance(y, Tree) else y
             objects += 1
             if size == 0:
-                _expect(y == (), lambda: f"{row.name} of the singleton must be empty")
+                if y != ():
+                    raise _Failure(f"{row.name} of the singleton must be empty")
             else:
-                if member is not None:
-                    _expect(
-                        member(y), lambda: f"{row.name}({text(x)}) not {row.noun}"
-                    )
-                _expect(
-                    word[at] == source_stat(x) - shift,
-                    lambda: f"{row.name} {stat_name} mismatch on {text(x)}",
-                )
+                if member is not None and not member(y):
+                    raise _Failure(f"{row.name}({text(x)}) not {row.noun}")
+                if word[at] != source_stat(x) - shift:
+                    raise _Failure(f"{row.name} {stat_name} mismatch on {text(x)}")
                 if extra is not None:
                     extra(x, y)
-            if inverse is not None:
-                _expect(
-                    inverse(y) == x,
-                    lambda: f"{row.inverse} round trip failed on {text(x)}",
-                )
+            if inverse is not None and inverse(y) != x:
+                raise _Failure(f"{row.inverse} round trip failed on {text(x)}")
             images.append(word)
         if size:
             target = _family(row.target, size)
-            _expect(
-                sorted(images) == sorted(map(inorder, target) if to_tree else target),
-                lambda: f"{row.name} images at n={n} are not {row.image_set}",
-            )
+            if sorted(images) != sorted(map(inorder, target) if to_tree else target):
+                raise _Failure(f"{row.name} images at n={n} are not {row.image_set}")
     return {"objects": objects}
-
-
-def _all_permutations(n: int):
-    # families.iter_permutations(n), which must yield exactly n! words
-    scanned = 0
-    for p in families.iter_permutations(n):
-        scanned += 1
-        yield p
-    _expect(
-        scanned == factorial(n),
-        lambda: f"permutations of [{n}]: {scanned} scanned, {factorial(n)} expected",
-    )
 
 
 def _spine_identity(t, w) -> None:
     # the spine identity count_hetyei_fast rests on
-    _expect(
-        len(rtl_min_positions(w)) == len(minimal_path(t)),
-        lambda: f"omega suffix minima miss the spine of {tree_to_literal(t)}",
-    )
+    if len(rtl_min_positions(w)) != len(minimal_path(t)):
+        raise _Failure(f"omega suffix minima miss the spine of {tree_to_literal(t)}")
 
 
 def _psi_image(p) -> Tree:
@@ -307,10 +293,10 @@ def _psi_image(p) -> Tree:
         if i > 1:
             while v in left:
                 v = left[v]
-            _expect(
-                v == p[2 * i - 2],
-                lambda: f"psi step invariant broken at i={i} on {perm_to_text(p)}",
-            )
+            if v != p[2 * i - 2]:
+                raise _Failure(
+                    f"psi step invariant broken at i={i} on {perm_to_text(p)}"
+                )
 
     return _link_tree(*bijections._graft_maps(p, step))
 
@@ -376,8 +362,10 @@ def _conjugate(unsigned: Callable, x, labels) -> tuple:
     return tuple([ranked[v - 1] for v in unsigned(down)])
 
 
-# one row per check: its cap, from (n_max_a, n_max_b), then its clauses;
-# names are looked up when a clause runs, so patches and wrappers reach them
+# one row per check: its cap, from (n_max_a, n_max_b), then its clauses
+# (stream, holds, witness, size); names are looked up when a clause runs,
+# so patches and wrappers reach them.  Only the two scans of S_n fix a
+# size: they must see exactly n! permutations at each n
 _OBJECT_CHECKS = {
     # psi_b's replay must end in the grafting's child maps, which are
     # checked as one tree, so equal maps are equal trees
@@ -385,28 +373,33 @@ _OBJECT_CHECKS = {
         lambda n: _family(FamilyTag.ALT, n),
         lambda p: bijections._replay_maps(p) == _psi_maps(p),
         lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
+        None,
     )),
     "chuang-factorization": (lambda a, b: a, (
         lambda n: _family(FamilyTag.TREE, n),
         lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
         lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
+        None,
     )),
     "cd-preservation": (lambda a, b: a, (
         lambda n: _family(FamilyTag.ANDRE, n),
         lambda p: cdindex.reduced_variation_andre(p)
         == cdindex.reduced_variation_simsun(bijections.phi(p)),
         lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
+        None,
     )),
     "andre-implies-simsun": (lambda a, b: a, (
-        lambda n: _all_permutations(n),
+        lambda n: families.iter_permutations(n),
         lambda p: not families.is_andre(p) or families.is_simsun(p),
         lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
+        factorial,
     )),
     # the valley characterization is only asserted up to n = 7
     "valley-equivalence": (lambda a, b: min(a, 7), (
-        lambda n: _all_permutations(n),
+        lambda n: families.iter_permutations(n),
         lambda p: families.is_andre(p) == families.is_andre_valley(p),
         lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
+        factorial,
     )),
     # each signed map must equal its conjugated unsigned map, signs
     # included; the psi half compares two independent routes as inorder
@@ -416,11 +409,13 @@ _OBJECT_CHECKS = {
         lambda n: _family(FamilyTag.ALT_B, n),
         lambda p: _psi_word(p) == _conjugate(_psi_word, p, p),
         lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
+        None,
     ), (
         lambda n: _family(FamilyTag.TREE_B, n),
         lambda t: bijections.omega_signed(t)
         == _conjugate(bijections.omega, t, inorder(t)),
         lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
+        None,
     )),
 }
 
@@ -444,7 +439,11 @@ def run_checks(
     n_max_b: int = DEFAULT_N_MAX_B,
     force: bool = False,
 ) -> list[CheckReport]:
-    """Run theorem checks and return one report per check, sorted by id."""
+    """Run theorem checks and return one report per check, sorted by id.
+
+    The caps convert exactly (``operator.index``): a float such as 2.5
+    raises ``ValueError``.
+    """
     if selection is None:
         chosen = check_ids()
     else:
@@ -452,6 +451,8 @@ def run_checks(
         unknown = [c for c in chosen if c not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(map(repr, unknown))}")
+    n_max_a = _exact_int(n_max_a, ValueError)
+    n_max_b = _exact_int(n_max_b, ValueError)
     if n_max_a < 1 or n_max_b < 1:
         raise ValueError(
             f"check caps must be at least 1, got n_max_a={n_max_a}, n_max_b={n_max_b}"
@@ -477,7 +478,9 @@ def check_conjecture(
     and the sweep goes on with the next n.  The counts come from
     :func:`families.count_hetyei_fast`, which enumerates nothing; the
     sweep's own cap, n <= 100 unless ``force``, is the only guard here.
+    ``n_max`` converts exactly, as the caps of :func:`run_checks` do.
     """
+    n_max = _exact_int(n_max, ValueError)
     families._guard("conjecture sweep", n_max, DEFAULT_N_MAX_CONJECTURE, force)
     table = triangles.arnold_table(n_max)
     return [

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from zigzag import bijections
+from zigzag import bijections, core
 from zigzag.bijections import (
     AlgoCStep,
     _link_tree,
@@ -29,7 +29,12 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     Word,
+    _check_node,
+    _check_one_tree,
+    _checked_maps,
+    _checked_reverse_inorder,
     _linked_inorder,
+    _walk,
     inorder,
     minimal_path,
     node,
@@ -416,6 +421,148 @@ class TestLinkTree:
         for p in iter_family("alt-b", 4):
             maps = bijections._graft_maps(p)
             assert _linked_inorder(*maps) == inorder(psi_signed(p))
+
+
+class TestOneWalkReaders:
+    """``_linked_inorder`` and ``_checked_maps`` read in one walk what the
+    oracles below read in two passes, and hand a fault to the reader
+    that names it."""
+
+    @staticmethod
+    def _trees():
+        for tag, n_max in (("tree", 7), ("tree-b", 5)):
+            for n in range(1, n_max + 1):
+                yield from iter_family(tag, n)
+
+    @staticmethod
+    def _grafting_states():
+        # every state of every grafting run, the final one included
+        for tag, n_max in (("alt", 7), ("alt-b", 5)):
+            for n in range(1, n_max + 1):
+                for p in iter_family(tag, n):
+                    final, states = _graft_states(bijections._graft_maps, p)
+                    yield final
+                    for _step, *maps in states:
+                        yield maps
+
+    def test_readers_match_their_oracles_on_every_tree(self):
+        trees = 0
+        for t in self._trees():
+            maps = _tree_maps(t)
+            assert _linked_inorder(*maps) == _linked_inorder_by_sorting(*maps)
+            assert _linked_inorder(*maps) == inorder(t)
+            assert _checked_maps(t) == _maps_by_walk(t)
+            trees += 1
+        assert trees == 358 + 614
+
+    def test_word_reader_matches_its_oracle_on_every_grafting_state(self):
+        states = 0
+        for maps in self._grafting_states():
+            assert _linked_inorder(*maps) == _linked_inorder_by_sorting(*maps)
+            states += 1
+        assert states == 3069
+
+    def test_valid_input_reaches_no_fault_path(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(core, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in (
+            "_check_node", "_check_one_tree", "_link_tree", "_checked_reverse_inorder"
+        ):
+            monkeypatch.setattr(core, name, counted(name))
+        for t in self._trees():
+            _linked_inorder(*_tree_maps(t))
+            _checked_maps(t)
+        for maps in self._grafting_states():
+            _linked_inorder(*maps)
+        assert calls == []
+        # a fault goes to the reader that names it, once
+        with pytest.raises(InvalidTreeError):
+            _linked_inorder(1, {1: 2, 2: 1}, {})
+        with pytest.raises(InvalidTreeError):
+            _checked_maps(Tree(2, Tree(1)))
+        assert calls[0] == "_link_tree" and calls.count("_link_tree") == 1
+        assert calls.count("_checked_reverse_inorder") == 1
+
+    @pytest.mark.parametrize(
+        "root, left, right",
+        [
+            pytest.param(1, {1: 2, 2: 1}, {}, id="two-cycle"),
+            pytest.param(1, {1: 2, 2: 3, 3: 1}, {}, id="three-cycle"),
+            pytest.param(1, {1: 2, 2: 3}, {2: 1}, id="cycle-through-a-right-edge"),
+            pytest.param(1, {1: 2, 2: 4, 3: 4}, {1: 3}, id="two-parents-right-count"),
+            pytest.param(1, {1: 2, 2: 4}, {1: 3, 2: 5, 3: 5}, id="two-parents"),
+            pytest.param(1, {1: 2}, {5: 6}, id="edge-out-of-an-unreached-node"),
+            pytest.param(1, {1: 2, 7: 8}, {7: 9}, id="unreached-subtree"),
+            pytest.param(1, {1: 3}, {2: 4}, id="unreached-right-edge"),
+            # every node's two children share their grandchildren, so the
+            # paths to the last node number about 10^16
+            pytest.param(
+                1, {v: v + 1 for v in range(1, 80)}, {v: v + 2 for v in range(1, 79)},
+                id="fibonacci-many-paths",
+            ),
+            pytest.param(
+                1, {v: v + 1 for v in range(1, 60)}, {v: v + 1 for v in range(1, 60)},
+                id="each-child-twice",
+            ),
+        ],
+    )
+    def test_malformed_maps_end_with_the_oracles_message(self, root, left, right):
+        with pytest.raises(InvalidTreeError) as oracle:
+            _linked_inorder_by_sorting(root, left, right)
+        with pytest.raises(InvalidTreeError) as read:
+            _linked_inorder(root, left, right)
+        assert str(read.value) == str(oracle.value)
+
+    def test_map_reader_names_a_shared_node_as_a_repeated_label(self):
+        shared = Tree(2, Tree(3))
+        for t in (Tree(1, shared, shared), Tree(1, Tree(2, shared), Tree(4, shared))):
+            with pytest.raises(InvalidTreeError) as oracle:
+                _maps_by_walk(t)
+            with pytest.raises(InvalidTreeError) as read:
+                _checked_maps(t)
+            assert str(read.value) == str(oracle.value)
+            assert str(read.value).startswith("duplicate label")
+
+
+def _linked_inorder_by_sorting(root, left, right):
+    """The word reader before its one walk, kept as its oracle: every
+    node checked from the largest label down, the maps checked as one
+    tree, then an inorder walk."""
+    labels = {root, *left.values(), *right.values()}
+    for v in sorted(labels, reverse=True):
+        _check_node(v, left.get(v), right.get(v))
+    _check_one_tree(root, left, right, labels)
+    out = []
+    stack = []
+    v = root
+    while True:
+        while v in left:
+            stack.append(v)
+            v = left[v]
+        out.append(v)
+        v = right.get(v)
+        while v is None:
+            if not stack:
+                return tuple(out)
+            v = stack.pop()
+            out.append(v)
+            v = right.get(v)
+
+
+def _maps_by_walk(t: Tree):
+    """psi_inv's map reader before its one walk, kept as the oracle of
+    ``_checked_maps``: the checked walk, then ``_walk`` and one
+    comprehension per map."""
+    _checked_reverse_inorder(t)
+    nodes = list(_walk(t))
+    left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
+    right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
+    parent = {c: v for kids in (left, right) for v, c in kids.items()}
+    return left, right, parent
 
 
 def _tree_maps(t: Tree):

@@ -365,6 +365,33 @@ class TestTreeLiterals:
         assert doc["right"]["label"] == 4
         assert tree_from_json(doc) == t
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({}, "a tree node must be a dict with a label, got {}"),
+            ([1], "a tree node must be a dict with a label, got [1]"),
+            (None, "a tree node must be a dict with a label, got None"),
+            ({"label": 1, "left": 5}, "a tree node must be a dict with a label, got 5"),
+            (
+                {"label": 1, "left": {"label": 2}, "right": {"left": None}},
+                "a tree node must be a dict with a label, got {'left': None}",
+            ),
+            ({"label": 1, "right": ["label"]}, "got ['label']"),
+            ({"label": "1"}, "'1' is not an integer"),
+            ({"label": 1, "left": {"label": 2.0}}, "2.0 is not an integer"),
+        ],
+    )
+    def test_json_refuses_a_malformed_document(self, doc, message):
+        with pytest.raises(InvalidTreeError) as info:
+            tree_from_json(doc)
+        assert info.type is InvalidTreeError
+        assert str(info.value).endswith(message)
+
+    def test_json_names_a_large_node_briefly(self):
+        with pytest.raises(InvalidTreeError) as info:
+            tree_from_json({"label": 1, "left": list(range(10_000))})
+        assert len(str(info.value)) < 100
+
     @given(trees())
     def test_literal_round_trip(self, t):
         assert tree_from_literal(tree_to_literal(t)) == t

@@ -763,3 +763,43 @@ def test_one_site_makes_every_check_report():
     # a second report loop would be a second CheckReport(...) call
     package = pathlib.Path(families.__file__).parent
     assert sum(_calls(path, "CheckReport") for path in package.glob("*.py")) == 1
+
+
+class _Index:
+    """An integer type other than int, as numpy's are."""
+
+    def __init__(self, v: int) -> None:
+        self.v = v
+
+    def __index__(self) -> int:
+        return self.v
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: list(iter_family("alt", 3, 1.5)), "1.5"),
+        (lambda: list(iter_family("alt", 3.0)), "3.0"),
+        (lambda: enumerate_family("tree", 2.5), "2.5"),
+        (lambda: count_family("andre-b", 3, -1.0), "-1.0"),
+        (lambda: count_family("simsun", "4"), "'4'"),
+        (lambda: count_hetyei_fast(4, 2.0), "2.0"),
+        (lambda: count_hetyei_fast(4.5, 2), "4.5"),
+    ],
+)
+def test_integer_arguments_convert_exactly(call, bad):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{bad} is not an integer"
+
+
+def test_integer_types_and_bools_still_count():
+    assert enumerate_family("alt-b", _Index(3), _Index(-1)) == enumerate_family(
+        "alt-b", 3, -1
+    )
+    assert count_family("tree", True) == 1
+    assert enumerate_family("snake", 2, True) == [(1, -2)]
+    assert count_hetyei_fast(_Index(4), True) == count_hetyei_fast(4, 1) == 0
+    assert [count_hetyei_fast(_Index(5), k) for k in range(1, 6)] == [
+        count_hetyei_fast(5, k) for k in range(1, 6)
+    ]

@@ -1,13 +1,14 @@
 import inspect
 import itertools
 import json
+from functools import lru_cache
 
 import pytest
 
 from zigzag.bijections import omega
 from zigzag.core import inorder, order_relabel, tree_from_literal
 from zigzag.families import GuardExceededError, iter_family
-from zigzag import verify
+from zigzag import core, verify
 from zigzag.verify import (
     DEFAULT_N_MAX_CONJECTURE,
     FAIL,
@@ -68,6 +69,21 @@ def test_size_caps_enforced():
 def test_caps_below_one_rejected(n_max_a, n_max_b):
     with pytest.raises(ValueError, match="at least 1"):
         run_checks(["psi-equality"], n_max_a=n_max_a, n_max_b=n_max_b)
+
+
+def test_caps_convert_exactly():
+    # a float cap is refused before any check runs, not reported as ten
+    # failing checks
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+        run_checks(None, 2.5, 2)
+    with pytest.raises(ValueError, match=r"^2\.0 is not an integer$"):
+        run_checks(["phi-bijection"], 3, 2.0)
+    with pytest.raises(ValueError, match=r"^3\.5 is not an integer$"):
+        check_conjecture(3.5)
+    (report,) = run_checks(["phi-bijection"], True, True)
+    assert report.status == PASS
+    assert report.params == {"n_max_a": 1, "n_max_b": 1}
+    assert [r.params for r in check_conjecture(True)] == [{"n": 1}]
 
 
 def test_counts_are_reported():
@@ -609,6 +625,20 @@ _MODULE_MUTANTS = {
         "bijections", "_checked_reverse_inorder", inorder,
         "omega-bijection", "omega(1(2)) not Andre",
     ),
+    # psi_inv's one walk over its tree, pushing the left child where the
+    # right one belongs
+    "core-maps": (
+        "bijections", "_checked_maps", ("stack.append(rt)", "stack.append(lt)"),
+        "psi-bijection", "psi_inv round trip failed on 2143",
+    ),
+    # the valley rule turned round: the run before a valley must have
+    # the larger minimum
+    "families": (
+        "families", "is_andre_valley",
+        ("min(p[lo + 1 : i]) <= min(p[i + 1 : hi])",
+         "min(p[lo + 1 : i]) >= min(p[i + 1 : hi])"),
+        "valley-equivalence", "valley characterization disagrees on 213",
+    ),
 }
 
 
@@ -629,3 +659,33 @@ def test_the_checks_catch_a_pinned_mutant_of_each_module(monkeypatch, name):
     (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
     assert report.status == FAIL
     assert report.counterexample == witness
+
+
+def _mutant(module, attr: str, old: str, new: str):
+    source = inspect.getsource(getattr(module, attr))
+    assert old in source
+    namespace = dict(vars(module))
+    exec(source.replace(old, new, 1), namespace)
+    return namespace[attr]
+
+
+def test_the_psi_checks_catch_a_pinned_mutant_of_the_map_walk(monkeypatch):
+    # verify imports core's word reader by name, so the mutant goes where
+    # verify looks it up: the walk returning the reverse inorder word
+    mutant = _mutant(core, "_linked_inorder", "tuple(out)", "tuple(out[::-1])")
+    monkeypatch.setattr(verify, "_linked_inorder", mutant)
+    assert _failures(run_checks(n_max_a=6, n_max_b=4)) == {
+        "psi-signed-bijection": "psi_signed pleaf mismatch on -1 -2",
+    }
+
+
+def test_the_family_counts_catch_a_pinned_mutant_of_a_generator(monkeypatch):
+    # the family cache keeps what earlier runs built, so the run gets a
+    # cache of its own: the Andre insertion keeps descents, not ascents
+    monkeypatch.setattr(verify, "_family", lru_cache(verify._family.__wrapped__))
+    mutant = _mutant(
+        verify.families, "_iter_bottom_up", "if w[j] < w[j + 1]", "if w[j] > w[j + 1]"
+    )
+    monkeypatch.setattr(verify.families, "_iter_bottom_up", mutant)
+    (report,) = run_checks(["entringer-families"], n_max_a=6, n_max_b=4)
+    assert report.counterexample == "andre: n=3 k=2 expected=1 actual=0"
