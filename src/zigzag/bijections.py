@@ -56,15 +56,17 @@ The maps and their statistic bookkeeping:
   ``phi(omega(tree))`` and exists to cross-check that factorization.
   It reads the tree and its labels 1..n through
   ``core._checked_reverse_inorder``.
-- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  One
-  checked walk, ``core._checked_maps``, fills the tree's child and
-  parent maps.  The pleaf and the next smaller label tell which replay
+- ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  It
+  reads the tree and its labels 1..n through
+  ``core._checked_reverse_inorder``, then fills the child maps in one
+  plain walk.  The pleaf and the next smaller label tell which replay
   step came last (a label exchange, a strip or a sibling rotation), and
   undoing the steps one by one leaves the base tree.  Like the replay,
   the undoing keys its maps by node ids, so an exchange is four stores
-  on the label tables and the pleaf is looked for again only after a
-  strip or a rotation.  The steps then replay backwards on the base
-  word.  Nothing is enumerated and nothing is grafted.
+  on the label tables.  It keeps no parent map: the pleaf's parent and
+  grandparent are the last nodes of the minimal path, kept as a list.
+  The steps then replay backwards on the base word.  Nothing is
+  enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from typing import Callable, Sequence
 from .core import (
     Tree,
     Word,
-    _checked_maps,
     _checked_reverse_inorder,
     _link_tree,
     inorder,
@@ -420,21 +421,33 @@ def psi_inv(t: Tree) -> Word:
     j and k, which is four stores that move no child link.  Otherwise,
     if j has a right child m, and j is the root or its parent's right
     child is missing or larger than m, the step was a strip; otherwise
-    it was the sibling rotation.  Only a strip or a rotation moves nodes,
-    so only they send the walk down to the pleaf again.  The steps then
-    replay backwards on the base word.  Nothing is enumerated or grafted,
-    and no size guard applies.  The tree is read in one checked walk,
-    which fills its child and parent maps.
+    it was the sibling rotation.  k's parent and grandparent are read
+    off the minimal path, kept as a list of nodes.  The steps then
+    replay backwards on the base word.  Nothing is enumerated or
+    grafted, and no size guard applies.
 
     >>> from zigzag.core import tree_from_literal
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    left, right, parent = _checked_maps(t)
-    root = t.label
-    n = len(parent) + 1
-    if not {root, *parent}.issuperset(range(1, n + 1)):
+    labels = _checked_reverse_inorder(t)
+    n = len(labels)
+    # n distinct labels, the root the smallest, are 1..n when these are
+    if t.label != 1 or max(labels) != n:
         raise ValueError("psi_inv expects a tree labeled by 1..n")
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        lt = cur.left
+        if lt is not None:
+            left[cur.label] = lt.label
+            stack.append(lt)
+            rt = cur.right
+            if rt is not None:
+                right[cur.label] = rt.label
+                stack.append(rt)
     # each node starts named by its label, as in the replay
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v
@@ -442,29 +455,29 @@ def psi_inv(t: Tree) -> Word:
     above = list(range(1, n + 3))
     steps: list[tuple[bool, int, int]] = []
     size = n
-    kn = root  # the pleaf's node
+    path = [t.label]  # the minimal path's nodes, from the root
     while size > 2:
+        kn = path[-1]
         while kn in left:
             kn = left[kn]
+            path.append(kn)
         k = label[kn]
         j = below[k]
         jn = node[j]
-        if parent[kn] != jn:
+        if path[-2] != jn:
             node[j], node[k] = kn, jn
             label[kn], label[jn] = j, k
             steps.append((False, j, k))
             continue
-        m, up = right.get(jn), parent.get(jn)
+        m = right.get(jn)
+        up = path[-3] if len(path) > 2 else None
         beside = None if up is None else right.get(up)
         if m is not None and (beside is None or label[beside] > label[m]):
             # a strip: j and its leaf k leave, and m takes j's place
-            del left[jn], right[jn], parent[kn]
-            if up is None:
-                root = m
-                del parent[m]
-            else:
-                left[up], parent[m] = m, up
-                del parent[jn]
+            del left[jn], right[jn]
+            if up is not None:
+                left[up] = m
+            path[-2:] = (m,)
             lo, hi = below[j], above[k]
             above[lo], below[hi] = hi, lo
             size -= 2
@@ -474,16 +487,17 @@ def psi_inv(t: Tree) -> Word:
             # child beside j on its left and j's right child on its right
             del left[jn]
             kr = right.pop(jn, None)
-            right[up], parent[kn] = kn, up
+            right[up] = kn
             if beside is not None:
-                left[kn], parent[beside] = beside, kn
+                left[kn] = beside
             if kr is not None:
-                right[kn], parent[kr] = kr, kn
+                right[kn] = kr
+            path.pop()
             steps.append((False, j, k))
-        kn = root
 
     # replay the steps backwards on the base word, built from its end:
     # a strip puts k, j back in front, a swap exchanges the values j, k
+    root = path[0]
     rev = [label[root], label[left[root]]] if root in left else [label[root]]
     at = {v: i for i, v in enumerate(rev)}
     for strip, j, k in reversed(steps):

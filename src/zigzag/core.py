@@ -20,27 +20,24 @@ Value conventions used across the whole package:
   re-canonicalize before returning.  A :class:`Tree` node is a slotted
   frozen record: a frozen dataclass with ``__slots__``, whose
   constructor stores each field through its slot.
-- The per-node invariants live in one helper, ``_check_node``, and each
-  tree form has one checked reader that names faults.  A :class:`Tree`
-  is read by ``_checked_reverse_inorder``, the walk behind
-  :func:`validate_tree`, ``omega`` and ``chuang_phi``; ``psi_inv``
-  reads its tree's child maps with ``_checked_maps``, one walk that
-  hands a faulty tree to the checked walk.  Parsers and maps build
-  child maps keyed by label and freeze them with ``_link_tree``, which
-  checks every node, and that the maps are one tree with
-  ``_check_one_tree``.  ``_linked_inorder`` reads the same maps as an
-  inorder word in one walk from the root, without building a tree,
-  and hands maps that fail to ``_link_tree``.  Every reader of a
-  :class:`Tree` names what :func:`validate_tree` names: a repeated
-  label first, then the first failing node in walk order.  The map
-  readers name the failing node with the largest label, so when one
-  node fails, every reader names it with the same message.  A lone
-  right child has no literal; it renders as ``v(,c)``, which the
-  parser refuses as text.  All four readers test each node inline with
-  ``_check_node``'s conditions and call it, directly or through the
-  reader that names faults, only for a node that fails; ``_link_tree``,
-  the hot one of the maps chain, makes its nodes through the slot
-  setters, without the frame of ``Tree.__init__``.
+- The per-node invariants live in one helper, ``_check_node``.  Each
+  tree form has its checked walks and one fault namer, which the walks
+  call for any input they refuse and which never returns.  A
+  :class:`Tree` is read by one walk, ``_checked_reverse_inorder``,
+  behind :func:`validate_tree`, ``omega``, ``chuang_phi`` and
+  ``psi_inv``; its namer ``_tree_fault`` names a repeated label
+  first, then the first failing node in walk order.  Parsers and maps
+  build child maps keyed by label.  ``_link_tree`` freezes them into a
+  :class:`Tree`, and ``_linked_inorder`` reads them as an inorder word
+  in one walk from the root, without building a tree; their namer
+  ``_maps_fault`` names the failing node with the largest label, else
+  that the maps are not one tree.  So when one node fails, every
+  reader names it with the same message.  The three walks test each
+  node inline with ``_check_node``'s conditions; only the namers call
+  it.  A lone right child has no literal; it renders as ``v(,c)``,
+  which the parser refuses as text.  ``_link_tree``, the hot one of
+  the maps chain, makes its nodes through the slot setters, without
+  the frame of ``Tree.__init__``.
 - A signed increasing 1-2 tree uses the same :class:`Tree` type with
   signed labels whose absolute values are exactly {1, ..., n}; the root
   is then the minimum label in signed order.
@@ -61,7 +58,7 @@ import operator
 import re
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 Word = tuple[int, ...]
 
@@ -305,10 +302,11 @@ def _check_node(v: int, left_label: int | None, right_label: int | None) -> None
     """Raise :class:`InvalidTreeError` unless node ``v``, with these child
     labels (None if absent), keeps the per-node tree invariants.
 
-    Four readers test the same conditions inline: ``_link_tree`` and
-    ``_checked_reverse_inorder`` call this only for a node that fails
-    them, and ``_linked_inorder`` and ``_checked_maps`` hand a failing
-    node to one of those two.  So the five must change together.
+    Three walks test the same conditions inline: ``_link_tree``,
+    ``_linked_inorder`` and ``_checked_reverse_inorder``.  They hand a
+    failing node to their form's namer, :func:`_maps_fault` or
+    :func:`_tree_fault`, which call this; so the four must change
+    together.
     """
     if v == 0:
         raise InvalidTreeError("label 0 is not allowed")
@@ -337,20 +335,39 @@ def _check_distinct(labels: Iterable[int]) -> None:
         seen.add(v)
 
 
+def _tree_fault(t: Tree) -> NoReturn:
+    """Raise the first fault of ``t``, which the checked walk refused: a
+    repeated label, the first in :func:`_walk` order, then the first
+    node in that order that fails :func:`_check_node`.
+
+    :func:`_walk` is read lazily, so a subtree shared by two parents,
+    whose labels repeat, is named as soon as the walk reaches it again.
+    """
+    _check_distinct(cur.label for cur in _walk(t))
+    for cur in _walk(t):
+        lt, rt = cur.left, cur.right
+        _check_node(
+            cur.label,
+            None if lt is None else lt.label,
+            None if rt is None else rt.label,
+        )
+    raise AssertionError("the checked walk refused a valid tree")
+
+
 def _checked_reverse_inorder(t: Tree) -> Word:
     """The reverse inorder word of ``t`` (right subtree, node, left
     subtree), once ``t`` passes the increasing 1-2 tree invariants.
 
-    Each node is tested inline as the walk first reaches it.  The walk
-    reaches a node, then its right subtree, then its left one, the order
-    in which :func:`_walk` visits them, since it pops the right child
-    first; so the first failing node it meets is the first in
-    :func:`_walk` order.  A repeated label is named first: at a failing
-    node, and when the word holds fewer distinct labels than entries,
-    :func:`_check_distinct` reads the labels in :func:`_walk` order
-    before any node is named.  That second walk runs only on a faulty
-    tree.  The walk uses a stack, so chains deeper than the recursion
-    limit read too.
+    Each node is tested inline as the walk first reaches it, and a tree
+    the walk refuses goes to :func:`_tree_fault`, which names its fault.
+    A subtree object shared by two parents is read once for every path
+    to it, which doubles with each level of a chain of shared nodes; but
+    its labels then repeat, and a word's first repeat comes at the latest
+    one entry after its distinct labels.  So at a leaf, once the word is
+    past 64 entries and again each time it doubles, the walk tests it
+    for a repeat, which refuses shared subtrees in linear time.  The
+    walk uses a stack, so chains deeper than the recursion limit read
+    too.
 
     >>> _checked_reverse_inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (6, 8, 4, 5, 1, 2, 9, 3, 7)
@@ -362,18 +379,16 @@ def _checked_reverse_inorder(t: Tree) -> Word:
     out: list[int] = []
     stack: list[Tree] = []
     cur: Tree | None = t
+    due = 64  # the word's length past which it is next tested for a repeat
     while True:
         while True:
             v, lt, rt = cur.label, cur.left, cur.right
-            # _check_node's test inline; it runs only to name a fault,
-            # after any repeated label
+            # _check_node's test inline
             if lt is None:
                 if rt is not None or not v:
-                    _check_distinct(n.label for n in _walk(t))
-                    _check_node(v, None, None if rt is None else rt.label)
+                    _tree_fault(t)
             elif lt.label <= v or not v or (rt is not None and lt.label > rt.label):
-                _check_distinct(n.label for n in _walk(t))
-                _check_node(v, lt.label, None if rt is None else rt.label)
+                _tree_fault(t)
             if rt is None:
                 break
             stack.append(cur)
@@ -381,58 +396,15 @@ def _checked_reverse_inorder(t: Tree) -> Word:
         out.append(v)
         cur = lt
         while cur is None:
-            if not stack:
+            if not stack or len(out) > due:
                 if len(set(out)) != len(out):
-                    _check_distinct(n.label for n in _walk(t))
-                return tuple(out)
+                    _tree_fault(t)
+                if not stack:
+                    return tuple(out)
+                due *= 2
             cur = stack.pop()
             out.append(cur.label)
             cur = cur.left
-
-
-def _checked_maps(t: Tree) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """The ``left``, ``right`` and ``parent`` maps of ``t``, keyed by
-    label, once ``t`` passes the increasing 1-2 tree invariants.
-
-    One stack walk fills the maps and tests each node inline, with
-    :func:`_check_node`'s conditions, as it reaches it.  The labels are
-    distinct exactly when the parent map holds one label fewer than the
-    walk met nodes, and the root's label is not among them.  A tree that
-    fails either test goes to :func:`_checked_reverse_inorder`, which
-    names its fault as :func:`validate_tree` does.
-
-    >>> _checked_maps(tree_from_literal("1(2(4),3)"))
-    ({1: 2, 2: 4}, {1: 3}, {2: 1, 3: 1, 4: 2})
-    """
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    nodes = 0
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        nodes += 1
-        v, lt, rt = cur.label, cur.left, cur.right
-        # _check_node's test inline; the checked walk runs only to name
-        # a fault
-        if lt is None:
-            if rt is not None or not v:
-                _checked_reverse_inorder(t)
-            continue
-        lk = lt.label
-        rk = None if rt is None else rt.label
-        if lk <= v or not v or (rk is not None and lk > rk):
-            _checked_reverse_inorder(t)
-        left[v] = lk
-        parent[lk] = v
-        stack.append(lt)
-        if rk is not None:
-            right[v] = rk
-            parent[rk] = v
-            stack.append(rt)
-    if len(parent) != nodes - 1 or t.label in parent:
-        _checked_reverse_inorder(t)
-    return left, right, parent
 
 
 def validate_tree(t: Tree) -> None:
@@ -446,21 +418,19 @@ def validate_tree(t: Tree) -> None:
     _checked_reverse_inorder(t)
 
 
-def _check_one_tree(
-    root: int, left: dict[int, int], right: dict[int, int], labels: set[int]
-) -> None:
-    """Raise :class:`InvalidTreeError` unless the child maps, whose labels
-    are ``labels``, are one tree rooted at ``root``."""
-    # every map entry is one edge, and one tree on these labels has one
-    # edge fewer than nodes, each out of a node in the tree; a child
-    # linked twice, a root with a parent or an edge out of a node not in
-    # the tree breaks that
-    if (
-        len(left) + len(right) != len(labels) - 1
-        or not labels.issuperset(left)
-        or not labels.issuperset(right)
-    ):
-        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
+def _maps_fault(root: int, left: dict[int, int], right: dict[int, int]) -> NoReturn:
+    """Raise the fault of child maps that a map walk refused: the node
+    with the largest label that fails :func:`_check_node`, else that the
+    maps are not one tree rooted at ``root``.
+
+    Every map entry is one edge, and one tree has one edge fewer than
+    nodes, each out of a node in the tree; so when every node passes,
+    the walk that refused the maps met a child linked twice, a root with
+    a parent or an edge out of a node not in the tree.
+    """
+    for v in sorted({root, *left.values(), *right.values()}, reverse=True):
+        _check_node(v, left.get(v), right.get(v))
+    raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
 
 
 def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
@@ -468,9 +438,8 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
 
     Labels must increase away from the root, so building nodes from the
     largest label down finishes every child before its parent.  Each node
-    is tested on the way, a failing one raising :func:`_check_node`'s
-    message, and maps that are not one tree rooted at ``root`` fail
-    :func:`_check_one_tree`.
+    is tested on the way, and the maps are tested as one tree rooted at
+    ``root`` at the end; :func:`_maps_fault` names a fault.
     """
     labels = {root, *left.values(), *right.values()}
     built: dict[int, Tree] = {}
@@ -480,20 +449,26 @@ def _link_tree(root: int, left: dict[int, int], right: dict[int, int]) -> Tree:
         # Tree(v, ...) without its Python frame
         built[v] = t = new(Tree)
         _set_label(t, v)
-        # _check_node's test inline; it runs only to name a fault
+        # _check_node's test inline
         if lk is None:
             if rk is not None or not v:
-                _check_node(v, lk, rk)
+                _maps_fault(root, left, right)
             _set_left(t, None)
             _set_right(t, None)
         else:
             if lk <= v or not v or (rk is not None and lk > rk):
-                _check_node(v, lk, rk)
+                _maps_fault(root, left, right)
             # both children are larger, so built already; one linked
             # twice is shared, and the maps fail the one-tree test then
             _set_left(t, built[lk])
             _set_right(t, None if rk is None else built[rk])
-    _check_one_tree(root, left, right, labels)
+    # one edge per map entry, one fewer than nodes, each out of a node
+    if (
+        len(left) + len(right) != len(labels) - 1
+        or not labels.issuperset(left)
+        or not labels.issuperset(right)
+    ):
+        _maps_fault(root, left, right)
     return built[root]
 
 
@@ -506,14 +481,12 @@ def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> W
     larger label and the walk ends.  The maps are one tree rooted at
     ``root`` exactly when the word holds ``len(left) + len(right) + 1``
     distinct labels: then no node was reached twice, and every map entry
-    is an edge out of a node the walk reached, which is what
-    :func:`_check_one_tree` tests.  A node with two parents is walked
-    once for every path to it, so the walk stops as soon as the word
-    outgrows one tree.  Maps that fail any test go to :func:`_link_tree`,
-    which names their fault; with one failing node, that is the node and
-    message every other reader names.  Inorder is injective on
-    increasing binary trees, so equal words mean equal trees, and the
-    first entry is the pleaf.
+    is an edge out of a node the walk reached.  A node with two parents
+    is walked once for every path to it, so the walk stops as soon as
+    the word outgrows one tree.  Maps that fail any test go to
+    :func:`_maps_fault`, which names their fault as :func:`_link_tree`
+    does.  Inorder is injective on increasing binary trees, so equal
+    words mean equal trees, and the first entry is the pleaf.
 
     >>> _linked_inorder(1, {1: 2, 2: 3}, {1: 4})
     (3, 2, 1, 4)
@@ -550,8 +523,7 @@ def _linked_inorder(root: int, left: dict[int, int], right: dict[int, int]) -> W
             if len(out) == size == len(set(out)):
                 return tuple(out)
             break
-    # the walk refused the maps, and _link_tree raises naming the fault
-    return inorder(_link_tree(root, left, right))
+    _maps_fault(root, left, right)
 
 
 def tree_spans_range(t: Tree) -> bool:
@@ -686,7 +658,8 @@ def tree_from_json(obj: dict) -> Tree:
     The dicts are read breadth first into child maps, which
     :func:`_link_tree` links and checks without recursion.  A node that
     is not a dict with a label raises :class:`InvalidTreeError` naming
-    it.
+    it, and so does the first label read twice: a copied label, a dict
+    shared by two parents or a dict inside itself stops the read there.
 
     >>> tree_from_json({"label": 1, "left": 5})
     Traceback (most recent call last):
@@ -695,7 +668,7 @@ def tree_from_json(obj: dict) -> Tree:
     """
     left: dict[int, int] = {}
     right: dict[int, int] = {}
-    labels: list[int] = []
+    seen: set[int] = set()
     # per node: its dict, then the map that links it and its parent
     docs: list[tuple[object, dict[int, int] | None, int]] = [(obj, None, 0)]
     for doc, kids, parent in docs:
@@ -704,14 +677,17 @@ def tree_from_json(obj: dict) -> Tree:
                 f"a tree node must be a dict with a label, got {reprlib.repr(doc)}"
             )
         v = _exact_int(doc["label"], InvalidTreeError)
-        if kids is not None:
+        if v in seen:
+            raise InvalidTreeError(f"duplicate label {v}")
+        seen.add(v)
+        if kids is None:
+            root = v
+        else:
             kids[parent] = v
-        labels.append(v)
         for side, child in ((left, doc.get("left")), (right, doc.get("right"))):
             if child is not None:
                 docs.append((child, side, v))
-    _check_distinct(labels)
-    return _link_tree(labels[0], left, right)
+    return _link_tree(root, left, right)
 
 
 def inorder(t: Tree) -> Word:
@@ -780,7 +756,8 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
     The i-th smallest current label is replaced by the i-th smallest
     target label, entrywise for words and nodewise for trees.  Order
     isomorphisms preserve relative order, so canonical tree orientation
-    is untouched.
+    is untouched.  The current labels, like the target ones, must be
+    pairwise distinct.
 
     >>> order_relabel((6, -3, 9, -8, 2, -1, 7, -4, 5), range(1, 10))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
@@ -793,6 +770,8 @@ def order_relabel(obj: Word | Tree, target_labels: Sequence[int]):
         current = sorted(cur.label for cur in nodes)
     else:
         current = sorted(obj)
+    if len(set(current)) != len(current):
+        raise ValueError("the object's labels must be pairwise distinct")
     if len(current) != len(target):
         raise ValueError(
             f"size mismatch: object has {len(current)} labels, "

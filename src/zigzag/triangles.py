@@ -34,6 +34,8 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from .core import _exact_int
+
 ENTRINGER = "entringer"
 ARNOLD = "arnold"
 
@@ -81,6 +83,7 @@ class TriangleTable:
 
 def entringer_table(n_max: int) -> TriangleTable:
     """Entringer numbers E(n, k) for 1 <= k <= n <= n_max."""
+    n_max = _exact_int(n_max, ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = [(1,)]
@@ -91,6 +94,7 @@ def entringer_table(n_max: int) -> TriangleTable:
 
 def arnold_table(n_max: int) -> TriangleTable:
     """Arnold numbers S(n, k) for 1 <= |k| <= n <= n_max."""
+    n_max = _exact_int(n_max, ValueError)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = [(1, 1)]

@@ -30,11 +30,7 @@ from zigzag.core import (
     Tree,
     Word,
     _check_node,
-    _check_one_tree,
-    _checked_maps,
-    _checked_reverse_inorder,
     _linked_inorder,
-    _walk,
     inorder,
     minimal_path,
     node,
@@ -424,9 +420,8 @@ class TestLinkTree:
 
 
 class TestOneWalkReaders:
-    """``_linked_inorder`` and ``_checked_maps`` read in one walk what the
-    oracles below read in two passes, and hand a fault to the reader
-    that names it."""
+    """``_linked_inorder`` reads in one walk what the oracle below reads
+    in two passes, and hands a fault to the namer of the maps."""
 
     @staticmethod
     def _trees():
@@ -451,7 +446,6 @@ class TestOneWalkReaders:
             maps = _tree_maps(t)
             assert _linked_inorder(*maps) == _linked_inorder_by_sorting(*maps)
             assert _linked_inorder(*maps) == inorder(t)
-            assert _checked_maps(t) == _maps_by_walk(t)
             trees += 1
         assert trees == 358 + 614
 
@@ -469,23 +463,20 @@ class TestOneWalkReaders:
             real = getattr(core, name)
             return lambda *args: calls.append(name) or real(*args)
 
-        for name in (
-            "_check_node", "_check_one_tree", "_link_tree", "_checked_reverse_inorder"
-        ):
+        for name in ("_check_node", "_maps_fault", "_tree_fault", "_link_tree"):
             monkeypatch.setattr(core, name, counted(name))
         for t in self._trees():
             _linked_inorder(*_tree_maps(t))
-            _checked_maps(t)
+            validate_tree(t)
         for maps in self._grafting_states():
             _linked_inorder(*maps)
         assert calls == []
-        # a fault goes to the reader that names it, once
+        # a fault goes to the namer of its form, once, and no tree is built
         with pytest.raises(InvalidTreeError):
             _linked_inorder(1, {1: 2, 2: 1}, {})
         with pytest.raises(InvalidTreeError):
-            _checked_maps(Tree(2, Tree(1)))
-        assert calls[0] == "_link_tree" and calls.count("_link_tree") == 1
-        assert calls.count("_checked_reverse_inorder") == 1
+            psi_inv(Tree(2, Tree(1)))
+        assert calls == ["_maps_fault", "_check_node", "_tree_fault", "_check_node"]
 
     @pytest.mark.parametrize(
         "root, left, right",
@@ -517,13 +508,13 @@ class TestOneWalkReaders:
             _linked_inorder(root, left, right)
         assert str(read.value) == str(oracle.value)
 
-    def test_map_reader_names_a_shared_node_as_a_repeated_label(self):
+    def test_psi_inv_names_a_shared_node_as_a_repeated_label(self):
         shared = Tree(2, Tree(3))
         for t in (Tree(1, shared, shared), Tree(1, Tree(2, shared), Tree(4, shared))):
             with pytest.raises(InvalidTreeError) as oracle:
-                _maps_by_walk(t)
+                validate_tree(t)
             with pytest.raises(InvalidTreeError) as read:
-                _checked_maps(t)
+                psi_inv(t)
             assert str(read.value) == str(oracle.value)
             assert str(read.value).startswith("duplicate label")
 
@@ -531,11 +522,17 @@ class TestOneWalkReaders:
 def _linked_inorder_by_sorting(root, left, right):
     """The word reader before its one walk, kept as its oracle: every
     node checked from the largest label down, the maps checked as one
-    tree, then an inorder walk."""
+    tree (one edge per map entry, one fewer than nodes, each out of a
+    node), then an inorder walk."""
     labels = {root, *left.values(), *right.values()}
     for v in sorted(labels, reverse=True):
         _check_node(v, left.get(v), right.get(v))
-    _check_one_tree(root, left, right, labels)
+    if (
+        len(left) + len(right) != len(labels) - 1
+        or not labels.issuperset(left)
+        or not labels.issuperset(right)
+    ):
+        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
     out = []
     stack = []
     v = root
@@ -551,18 +548,6 @@ def _linked_inorder_by_sorting(root, left, right):
             v = stack.pop()
             out.append(v)
             v = right.get(v)
-
-
-def _maps_by_walk(t: Tree):
-    """psi_inv's map reader before its one walk, kept as the oracle of
-    ``_checked_maps``: the checked walk, then ``_walk`` and one
-    comprehension per map."""
-    _checked_reverse_inorder(t)
-    nodes = list(_walk(t))
-    left = {cur.label: cur.left.label for cur in nodes if cur.left is not None}
-    right = {cur.label: cur.right.label for cur in nodes if cur.right is not None}
-    parent = {c: v for kids in (left, right) for v, c in kids.items()}
-    return left, right, parent
 
 
 def _tree_maps(t: Tree):

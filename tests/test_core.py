@@ -387,6 +387,20 @@ class TestTreeLiterals:
         assert info.type is InvalidTreeError
         assert str(info.value).endswith(message)
 
+    def test_json_refuses_a_cyclic_or_shared_document(self):
+        # both once read forever, or doubling per level, before a check
+        cyclic = {"label": 1}
+        cyclic["left"] = cyclic
+        shared = {"label": 61}
+        for v in range(60, 0, -1):
+            shared = {"label": v, "left": shared, "right": shared}
+        for doc, label in ((cyclic, 1), (shared, 2)):
+            start = time.perf_counter()
+            with pytest.raises(InvalidTreeError) as info:
+                tree_from_json(doc)
+            assert time.perf_counter() - start < 0.1
+            assert str(info.value) == f"duplicate label {label}"
+
     def test_json_names_a_large_node_briefly(self):
         with pytest.raises(InvalidTreeError) as info:
             tree_from_json({"label": 1, "left": list(range(10_000))})
@@ -688,6 +702,48 @@ def test_every_tree_reader_names_what_validate_tree_names(tag, n_max, count):
     assert faulty == count
 
 
+def _shared_chain(depth: int) -> Tree:
+    # each node's two children are one subtree object
+    t = Tree(depth + 1)
+    for v in range(depth, 0, -1):
+        t = Tree(v, t, t)
+    return t
+
+
+def _shared_grandchild(depth: int) -> Tree:
+    # each node's two children have one subtree object as their child
+    top = 3 * depth + 1
+    t = Tree(top)
+    for v in range(top - 3, 0, -3):
+        t = Tree(v, Tree(v + 1, t), Tree(v + 2, t))
+    return t
+
+
+@pytest.mark.parametrize(
+    "make, repeat",
+    [
+        (_shared_chain, lambda depth: depth + 1),
+        (_shared_grandchild, lambda depth: 3 * depth + 1),
+    ],
+    ids=["shared-children", "shared-grandchild"],
+)
+def test_tree_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
+    # the paths to the deepest node double with each level, and every
+    # path was once walked before a repeated label was named
+    for depth in (10, 60):
+        t = make(depth)
+        if depth == 10:
+            with pytest.raises(InvalidTreeError) as oracle:
+                _node_by_node(t)
+            assert str(oracle.value) == f"duplicate label {repeat(depth)}"
+        for read in (validate_tree, omega, psi_inv, chuang_phi):
+            start = time.perf_counter()
+            with pytest.raises(InvalidTreeError) as info:
+                read(t)
+            assert time.perf_counter() - start < 0.1
+            assert str(info.value) == f"duplicate label {repeat(depth)}", read.__name__
+
+
 def _parse_by_index(text: str) -> Tree:
     """``tree_from_literal`` as it stood: a label loop over token indices
     with a nested loop that closes nodes, and a ``while ... else``."""
@@ -859,6 +915,19 @@ class TestOrderRelabel:
             order_relabel((1, 2), [1, 2, 3])
         with pytest.raises(ValueError):
             order_relabel((1, 2), [3, 3])
+
+    # each once collapsed onto one target label
+    @pytest.mark.parametrize(
+        "obj, target",
+        [
+            pytest.param((1, 1), (1, 2), id="word"),
+            pytest.param(Tree(1, Tree(2), Tree(2)), (1, 2, 3), id="tree"),
+        ],
+    )
+    def test_repeated_labels(self, obj, target):
+        with pytest.raises(ValueError) as info:
+            order_relabel(obj, target)
+        assert str(info.value) == "the object's labels must be pairwise distinct"
 
     @given(trees(), st.lists(st.integers(-99, 99), unique=True, min_size=9, max_size=9))
     def test_relabel_commutes_with_inorder(self, t, pool):

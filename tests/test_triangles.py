@@ -168,6 +168,16 @@ def test_rejects_empty_tables():
         arnold_table(0)
 
 
+@pytest.mark.parametrize(
+    "build", [entringer_table, arnold_table, euler_number, springer_number]
+)
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_rejects_non_integer_sizes(build, n):
+    with pytest.raises(ValueError) as info:
+        build(n)
+    assert str(info.value) == f"{n!r} is not an integer"
+
+
 def test_csv_export():
     lines = list(csv_lines(entringer_table(7)))
     assert lines[0] == "n,k,value"

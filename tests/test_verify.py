@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from zigzag.bijections import omega
-from zigzag.core import inorder, order_relabel, tree_from_literal
+from zigzag.core import InvalidTreeError, inorder, order_relabel, tree_from_literal
 from zigzag.families import GuardExceededError, iter_family
 from zigzag import core, verify
 from zigzag.verify import (
@@ -625,10 +625,10 @@ _MODULE_MUTANTS = {
         "bijections", "_checked_reverse_inorder", inorder,
         "omega-bijection", "omega(1(2)) not Andre",
     ),
-    # psi_inv's one walk over its tree, pushing the left child where the
-    # right one belongs
+    # psi_inv's fill of its tree's child maps, pushing the left child
+    # where the right one belongs
     "core-maps": (
-        "bijections", "_checked_maps", ("stack.append(rt)", "stack.append(lt)"),
+        "bijections", "psi_inv", ("stack.append(rt)", "stack.append(lt)"),
         "psi-bijection", "psi_inv round trip failed on 2143",
     ),
     # the valley rule turned round: the run before a valley must have
@@ -676,6 +676,26 @@ def test_the_psi_checks_catch_a_pinned_mutant_of_the_map_walk(monkeypatch):
     monkeypatch.setattr(verify, "_linked_inorder", mutant)
     assert _failures(run_checks(n_max_a=6, n_max_b=4)) == {
         "psi-signed-bijection": "psi_signed pleaf mismatch on -1 -2",
+    }
+
+
+def test_a_map_walk_that_refuses_valid_maps_raises(monkeypatch):
+    # the walk refusing every node with a left child: the namer of the
+    # maps raises, so no second reader hands back the right word
+    mutant = _mutant(core, "_linked_inorder", "if lk <= v or", "if lk or")
+    maps = verify.bijections._graft_maps((2, 1, 4, 3))
+    with pytest.raises(InvalidTreeError) as info:
+        mutant(*maps)
+    assert str(info.value) == "the child maps are not one tree rooted at 1"
+    monkeypatch.setattr(verify, "_linked_inorder", mutant)
+    assert _failures(run_checks(n_max_a=6, n_max_b=4)) == {
+        "conjugation-diagram": (
+            "InvalidTreeError: the child maps are not one tree rooted at -2"
+        ),
+        "psi-equality": "InvalidTreeError: the child maps are not one tree rooted at 1",
+        "psi-signed-bijection": (
+            "InvalidTreeError: the child maps are not one tree rooted at -2"
+        ),
     }
 
 
