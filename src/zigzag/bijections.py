@@ -4,6 +4,8 @@ The maps and their statistic bookkeeping:
 
 - ``omega``: tree -> Andre permutation, by reading the tree in reverse
   inorder.  The last entry of the image is the tree's pleaf.
+  ``omega_inv`` splits the word back into child maps in one stack pass,
+  ``_min_split_maps``, which ``psi_inv`` shares, and links them.
 - ``phi``: Andre -> Simsun one letter shorter.  Each right-to-left
   minimum moves to the previous right-to-left minimum's position (the
   value 1 drops out) and everything shrinks by one.  The last entry
@@ -54,19 +56,18 @@ The maps and their statistic bookkeeping:
   keeping every other entry's sign: it is the same ``_shrink``.
 - ``chuang_phi``: tree -> Simsun permutation directly; equals
   ``phi(omega(tree))`` and exists to cross-check that factorization.
-  It reads the tree and its labels 1..n through
-  ``core._checked_reverse_inorder``.
+  It reads the tree and its labels 1..n through ``_one_to_n_reading``:
+  ``core._checked_reverse_inorder`` and one 1..n test.
 - ``psi_inv``: inverse of ``psi_c``, undoing ``psi_b``'s replay.  It
-  reads the tree and its labels 1..n through
-  ``core._checked_reverse_inorder``, then fills the child maps in one
-  plain walk.  The pleaf and the next smaller label tell which replay
-  step came last (a label exchange, a strip or a sibling rotation), and
-  undoing the steps one by one leaves the base tree.  Like the replay,
-  the undoing keys its maps by node ids, so an exchange is four stores
-  on the label tables.  It keeps no parent map: the pleaf's parent and
-  grandparent are the last nodes of the minimal path, kept as a list.
-  The steps then replay backwards on the base word.  Nothing is
-  enumerated and nothing is grafted.
+  reads the tree the same way and splits the word back into child maps
+  with ``omega_inv``'s pass.  The pleaf and the next smaller label tell
+  which replay step came last (a label exchange, a strip or a sibling
+  rotation), and undoing the steps one by one leaves the base tree.
+  Like the replay, the undoing keys its maps by node ids, so an
+  exchange is four stores on the label tables.  It keeps no parent
+  map: the pleaf's parent and grandparent are the last nodes of the
+  minimal path, kept as a list.  The steps then replay backwards on
+  the base word.  Nothing is enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
@@ -129,17 +130,25 @@ def omega(t: Tree) -> Word:
 
 
 def omega_inv(p: Sequence[int]) -> Tree:
-    """Rebuild the tree whose reverse inorder reading is ``p``.
+    """Rebuild the tree whose reverse inorder reading is ``p``."""
+    p = perm_from_sequence(p)
+    if not is_andre(p):
+        raise ValueError("omega_inv requires an Andre permutation")
+    return _link_tree(*_min_split_maps(p))
+
+
+def _min_split_maps(p: Sequence[int]) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The child maps ``(root, left, right)`` of the tree whose reverse
+    inorder reading is ``p``; the word is not checked.
 
     The reversed word splits at its minimum into left subtree, root,
     right subtree, and so on down.  One pass with a stack builds that
     min-split (Cartesian) tree: the stack holds the right spine so far,
     and each new entry takes the larger entries it pops as its left
-    subtree and hangs as the right child of what stays on top.
+    subtree and hangs as the right child of what stays on top.  An
+    increasing tree is the min-split tree of its inorder word, so on
+    the reading of a valid tree these are its own child maps.
     """
-    p = perm_from_sequence(p)
-    if not is_andre(p):
-        raise ValueError("omega_inv requires an Andre permutation")
     left: dict[int, int] = {}
     right: dict[int, int] = {}
     spine: list[int] = []
@@ -152,7 +161,7 @@ def omega_inv(p: Sequence[int]) -> Tree:
         if spine:
             right[spine[-1]] = v
         spine.append(v)
-    return _link_tree(spine[0], left, right)
+    return spine[0], left, right
 
 
 # reverse inorder reading never looks at label values, so it reads
@@ -412,10 +421,21 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
     )
 
 
+def _one_to_n_reading(t: Tree, name: str) -> Word:
+    """``t``'s checked reverse inorder word; ``name`` refuses labels not 1..n."""
+    word = _checked_reverse_inorder(t)
+    # n distinct labels, the root the smallest, are 1..n when these are
+    if t.label != 1 or max(word) != len(word):
+        raise ValueError(f"{name} expects a tree labeled by 1..n")
+    return word
+
+
 def psi_inv(t: Tree) -> Word:
     """The alternating permutation that psi maps to ``t``.
 
-    Undoes :func:`psi_b`'s replay on node ids, as :func:`_replay_maps`
+    The checked reading of ``t`` splits back into child maps as in
+    :func:`omega_inv`, so no second walk visits the nodes.  Then it
+    undoes :func:`psi_b`'s replay on node ids, as :func:`_replay_maps`
     runs it, its last step first.  With k the pleaf and j the next
     smaller label: if j is not k's parent, the step exchanged the labels
     j and k, which is four stores that move no child link.  Otherwise,
@@ -430,24 +450,9 @@ def psi_inv(t: Tree) -> Word:
     >>> psi_inv(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 1, 5, 4, 8, 2, 6)
     """
-    labels = _checked_reverse_inorder(t)
-    n = len(labels)
-    # n distinct labels, the root the smallest, are 1..n when these are
-    if t.label != 1 or max(labels) != n:
-        raise ValueError("psi_inv expects a tree labeled by 1..n")
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        lt = cur.left
-        if lt is not None:
-            left[cur.label] = lt.label
-            stack.append(lt)
-            rt = cur.right
-            if rt is not None:
-                right[cur.label] = rt.label
-                stack.append(rt)
+    word = _one_to_n_reading(t, "psi_inv")
+    n = len(word)
+    root, left, right = _min_split_maps(word)
     # each node starts named by its label, as in the replay
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v
@@ -455,7 +460,7 @@ def psi_inv(t: Tree) -> Word:
     above = list(range(1, n + 3))
     steps: list[tuple[bool, int, int]] = []
     size = n
-    path = [t.label]  # the minimal path's nodes, from the root
+    path = [root]  # the minimal path's nodes, from the root
     while size > 2:
         kn = path[-1]
         while kn in left:
@@ -544,9 +549,7 @@ def chuang_phi(t: Tree) -> Word:
     >>> chuang_phi(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (5, 7, 3, 4, 1, 2, 8, 6)
     """
-    labels = _checked_reverse_inorder(t)
-    if not set(labels).issuperset(range(1, len(labels) + 1)):
-        raise ValueError("chuang_phi expects a tree labeled by 1..n")
+    _one_to_n_reading(t, "chuang_phi")
     word: list[int] = []
     cur = t
     while cur.left is not None:

@@ -5,7 +5,8 @@ Subcommands: ``triangle``, ``enumerate``, ``map``, ``verify``,
 text chunks of at most one row or one object, and :func:`dispatch`
 writes every command's chunks through one path.  That path draws the
 first chunk before it opens ``--output``, so a refused command leaves an
-existing file untouched.
+existing file untouched.  ``enumerate`` and ``map`` write JSON words and
+trees with one pair of stack renderers, so a tree of any depth renders.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or guard error,
 3 conjecture sweep FAIL (a counterexample, or a row whose count raised),
@@ -33,8 +34,6 @@ from .core import (
     perm_to_text,
     tree_from_literal,
     tree_labels,
-    tree_spans_range,
-    tree_to_json,
     tree_to_literal,
 )
 
@@ -114,12 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _object_json(obj):
-    if isinstance(obj, Tree):
-        return tree_to_json(obj)
-    return list(obj)
-
-
 def _cmd_triangle(args) -> tuple[int, Iterable[str]]:
     families._guard(f"{args.kind} triangle", args.n, TRIANGLE_N_CAP, args.force)
     if args.n < 1:
@@ -138,20 +131,20 @@ def _cmd_triangle(args) -> tuple[int, Iterable[str]]:
     return 0, triangles.text_chunks(table)
 
 
-def _perm_json_text(p) -> str:
-    """``list(p)`` as ``json.dumps(..., indent=2)`` renders an entry of a
-    list two levels deep."""
+def _perm_json_text(p, at: str) -> str:
+    """``list(p)`` as ``json.dumps(..., indent=2)`` renders a value
+    whose closing bracket is indented by ``at``."""
     if not p:
         return "[]"
-    return "[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
+    return f"[\n{at}  " + f",\n{at}  ".join(map(str, p)) + f"\n{at}]"
 
 
-def _tree_json_text(t: Tree) -> str:
-    """``tree_to_json(t)`` as ``json.dumps(..., indent=2)`` renders an
-    entry of a list two levels deep; the tree is walked with a stack."""
+def _tree_json_text(t: Tree, at: str) -> str:
+    """``tree_to_json(t)`` as ``json.dumps(..., indent=2)`` renders a
+    value whose closing brace is indented by ``at``; walked with a stack."""
     out: list[str] = []
     # a pending node with the indent of its closing brace, or text to emit
-    stack: list = [(t, "    ")]
+    stack: list = [(t, at)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -186,9 +179,9 @@ def _enumerate_json_chunks(args, stream, render: Callable) -> Iterator[str]:
     if first is None:
         yield head + "]\n}\n"
         return
-    yield f"{head}\n    {render(first)}"
+    yield f"{head}\n    {render(first, '    ')}"
     for obj in objs:
-        yield f",\n    {render(obj)}"
+        yield f",\n    {render(obj, '    ')}"
     yield "\n  ]\n}\n"
 
 
@@ -208,7 +201,7 @@ def _check_tree_labels(name: str, t: Tree) -> None:
     labels = tree_labels(t)
     n = len(labels)
     if name == "omega-signed":
-        if not tree_spans_range(t):
+        if {abs(v) for v in labels} != set(range(1, n + 1)):
             raise _CliError(f"{name} expects |labels| exactly 1..{n}, got {labels}")
     elif labels != tuple(range(1, n + 1)):
         raise _CliError(f"{name} expects labels exactly 1..{n}, got {labels}")
@@ -232,25 +225,21 @@ def _cmd_map(args) -> tuple[int, Iterable[str]]:
     else:
         result = func(value)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "map": args.name,
-            "input": _object_json(value),
-            "output": _object_json(result),
-        }
+        # json.dumps(doc, indent=2) of the document, words and trees rendered
+        # as enumerate renders them
+        fields = [f'{{\n  "schema": {json.dumps(SCHEMA)}', f'"map": "{args.name}"']
+        for key, obj in (("input", value), ("output", result)):
+            render = _tree_json_text if isinstance(obj, Tree) else _perm_json_text
+            fields.append(f'"{key}": {render(obj, "  ")}')
         if trace is not None:
-            doc["trace"] = [
+            steps = [
                 {"i": s.index, "a": s.a, "b": s.b, "case": s.case}
                 for s in trace.steps
             ]
-        try:
-            text = json.dumps(doc, indent=2)
-        except RecursionError:
-            # the encoder recurses once per tree level
-            raise _CliError(
-                "tree too deep for --format json; use --format text"
-            ) from None
-        return 0, (text + "\n",)
+            # a level deeper than json.dumps puts it: two more spaces a line
+            text = json.dumps(steps, indent=2).replace("\n", "\n  ")
+            fields.append(f'"trace": {text}')
+        return 0, (",\n  ".join(fields) + "\n}\n",)
     render = tree_to_literal if isinstance(result, Tree) else perm_to_text
     lines = [render(result)]
     if trace is not None:

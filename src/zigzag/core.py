@@ -32,7 +32,9 @@ Value conventions used across the whole package:
   in one walk from the root, without building a tree; their namer
   ``_maps_fault`` names the failing node with the largest label, else
   that the maps are not one tree.  So when one node fails, every
-  reader names it with the same message.  The three walks test each
+  reader names it with the same message.  The plain walk ``_walk``
+  refuses a node object it reaches twice as a repeated label, so its
+  readers stay linear on shared subtrees.  The three walks test each
   node inline with ``_check_node``'s conditions; only the namers call
   it.  A lone right child has no literal; it renders as ``v(,c)``,
   which the parser refuses as text.  ``_link_tree``, the hot one of
@@ -283,9 +285,14 @@ def node(label: int, *children: Tree | None) -> Tree:
 
 
 def _walk(t: Tree) -> Iterator[Tree]:
+    # a node object reached twice has two parents; its label repeats
+    seen: set[int] = set()
     stack = [t]
     while stack:
         cur = stack.pop()
+        if id(cur) in seen:
+            raise InvalidTreeError(f"duplicate label {cur.label}")
+        seen.add(id(cur))
         yield cur
         if cur.left is not None:
             stack.append(cur.left)
@@ -340,8 +347,8 @@ def _tree_fault(t: Tree) -> NoReturn:
     repeated label, the first in :func:`_walk` order, then the first
     node in that order that fails :func:`_check_node`.
 
-    :func:`_walk` is read lazily, so a subtree shared by two parents,
-    whose labels repeat, is named as soon as the walk reaches it again.
+    :func:`_walk` itself names a node object it reaches twice, a subtree
+    shared by two parents, with the same message, and is read lazily.
     """
     _check_distinct(cur.label for cur in _walk(t))
     for cur in _walk(t):

@@ -937,6 +937,23 @@ class TestKernelOracles:
             )
             assert bijections._replay_maps(p) == _replay_maps_by_label(p)
 
+    def test_min_split_matches_the_walk_fill_exhaustively(self):
+        # omega_inv and psi_inv split a reading back into the child maps
+        # that psi_inv once filled by walking the tree, as _tree_maps does
+        trees = [t for n in range(1, 9) for t in iter_family("tree", n)]
+        trees += [t for n in range(1, 6) for t in iter_family("tree-b", n)]
+        assert len(trees) == 2357
+        for t in trees:
+            assert bijections._min_split_maps(omega(t)) == _tree_maps(t), t
+
+    @pytest.mark.parametrize("n", [20, 40, 80, 400])
+    def test_min_split_and_psi_inv_on_sampled_words(self, n):
+        for seed in range(5):
+            p = _sample_alternating(n, seed)
+            t = psi(p)
+            assert bijections._min_split_maps(omega(t)) == _tree_maps(t)
+            assert psi_inv(t) == p
+
     def test_psi_b_and_psi_inv_at_n_400(self):
         p = _sample_alternating(400, 11)
         t = psi_b(p)
@@ -1104,14 +1121,16 @@ class TestDeepInputs:
         assert dispatch(["map", name, "--input", text]) == 0
         assert capsys.readouterr().out == image + "\n"
 
-    def test_cli_json_of_a_deep_tree_is_a_usage_error(self, capsys):
+    def test_cli_json_of_a_deep_tree(self, capsys):
+        # the renderer walks with a stack, so no depth is refused
         argv = ["map", "omega-inv", "--input", self.IDENTITY, "--format", "json"]
-        assert dispatch(argv) == 2
+        assert dispatch(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: tree too deep for --format json; use --format text\n"
-        )
+        assert captured.err == ""
+        # every node has no right child, and only the last has no left one
+        assert captured.out.count('"label": ') == self.N
+        assert captured.out.count('"right": null') == self.N
+        assert captured.out.count('"left": null') == 1
 
 
 class TestChuangPhi:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from zigzag.cli import SCHEMA, _build_parser, _object_json, dispatch
+from zigzag.bijections import psi_c
+from zigzag.cli import _MAPS, SCHEMA, _build_parser, dispatch
+from zigzag.core import Tree, perm_to_text, tree_to_json, tree_to_literal
 from zigzag.families import _SIGNED_TAGS, FamilyTag, iter_family
 
 
@@ -16,6 +18,13 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _object_json(obj):
+    """The JSON value of a word or a tree: the oracle of the renderers."""
+    if isinstance(obj, Tree):
+        return tree_to_json(obj)
+    return list(obj)
 
 
 def test_triangle_csv_contains_cited_row(capsys):
@@ -191,6 +200,86 @@ def test_map_phi_inv_reads_back_the_empty_word_in_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["map"], doc["input"], doc["output"]) == ("phi-inv", [], [1])
+
+
+def _map_json(name, value, result, trace=None) -> str:
+    """The ``map --format json`` document by the indenting encoder."""
+    doc = {
+        "schema": SCHEMA,
+        "map": name,
+        "input": _object_json(value),
+        "output": _object_json(result),
+    }
+    if trace is not None:
+        doc["trace"] = [
+            {"i": s.index, "a": s.a, "b": s.b, "case": s.case} for s in trace.steps
+        ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# the family each map takes its inputs from
+_MAP_SOURCES = {
+    "omega": "tree",
+    "omega-inv": "andre",
+    "phi": "andre",
+    "phi-inv": "simsun",
+    "psi": "alt",
+    "psi-b": "alt",
+    "psi-inv": "tree",
+    "psi-signed": "alt-b",
+    "omega-signed": "tree-b",
+    "phi-signed": "andre-h",
+    "chuang-phi": "tree",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_map_json_matches_the_indenting_encoder(capsys, name):
+    func, domain = _MAPS[name]
+    render = tree_to_literal if domain == "tree" else perm_to_text
+    for n in range(1, 6):
+        for obj in iter_family(_MAP_SOURCES[name], n):
+            argv = ["map", name, f"--input={render(obj)}", "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == _map_json(name, obj, func(obj)), argv
+
+
+def test_map_psi_trace_json_matches_the_indenting_encoder(capsys):
+    for n in range(1, 6):
+        for p in iter_family("alt", n):
+            argv = ["map", "psi", f"--input={perm_to_text(p)}", "--trace"]
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert out == _map_json("psi", p, *psi_c(p)), argv
+
+
+def test_map_json_of_the_empty_word_matches_the_indenting_encoder(capsys):
+    for name, value, result in (("phi", (1,), ()), ("phi-inv", (), (1,))):
+        argv = ["map", name, f"--input={perm_to_text(value)}", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _map_json(name, value, result)
+
+
+def test_map_json_of_a_1000_node_chain_matches_the_indenting_encoder(capsys):
+    # the indenting encoder recurses once per tree level, so the oracle
+    # needs a raised recursion limit; the CLI walks with a stack
+    n = 1000
+    identity = tuple(range(1, n + 1))
+    argv = ["map", "omega-inv", f"--input={perm_to_text(identity)}", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    chain = Tree(n)
+    for v in range(n - 1, 0, -1):
+        chain = Tree(v, chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * n)
+    try:
+        expected = _map_json("omega-inv", identity, chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected
 
 
 @pytest.mark.parametrize("name", ["phi", "psi", "psi-b", "omega-inv", "phi-signed"])

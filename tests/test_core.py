@@ -37,6 +37,7 @@ from zigzag.core import (
     tree_from_json,
     tree_from_literal,
     tree_labels,
+    tree_spans_range,
     tree_to_json,
     tree_to_literal,
     validate_tree,
@@ -742,6 +743,32 @@ def test_tree_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
                 read(t)
             assert time.perf_counter() - start < 0.1
             assert str(info.value) == f"duplicate label {repeat(depth)}", read.__name__
+
+
+@pytest.mark.parametrize(
+    "make, repeat",
+    [
+        (_shared_chain, lambda depth: depth + 1),
+        (_shared_grandchild, lambda depth: 3 * depth + 1),
+    ],
+    ids=["shared-children", "shared-grandchild"],
+)
+def test_plain_walk_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
+    # _walk refuses a node object it reaches twice, so none of these
+    # walks every path to a shared subtree; each reads the whole tree
+    t = make(60)
+    readers = (
+        tree_labels,
+        tree_spans_range,
+        lambda t: order_relabel(t, (1,)),
+        lambda t: maximal_path_from(t, 0),
+    )
+    for read in readers:
+        start = time.perf_counter()
+        with pytest.raises(InvalidTreeError) as info:
+            read(t)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == f"duplicate label {repeat(60)}"
 
 
 def _parse_by_index(text: str) -> Tree:

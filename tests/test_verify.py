@@ -625,11 +625,11 @@ _MODULE_MUTANTS = {
         "bijections", "_checked_reverse_inorder", inorder,
         "omega-bijection", "omega(1(2)) not Andre",
     ),
-    # psi_inv's fill of its tree's child maps, pushing the left child
-    # where the right one belongs
+    # the split of a reverse inorder word back into child maps, which
+    # omega_inv and psi_inv share, hanging the popped entry on the right
     "core-maps": (
-        "bijections", "psi_inv", ("stack.append(rt)", "stack.append(lt)"),
-        "psi-bijection", "psi_inv round trip failed on 2143",
+        "bijections", "_min_split_maps", ("left[v] = popped", "right[v] = popped"),
+        "psi-bijection", "psi_inv round trip failed on 21",
     ),
     # the valley rule turned round: the run before a valley must have
     # the larger minimum
