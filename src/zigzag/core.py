@@ -178,7 +178,19 @@ def has_double_descent(w: Sequence[int]) -> bool:
     >>> has_double_descent((2, 1))
     False
     """
-    return any(w[i] > w[i + 1] > w[i + 2] for i in range(len(w) - 2))
+    # one pass that stops at the second descent in a row
+    entries = iter(w)
+    prev = next(entries, None)
+    descending = False
+    for v in entries:
+        if v < prev:
+            if descending:
+                return True
+            descending = True
+        else:
+            descending = False
+        prev = v
+    return False
 
 
 def ends_with_ascent(w: Sequence[int]) -> bool:
@@ -646,12 +658,18 @@ def tree_to_json(t: Tree) -> dict:
     """JSON-friendly form: {label, left, right} with null for absent children.
 
     The dicts are filled from the root down with a stack, so chains
-    deeper than the recursion limit convert too.
+    deeper than the recursion limit convert too.  A node object reached
+    twice raises :class:`InvalidTreeError`, as :func:`_walk` does, so a
+    chain of shared subtrees is refused in linear time.
     """
     top = {"label": t.label, "left": None, "right": None}
+    seen: set[int] = set()
     stack = [(t, top)]
     while stack:
         cur, doc = stack.pop()
+        if id(cur) in seen:
+            raise InvalidTreeError(f"duplicate label {cur.label}")
+        seen.add(id(cur))
         for side, child in (("left", cur.left), ("right", cur.right)):
             if child is not None:
                 doc[side] = {"label": child.label, "left": None, "right": None}

@@ -31,8 +31,22 @@ carry ``factorial`` as the size of their stream, which the loop that
 tests the permutations counts.  Every test raises its ``_Failure``
 inline, so a witness is built only on failure.  The two
 family-count checks compare each triangle row with counted statistics,
-and the pass that counts each of the four families that no bijection
-row targets tests every object with that family's predicate.
+and each row sum with the count of the family it numbers: the Euler
+number with the alternating permutations, the Springer number with the
+snakes.  The pass that counts each of the four families that no
+bijection row targets tests every object with that family's predicate.
+
+The conjugation diagram compares each signed map with its unsigned map
+conjugated by the order isomorphism onto [n].  The direct route runs on
+every signed object.  The conjugated route looks up the unsigned map's
+result by the object's rank pattern, in a dict that lives for one n of
+one check run, so the unsigned map runs E_n times at n, not 2^n·E_n;
+relabeling the result back and comparing still happen per object.  The
+psi half's key is the word relabeled onto [n].  The omega half's key is
+the rank pattern of the tree's inorder word, and the tree is rebuilt by
+rank only the first time its pattern appears: inorder is injective on
+increasing binary trees, so the pattern determines the relabeled tree.
+No lookup outlives its run, so a map patched between runs is seen.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
 n = 6, the conjecture sweep to n = 100.
@@ -114,12 +128,14 @@ def _family(tag: FamilyTag, n: int) -> tuple:
 
 def _compare_counts(
     label: str, tag: FamilyTag, n: int, expected: dict[int, int] | None,
-    shift: int = 0, member: str | None = None,
+    shift: int = 0, member: str | None = None, total: int | None = None,
 ) -> Counter[int]:
     """Count the objects of ``tag`` at n - shift by statistic, compare the
     counts with ``expected`` less the shift unless it is None, and return
     them.  ``member`` names a predicate on ``families``, looked up when
-    the check runs, that the counting pass tests every object with."""
+    the check runs, that the counting pass tests every object with.
+    ``total``, unless None, is a triangle's row sum, which the number of
+    objects must equal."""
     size = n - shift
     stat = families._statistic(tag)
     holds = getattr(families, member) if member else None
@@ -134,6 +150,10 @@ def _compare_counts(
             e, a = expected.get(k, 0), actual[k]
             if e != a:
                 raise _Failure(f"{label}: n={size} k={k} expected={e} actual={a}")
+    if total is not None and total != actual.total():
+        raise _Failure(
+            f"{label}: n={size} row sum expected={total} actual={actual.total()}"
+        )
     return actual
 
 
@@ -143,15 +163,18 @@ def _check_objects(row: tuple, n_max_a: int, n_max_b: int) -> dict:
     so the failure reported is one at the smallest failing n.  ``size``
     is None, or the number of objects the stream must yield at n, which
     the loop that tests them counts; only the scans of S_n, whose
-    streams are ``families.iter_permutations``, fix one."""
+    streams are ``families.iter_permutations``, fix one.  ``holds``
+    takes the object and a scratch dict that lives for one clause at one
+    n of this run; only the conjugation clauses use it."""
     cap, *clauses = row
     objects = 0
     for n in range(1, cap(n_max_a, n_max_b) + 1):
         for stream, holds, witness, size in clauses:
             start = objects
+            seen: dict = {}
             for x in stream(n):
                 objects += 1
-                if not holds(x):
+                if not holds(x, seen):
                     raise _Failure(witness(x))
             if size is not None and objects - start != size(n):
                 raise _Failure(
@@ -170,10 +193,15 @@ def _check_entringer_families(n_max_a: int, n_max_b: int) -> dict:
     objects = 0
     for n in range(1, n_max_a + 1):
         expected = {k: v for k, v in table.row(n) if v}
-        for tag in (FamilyTag.ALT, FamilyTag.TREE, FamilyTag.ANDRE):
-            # no bijection row targets alt, so no image set certifies it
-            member = "is_alternating" if tag is FamilyTag.ALT else None
-            objects += _compare_counts(tag.value, tag, n, expected, 0, member).total()
+        # no bijection row targets alt, so no image set certifies it; its
+        # count is the row sum, the Euler number
+        for tag, member, total in (
+            (FamilyTag.ALT, "is_alternating", table.row_sums[n - 1]),
+            (FamilyTag.TREE, None, None),
+            (FamilyTag.ANDRE, None, None),
+        ):
+            counts = _compare_counts(tag.value, tag, n, expected, 0, member, total)
+            objects += counts.total()
         if n >= 2:
             counts = _compare_counts("simsun", FamilyTag.SIMSUN, n, expected, 1)
             objects += counts.total()
@@ -187,14 +215,16 @@ def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
         expected = {k: v for k, v in table.row(n) if v}
         positive = {k: v for k, v in expected.items() if k > 0}
         # no bijection row targets alt-b, snake or andre-h, so no image
-        # set certifies them
-        for tag, want, member in (
-            (FamilyTag.ALT_B, expected, "is_alternating"),
-            (FamilyTag.SNAKE, positive, "is_snake"),
-            (FamilyTag.TREE_B, expected, None),
-            (FamilyTag.ANDRE_B, expected, None),
+        # set certifies them; the snakes number the row sum, the Springer
+        # number
+        for tag, want, member, total in (
+            (FamilyTag.ALT_B, expected, "is_alternating", None),
+            (FamilyTag.SNAKE, positive, "is_snake", table.row_sums[n - 1]),
+            (FamilyTag.TREE_B, expected, None, None),
+            (FamilyTag.ANDRE_B, expected, None, None),
         ):
-            objects += _compare_counts(tag.value, tag, n, want, 0, member).total()
+            counts = _compare_counts(tag.value, tag, n, want, 0, member, total)
+            objects += counts.total()
         # last-entry counts of the signed Simsun family match the
         # forced-sign Andre family one size up, shifted by one
         tag = FamilyTag.ANDRE_H
@@ -347,73 +377,78 @@ _BIJECTIONS = {
 }
 
 
-def _conjugate(unsigned: Callable, x, labels) -> tuple:
+def _conjugate(unsigned: Callable, x, word, seen: dict) -> tuple:
     """The word ``unsigned`` gives for ``x``, conjugated by the order
     isomorphism onto [n]: ``x`` is relabeled down by rank, and the word
-    back by indexing the sorted labels.  One rank dict serves both kinds
-    of ``x``: a word is looked up entry by entry, and a tree is rebuilt
-    in one walk, children before parents, with every label looked up."""
-    ranked = sorted(labels)
+    back by indexing the sorted labels.  ``word`` is ``x`` or a tree's
+    inorder word, and its rank pattern keys ``seen``: ``unsigned`` runs,
+    and a tree is rebuilt by rank, once per pattern, while the
+    relabeling back runs for every ``x``."""
+    ranked = sorted(word)
     rank = {v: i for i, v in enumerate(ranked, 1)}
-    if isinstance(x, Tree):
-        down = _relabeled(list(_walk(x)), rank)
-    else:
-        down = tuple([rank[v] for v in x])
-    return tuple([ranked[v - 1] for v in unsigned(down)])
+    pattern = tuple([rank[v] for v in word])
+    image = seen.get(pattern)
+    if image is None:
+        down = _relabeled(list(_walk(x)), rank) if isinstance(x, Tree) else pattern
+        image = seen[pattern] = unsigned(down)
+    return tuple([ranked[v - 1] for v in image])
 
 
 # one row per check: its cap, from (n_max_a, n_max_b), then its clauses
-# (stream, holds, witness, size); names are looked up when a clause runs,
-# so patches and wrappers reach them.  Only the two scans of S_n fix a
+# (stream, holds, witness, size); holds takes an object and the clause's
+# scratch dict at this n.  Names are looked up when a clause runs, so
+# patches and wrappers reach them.  Only the two scans of S_n fix a
 # size: they must see exactly n! permutations at each n
 _OBJECT_CHECKS = {
     # psi_b's replay must end in the grafting's child maps, which are
     # checked as one tree, so equal maps are equal trees
     "psi-equality": (lambda a, b: a, (
         lambda n: _family(FamilyTag.ALT, n),
-        lambda p: bijections._replay_maps(p) == _psi_maps(p),
+        lambda p, _: bijections._replay_maps(p) == _psi_maps(p),
         lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
         None,
     )),
     "chuang-factorization": (lambda a, b: a, (
         lambda n: _family(FamilyTag.TREE, n),
-        lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
+        lambda t, _: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
         lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
         None,
     )),
     "cd-preservation": (lambda a, b: a, (
         lambda n: _family(FamilyTag.ANDRE, n),
-        lambda p: cdindex.reduced_variation_andre(p)
+        lambda p, _: cdindex.reduced_variation_andre(p)
         == cdindex.reduced_variation_simsun(bijections.phi(p)),
         lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
         None,
     )),
     "andre-implies-simsun": (lambda a, b: a, (
         lambda n: families.iter_permutations(n),
-        lambda p: not families.is_andre(p) or families.is_simsun(p),
+        lambda p, _: not families.is_andre(p) or families.is_simsun(p),
         lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
         factorial,
     )),
     # the valley characterization is only asserted up to n = 7
     "valley-equivalence": (lambda a, b: min(a, 7), (
         lambda n: families.iter_permutations(n),
-        lambda p: families.is_andre(p) == families.is_andre_valley(p),
+        lambda p, _: families.is_andre(p) == families.is_andre_valley(p),
         lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
         factorial,
     )),
     # each signed map must equal its conjugated unsigned map, signs
     # included; the psi half compares two independent routes as inorder
     # words: grafting the signed labels directly, against relabeling onto
-    # [n], grafting and relabeling the word back
+    # [n], grafting and relabeling the word back.  The direct route runs
+    # on every object, and runs first, so a bad tree raises there; the
+    # conjugated route's unsigned map runs once per rank pattern at each n
     "conjugation-diagram": (lambda a, b: b, (
         lambda n: _family(FamilyTag.ALT_B, n),
-        lambda p: _psi_word(p) == _conjugate(_psi_word, p, p),
+        lambda p, seen: _psi_word(p) == _conjugate(_psi_word, p, p, seen),
         lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
         None,
     ), (
         lambda n: _family(FamilyTag.TREE_B, n),
-        lambda t: bijections.omega_signed(t)
-        == _conjugate(bijections.omega, t, inorder(t)),
+        lambda t, seen: bijections.omega_signed(t)
+        == _conjugate(bijections.omega, t, inorder(t), seen),
         lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
         None,
     )),

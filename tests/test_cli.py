@@ -2,12 +2,15 @@ import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from zigzag import verify
 from zigzag.bijections import psi_c
 from zigzag.cli import _MAPS, SCHEMA, _build_parser, dispatch
 from zigzag.core import Tree, perm_to_text, tree_to_json, tree_to_literal
@@ -600,3 +603,82 @@ def test_full_device_exits_2_without_a_traceback(to_file, where):
         f"error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
     )
     assert done.stdout == ("" if to_file else None)
+
+
+# pools for the seeded fuzz: every size is at most 6, so --force stays
+# cheap; each pool mixes valid values with malformed or out-of-range ones
+_FUZZ_NUMBERS = ["0", "-1", "-6", "x", "", "2.5", "1e2"]
+_FUZZ_LITERALS = [
+    "1 1", "0", "", "abc", "2 -3 1", "2(1)", "1(1)", "1(2,", "(", "1(,2)", "1(2,3)",
+]
+_FUZZ_FORMATS = {
+    "triangle": ["text", "json", "csv", "boustrophedon"],
+    "enumerate": ["text", "json"],
+    "map": ["text", "json"],
+    "verify": ["json", "text"],
+    "conjecture": ["json", "text"],
+}
+
+
+def _fuzz_argv(rng, out_dir) -> list[str]:
+    """One random argument list for ``dispatch``, valid or not."""
+    def number(top=6):
+        valid = rng.random() < 0.7
+        return str(rng.randint(1, top)) if valid else rng.choice(_FUZZ_NUMBERS)
+
+    def one_of(valid, bad):
+        return rng.choice(valid if rng.random() < 0.8 else bad)
+
+    command = one_of(sorted(_FUZZ_FORMATS), ["bogus", "--n"])
+    if command == "triangle":
+        argv = [command, one_of(["entringer", "arnold"], ["pascal"]), "--n", number()]
+    elif command == "enumerate":
+        tags = [t.value for t in FamilyTag]
+        argv = [command, one_of(tags, ["bogus"]), "--n", number()]
+        if rng.random() < 0.5:
+            argv += ["--k", number()]
+    elif command == "map":
+        name = one_of(sorted(_MAPS), ["bogus"])
+        if name in _MAPS and rng.random() < 0.6:
+            render = tree_to_literal if _MAPS[name][1] == "tree" else perm_to_text
+            objects = list(iter_family(_MAP_SOURCES[name], rng.randint(1, 5)))
+            literal = render(rng.choice(objects))
+        else:
+            literal = rng.choice(_FUZZ_LITERALS)
+        argv = [command, name, f"--input={literal}"]
+        if rng.random() < 0.3:
+            argv.append("--trace")
+    elif command == "verify":
+        ids = rng.sample(verify.check_ids() + ("bogus", "", " psi-equality"), 3)
+        argv = [command, "--n-max-a", number(), "--n-max-b", number(4)]
+        if rng.random() < 0.8:
+            argv.append(f"--checks={','.join(ids[: rng.randint(1, 3)])}")
+    elif command == "conjecture":
+        argv = [command, "--n-max", number()]
+    else:
+        argv = [command]
+    if rng.random() < 0.5:
+        argv += ["--format", one_of(_FUZZ_FORMATS.get(command, ["text"]), ["xml", ""])]
+    if rng.random() < 0.3:
+        argv.append("--force")
+    if rng.random() < 0.2:
+        argv += ["--output", str(out_dir / one_of(["out.txt"], ["missing/out.txt"]))]
+    return argv
+
+
+def test_seeded_cli_fuzz_exits_cleanly(capsys, tmp_path):
+    # every outcome is success, a usage or guard error, or a conjecture
+    # FAIL; none is a traceback
+    rng = random.Random(26)
+    codes = Counter()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in out + err, argv
+        codes[code] += 1
+    assert codes[0] and codes[2]

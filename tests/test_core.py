@@ -58,6 +58,11 @@ RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
 SIGNED_TREE = "-8(-4(-3(6,9)),-1(2,5(7)))"
 
 
+def _double_descent_by_index(w) -> bool:
+    """``has_double_descent`` as it stood, one test per index."""
+    return any(w[i] > w[i + 1] > w[i + 2] for i in range(len(w) - 2))
+
+
 # distinct-entry words of moderate size
 words = st.lists(
     st.integers(min_value=-40, max_value=40), unique=True, min_size=1, max_size=12
@@ -272,10 +277,27 @@ class TestWordStatistics:
 
     @given(words)
     def test_double_descent_matches_definition(self, w):
-        expected = any(
-            w[i] > w[i + 1] and w[i + 1] > w[i + 2] for i in range(len(w) - 2)
+        assert has_double_descent(w) == _double_descent_by_index(w)
+
+    def test_double_descent_matches_definition_exhaustively(self):
+        # every word of [n] to n = 8, every signed word to n = 5, as
+        # tuples and as lists, and the lengths below three
+        signed = (
+            tuple(s * v for s, v in zip(signs, p))
+            for n in range(1, 6)
+            for p in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
         )
-        assert has_double_descent(w) == expected
+        unsigned = (
+            p for n in range(1, 9) for p in itertools.permutations(range(1, n + 1))
+        )
+        short = [(), (1,), (2, 1), (1, 2), (-1, -2), (-2, 1)]
+        checked = 0
+        for w in itertools.chain(unsigned, signed, short):
+            expected = _double_descent_by_index(w)
+            assert has_double_descent(w) == has_double_descent(list(w)) == expected, w
+            checked += 1
+        assert checked == 46233 + 4282 + 6
 
     @given(words, st.integers(min_value=1, max_value=12))
     def test_subword_is_order_preserving_selection(self, w, k):
@@ -754,11 +776,13 @@ def test_tree_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
     ids=["shared-children", "shared-grandchild"],
 )
 def test_plain_walk_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
-    # _walk refuses a node object it reaches twice, so none of these
-    # walks every path to a shared subtree; each reads the whole tree
+    # _walk refuses a node object it reaches twice, and tree_to_json does
+    # so in the same order, so none of these walks every path to a shared
+    # subtree; each reads the whole tree
     t = make(60)
     readers = (
         tree_labels,
+        tree_to_json,
         tree_spans_range,
         lambda t: order_relabel(t, (1,)),
         lambda t: maximal_path_from(t, 0),

@@ -1,12 +1,20 @@
 import inspect
 import itertools
 import json
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from zigzag.bijections import omega
-from zigzag.core import InvalidTreeError, inorder, order_relabel, tree_from_literal
+from zigzag.core import (
+    InvalidTreeError,
+    inorder,
+    order_relabel,
+    perm_to_text,
+    tree_from_literal,
+    tree_to_literal,
+)
 from zigzag.families import GuardExceededError, iter_family
 from zigzag import core, verify
 from zigzag.verify import (
@@ -204,10 +212,99 @@ def test_conjugation_relabels_trees_as_order_relabel_does():
         for t in iter_family("tree-b", n):
             seen = []
             back = verify._conjugate(
-                lambda down: seen.append(down) or omega(down), t, inorder(t)
+                lambda down: seen.append(down) or omega(down), t, inorder(t), {}
             )
             assert seen == [order_relabel(t, range(1, n + 1))]
             assert back == omega(t)
+
+
+def test_conjugation_diagram_runs_each_kernel_once_per_pattern(monkeypatch):
+    # the direct routes run on every signed object, the unsigned kernels
+    # once per rank pattern at each n: sum E_n = 25 patterns to n = 5.  A
+    # word of [n] is its own pattern, so the psi half grafts each positive
+    # word twice
+    psi_args, omega_calls = Counter(), Counter()
+    real_psi, real = verify._psi_word, verify.bijections
+
+    def psi_word(p):
+        psi_args[p] += 1
+        return real_psi(p)
+
+    def counted(name, func):
+        def call(t):
+            omega_calls[name] += 1
+            return func(t)
+
+        return call
+
+    monkeypatch.setattr(verify, "_psi_word", psi_word)
+    monkeypatch.setattr(real, "omega_signed", counted("direct", real.omega_signed))
+    monkeypatch.setattr(real, "omega", counted("kernel", real.omega))
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=5)
+    assert report.status == PASS
+    assert report.counts == {"objects": 1228}
+    signed = Counter(p for n in range(1, 6) for p in iter_family("alt-b", n))
+    patterns = Counter(p for n in range(1, 6) for p in iter_family("alt", n))
+    assert sum(signed.values()) == 614 and sum(patterns.values()) == 25
+    assert psi_args == signed + patterns
+    assert omega_calls == {"direct": 614, "kernel": 25}
+
+
+@pytest.mark.parametrize(
+    "tag, witness",
+    [("alt-b", "psi conjugation square fails on {}"),
+     ("tree-b", "omega conjugation square fails on {}")],
+    ids=["psi", "omega"],
+)
+def test_conjugation_diagram_relabels_every_object_back(monkeypatch, tag, witness):
+    # one object's sorted labels come back as a list that flips signs
+    # when indexed: only the relabeling back indexes them, so only that
+    # object's comparison can fail.  It is the first object at n = 3
+    # whose rank pattern was met before, so its unsigned result comes
+    # from the lookup.  A tree's word must not also be a word of the psi
+    # half, which runs first
+    seen, target = set(), None
+    psi_words = set(iter_family("alt-b", 3)) if tag == "tree-b" else set()
+    for x in iter_family(tag, 3):
+        word = inorder(x) if tag == "tree-b" else x
+        pattern = order_relabel(word, range(1, 4))
+        if pattern in seen and word not in psi_words:
+            target = word
+            break
+        seen.add(pattern)
+
+    class Flipped(list):
+        def __getitem__(self, i):
+            return -list.__getitem__(self, i)
+
+    def ranked(labels):
+        return Flipped(sorted(labels)) if labels == target else sorted(labels)
+
+    monkeypatch.setattr(verify, "sorted", ranked, raising=False)
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=3)
+    assert report.status == FAIL
+    text = perm_to_text(x) if tag == "alt-b" else tree_to_literal(x)
+    assert report.counterexample == witness.format(text)
+
+
+def test_no_pattern_lookup_outlives_a_run(monkeypatch):
+    # a kernel patched between two runs in one process is seen by the
+    # second: the first run's patterns do not carry over
+    real = verify.bijections
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=4)
+    assert report.status == PASS
+    monkeypatch.setattr(real, "omega", lambda t: real.omega_signed(t)[::-1])
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=4)
+    assert report.counterexample == "omega conjugation square fails on -2(-1)"
+    monkeypatch.undo()
+    real_psi = verify._psi_word
+    # wrong on the words of [n] only, which the conjugated route grafts
+    monkeypatch.setattr(
+        verify, "_psi_word",
+        lambda p: real_psi(p)[::-1] if min(p) > 0 else real_psi(p),
+    )
+    (report,) = run_checks(["conjugation-diagram"], n_max_a=1, n_max_b=4)
+    assert report.counterexample == "psi conjugation square fails on -1 -2"
 
 
 def test_psi_signed_image_set_is_compared(monkeypatch):
@@ -608,6 +705,17 @@ _MODULE_MUTANTS = {
         "triangles", "entringer_table",
         ("accumulate(reversed(rows[-1]))", "accumulate(rows[-1])"),
         "entringer-families", "alt: n=3 k=2 expected=0 actual=1",
+    ),
+    # the Springer sums started one row late; the rows stay right, so only
+    # the row-sum comparison sees it
+    "triangles-arnold-sums": (
+        "triangles", "arnold_table", ("enumerate(rows, 1)", "enumerate(rows, 2)"),
+        "arnold-families", "snake: n=1 row sum expected=0 actual=1",
+    ),
+    # the Euler sums read one row on
+    "triangles-entringer-sums": (
+        "triangles", "entringer_table", ("map(sum, rows)", "map(sum, rows[1:])"),
+        "entringer-families", "alt: n=2 row sum expected=2 actual=1",
     ),
     # the 0 appended to the word instead of prepended
     "cdindex": (
