@@ -20,7 +20,7 @@ for n in range(1, 8):
 
 # The same triangle drawn the way it is computed, snaking left to right.
 print("\nBoustrophedon form:")
-for line in boustrophedon_lines(table):
+for line in boustrophedon_lines(table.kind, table.rows):
     print("  " + line)
 
 # The Arnold triangle covers signed first entries, k = -n..-1 and 1..n.

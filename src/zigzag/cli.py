@@ -117,18 +117,19 @@ def _cmd_triangle(args) -> tuple[int, Iterable[str]]:
     families._guard(f"{args.kind} triangle", args.n, TRIANGLE_N_CAP, args.force)
     if args.n < 1:
         raise _CliError("--n must be at least 1")
-    table = (
-        triangles.entringer_table(args.n)
-        if args.kind == "entringer"
-        else triangles.arnold_table(args.n)
+    # the rows stream from the recurrence, so an export holds one row
+    stream = (
+        triangles.entringer_rows if args.kind == "entringer" else triangles.arnold_rows
     )
+    rows = stream(args.n)
     if args.format == "json":
-        return 0, itertools.chain(triangles.json_chunks(table, SCHEMA), ("\n",))
+        chunks = triangles.json_chunks(args.kind, rows, SCHEMA)
+        return 0, itertools.chain(chunks, ("\n",))
     if args.format == "boustrophedon":
-        return 0, map("{}\n".format, triangles.boustrophedon_lines(table))
+        return 0, map("{}\n".format, triangles.boustrophedon_lines(args.kind, rows))
     if args.format == "csv":
-        return 0, triangles.csv_chunks(table)
-    return 0, triangles.text_chunks(table)
+        return 0, triangles.csv_chunks(args.kind, rows)
+    return 0, triangles.text_chunks(args.kind, rows)
 
 
 def _perm_json_text(p, at: str) -> str:

@@ -56,9 +56,11 @@ Text formats (also used by the CLI):
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import reprlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -239,8 +241,21 @@ class Tree:
     ``__setattr__``, since every map builds many nodes.  Equality is
     structural, as for a frozen dataclass, but walks the tree with a
     stack; the hash reads the inorder word, which equal trees share,
-    through the stack walk of :func:`inorder`.  So chains deeper than the
-    recursion limit compare and hash too.
+    through the stack walk of :func:`inorder`; and the repr is the tree
+    literal of :func:`tree_to_literal`.  So chains deeper than the
+    recursion limit compare, hash and render too, and so do invalid
+    trees, which witnesses print.
+
+    A subtree object shared by two parents is read once for every path
+    to it, which doubles with each level of a chain of them.  So these
+    three refuse such a tree with :class:`InvalidTreeError` (``duplicate
+    label v``, as :func:`_walk` names it), in linear time: :func:`inorder`
+    tests its word once it is past 64 entries, and equality and the repr
+    hand ``self`` to :func:`inorder` once they are past 64 nodes, so a
+    tree of 64 nodes or fewer is never tested, and a shared one that
+    small is read path by path as it stands.  Equality tests only
+    ``self``: if it shares nothing, the walk is linear whatever
+    ``other`` is.
     """
 
     label: int
@@ -261,12 +276,18 @@ class Tree:
         if other.__class__ is not self.__class__:
             return NotImplemented
         stack: list[tuple[Tree | None, Tree | None]] = [(self, other)]
+        # inorder tests self for sharing at the 65th node pair; once self
+        # shares nothing, each pair is on its own path of it
+        due = 65
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
             if a is None or b is None or a.label != b.label:
                 return False
+            due -= 1
+            if not due:
+                inorder(self)
             stack.append((a.left, b.left))
             stack.append((a.right, b.right))
         return True
@@ -619,7 +640,9 @@ def tree_to_literal(t: Tree) -> str:
     """Render a tree in the literal grammar, canonical orientation.
 
     The walk keeps a stack instead of recursing, so chains deeper than
-    the recursion limit render too.
+    the recursion limit render too.  As its walk starts a 65th left
+    spine, past 64 nodes, it hands ``t`` to :func:`inorder`, which
+    refuses a subtree object shared by two parents.
 
     >>> tree_to_literal(Tree(1, Tree(2, Tree(4)), Tree(3)))
     '1(2(4),3)'
@@ -628,7 +651,12 @@ def tree_to_literal(t: Tree) -> str:
     # per open node: its right child still to render, then None for ")"
     stack: list[Tree | None] = []
     cur = t
+    # each pass starts at a node of its own, unless t shares a subtree
+    due = 65
     while True:
+        due -= 1
+        if not due:
+            inorder(t)
         while cur.left is not None:
             out.append(f"{cur.label}(")
             stack.append(cur.right)
@@ -718,13 +746,27 @@ def tree_from_json(obj: dict) -> Tree:
 def inorder(t: Tree) -> Word:
     """Left subtree, node, right subtree, walked with a stack.
 
+    Once the word is past 64 entries, and again each time it doubles,
+    it is tested for a repeated label, as in
+    :func:`_checked_reverse_inorder`.  A repeat that comes from a
+    subtree object shared by two parents raises as :func:`_walk` names
+    it, so such a tree is refused in linear time; one that comes from
+    labels copied into distinct nodes ends the testing.
+
     >>> inorder(tree_from_literal("1(2(3(7,9)),4(5,6(8)))"))
     (7, 3, 9, 2, 1, 5, 4, 8, 6)
     """
     out: list[int] = []
     stack: list[Tree] = []
     cur: Tree | None = t
+    due = 64  # the word's length past which it is next tested for a repeat
     while True:
+        if len(out) > due:
+            if len(set(out)) == len(out):
+                due = 2 * len(out)
+            else:
+                deque(_walk(t), maxlen=0)  # raises for a shared subtree
+                due = math.inf
         while cur.left is not None:
             stack.append(cur)
             cur = cur.left

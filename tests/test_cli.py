@@ -523,8 +523,16 @@ def test_output_file(tmp_path, capsys):
         (["triangle", "entringer", "--n", "60"], "entringer triangle at n=60"),
         (["map", "phi", "--input", "1 1"], "duplicate value 1"),
         (["enumerate", "andre", "--n", "4", "--k", "9"], "refinement k must"),
+        *(
+            (["triangle", "entringer", "--n", "0", "--format", fmt],
+             "--n must be at least 1")
+            for fmt in ("text", "csv", "json", "boustrophedon")
+        ),
     ],
-    ids=["guarded-family", "guarded-triangle", "bad-word", "bad-k"],
+    ids=[
+        "guarded-family", "guarded-triangle", "bad-word", "bad-k",
+        *(f"empty-triangle-{fmt}" for fmt in ("text", "csv", "json", "boustrophedon")),
+    ],
 )
 def test_refused_command_leaves_the_output_file_alone(tmp_path, capsys, argv, message):
     target = tmp_path / "kept.txt"

@@ -767,18 +767,33 @@ def test_tree_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
             assert str(info.value) == f"duplicate label {repeat(depth)}", read.__name__
 
 
+def _shared_after_distinct(depth: int) -> Tree:
+    # inorder reads 200 distinct labels, and passes its first repeat
+    # test, before it reaches a shared chain
+    left = None
+    for v in range(200, 1, -1):
+        left = Tree(v, left)
+    shared = Tree(depth + 201)
+    for v in range(depth + 200, 200, -1):
+        shared = Tree(v, shared, shared)
+    return Tree(1, left, shared)
+
+
 @pytest.mark.parametrize(
     "make, repeat",
     [
         (_shared_chain, lambda depth: depth + 1),
         (_shared_grandchild, lambda depth: 3 * depth + 1),
+        (_shared_after_distinct, lambda depth: depth + 201),
     ],
-    ids=["shared-children", "shared-grandchild"],
+    ids=["shared-children", "shared-grandchild", "shared-after-distinct"],
 )
 def test_plain_walk_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
     # _walk refuses a node object it reaches twice, and tree_to_json does
     # so in the same order, so none of these walks every path to a shared
-    # subtree; each reads the whole tree
+    # subtree; each reads the whole tree.  inorder, and through it hash,
+    # repr and ==, tests for a shared subtree once its word is past 64
+    # entries, and names it the same
     t = make(60)
     readers = (
         tree_labels,
@@ -786,6 +801,9 @@ def test_plain_walk_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
         tree_spans_range,
         lambda t: order_relabel(t, (1,)),
         lambda t: maximal_path_from(t, 0),
+        hash,
+        repr,
+        lambda t: t == make(60),
     )
     for read in readers:
         start = time.perf_counter()
@@ -793,6 +811,32 @@ def test_plain_walk_readers_refuse_shared_subtrees_in_linear_time(make, repeat):
             read(t)
         assert time.perf_counter() - start < 0.1
         assert str(info.value) == f"duplicate label {repeat(60)}"
+
+
+def test_tree_methods_read_trees_that_share_no_subtree_whole():
+    # witnesses print invalid trees: labels copied into distinct node
+    # objects are read whole, past the sharing test at 64 steps
+    def copied(depth):
+        if depth == 0:
+            return Tree(1)
+        return Tree(1, copied(depth - 1), copied(depth - 1))
+
+    def literal(depth):
+        return "1" if depth == 0 else f"1({literal(depth - 1)},{literal(depth - 1)})"
+
+    t, u = copied(7), copied(7)  # 255 nodes, every label 1
+    assert repr(t) == f"Tree[{literal(7)}]"
+    assert t == u and hash(t) == hash(u) == hash((1,) * 255)
+    assert t != copied(6)
+    # a shared tree too small to be tested is read path by path
+    small = _shared_chain(3)
+
+    def unfold(v):
+        return Tree(4) if v == 4 else Tree(v, unfold(v + 1), unfold(v + 1))
+
+    unfolded = unfold(1)
+    assert repr(small) == repr(unfolded)
+    assert small == unfolded and hash(small) == hash(unfolded)
 
 
 def _parse_by_index(text: str) -> Tree:

@@ -2,15 +2,22 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import pytest
 
 from zigzag.cli import dispatch
 from zigzag.triangles import (
+    arnold_rows,
     arnold_table,
     boustrophedon_lines,
     csv_chunks,
     csv_lines,
+    entringer_rows,
     entringer_table,
     euler_number,
     json_chunks,
@@ -168,6 +175,18 @@ def test_rejects_empty_tables():
         arnold_table(0)
 
 
+@pytest.mark.parametrize("stream", [entringer_rows, arnold_rows])
+@pytest.mark.parametrize(
+    "n, message", [(0, "n_max must be >= 1"), (2.5, "2.5 is not an integer")]
+)
+def test_row_streams_refuse_on_the_call(stream, n, message):
+    # a renderer yields its header before any row, so a stream that
+    # refused only at its first row would let --output be truncated first
+    with pytest.raises(ValueError) as info:
+        stream(n)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "build", [entringer_table, arnold_table, euler_number, springer_number]
 )
@@ -179,11 +198,11 @@ def test_rejects_non_integer_sizes(build, n):
 
 
 def test_csv_export():
-    lines = list(csv_lines(entringer_table(7)))
+    lines = list(csv_lines("entringer", entringer_table(7).rows))
     assert lines[0] == "n,k,value"
     assert "7,4,46" in lines
     assert len(lines) == 1 + 28
-    arnold = list(csv_lines(arnold_table(4)))
+    arnold = list(csv_lines("arnold", arnold_rows(4)))
     assert "4,-3,4" in arnold
 
 
@@ -197,7 +216,8 @@ def test_json_rows():
 
 
 def test_entringer_boustrophedon_matches_display():
-    lines = [line.strip() for line in boustrophedon_lines(entringer_table(4))]
+    lines = boustrophedon_lines("entringer", entringer_rows(4))
+    lines = [line.strip() for line in lines]
     assert lines == [
         "1",
         "0 → 1",
@@ -207,7 +227,8 @@ def test_entringer_boustrophedon_matches_display():
 
 
 def test_arnold_boustrophedon_matches_twin_triangles():
-    lines = [line.strip() for line in boustrophedon_lines(arnold_table(4))]
+    lines = boustrophedon_lines("arnold", arnold_rows(4))
+    lines = [line.strip() for line in lines]
     first = lines[: lines.index("")]
     second = lines[lines.index("") + 1 :]
     assert first == [
@@ -273,7 +294,7 @@ def test_json_chunks_join_to_json_dumps(kind):
     for n_max in range(1, 31):
         table = ORACLES[kind][0](n_max)
         doc = {"schema": "zigzag/1", "kind": kind, "rows": json_rows(table)}
-        chunks = list(json_chunks(table, "zigzag/1"))
+        chunks = list(json_chunks(kind, table.rows, "zigzag/1"))
         assert "".join(chunks) == json.dumps(doc, indent=2)
         assert len(chunks) == n_max + 2  # the head, one per row, the tail
 
@@ -284,10 +305,10 @@ def test_chunks_match_the_line_oracles_row_by_row(kind):
         table = ORACLES[kind][0](n_max)
         e = ORACLES[kind][1](n_max)
         rendered = {
-            "csv": (csv_chunks(table), csv_lines_by_entry(table)),
-            "text": (text_chunks(table), text_lines(table)),
+            "csv": (csv_chunks(kind, table.rows), csv_lines_by_entry(table)),
+            "text": (text_chunks(kind, table.rows), text_lines(table)),
             "boustrophedon": (
-                [f"{line}\n" for line in boustrophedon_lines(table)],
+                [f"{line}\n" for line in boustrophedon_lines(kind, table.rows)],
                 _old_boustrophedon(kind, n_max, e),
             ),
         }
@@ -296,10 +317,10 @@ def test_chunks_match_the_line_oracles_row_by_row(kind):
             assert all(c.endswith("\n") for c in chunks), fmt
             assert "".join(chunks) == "".join(f"{line}\n" for line in oracle), fmt
         # one row per chunk, after the CSV header
-        row_lines = [c.count("\n") for c in csv_chunks(table)]
+        row_lines = [c.count("\n") for c in csv_chunks(kind, table.rows)]
         assert row_lines == [1, *(len(table.row_ks(n)) for n in range(1, n_max + 1))]
-        assert len(list(text_chunks(table))) == n_max
-        assert list(csv_lines(table)) == list(csv_lines_by_entry(table))
+        assert len(list(text_chunks(kind, table.rows))) == n_max
+        assert list(csv_lines(kind, table.rows)) == list(csv_lines_by_entry(table))
 
 
 def _old_rendering(kind, n_max, fmt):
@@ -408,3 +429,98 @@ def test_large_exports_keep_their_pinned_digest(tmp_path, argv, digest):
     path = tmp_path / "export.out"
     assert dispatch([*argv, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# The csv, text and json renderers as they read a whole table, before the
+# row streams; the CLI's streamed exports must match them, and the old
+# boustrophedon, byte for byte.
+def table_csv_chunks(table):
+    yield "n,k,value\n"
+    for n, row in enumerate(table.rows, 1):
+        yield "".join(map(f"{n},{{}},{{}}\n".format, table.row_ks(n), row))
+
+
+def table_text_chunks(table):
+    for n, row in enumerate(table.rows, 1):
+        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}\n"
+
+
+def table_json_chunks(table, schema):
+    yield (
+        f'{{\n  "schema": {json.dumps(schema)},\n'
+        f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
+    )
+    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
+    for n, row in enumerate(table.rows, 1):
+        values = ",\n".join(map(entry, table.row_ks(n), row))
+        yield (
+            f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
+            f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'
+        )
+    yield "\n  ]\n}"
+
+
+def table_rendering(kind, n_max, fmt):
+    table = ORACLES[kind][0](n_max)
+    if fmt == "csv":
+        return "".join(table_csv_chunks(table))
+    if fmt == "text":
+        return "".join(table_text_chunks(table))
+    if fmt == "json":
+        return "".join(table_json_chunks(table, "zigzag/1")) + "\n"
+    lines = _old_boustrophedon(kind, n_max, ORACLES[kind][1](n_max))
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
+def test_streamed_cli_output_matches_the_table_renderers(kind, fmt):
+    for n_max in (1, 2, 7, 30, 50):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
+        assert code == 0
+        assert buf.getvalue() == table_rendering(kind, n_max, fmt), (kind, n_max, fmt)
+
+
+def test_a_streamed_export_holds_one_row(tmp_path):
+    # a fresh interpreter, so no earlier test's allocations set the peak;
+    # the whole 500-row table would add about 40 MiB
+    script = textwrap.dedent(
+        """
+        import os, resource
+        from zigzag import cli
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        code = cli.dispatch(["triangle", "entringer", "--n", "500", "--format",
+                             "csv", "--force", "--output", os.devnull])
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(code, after - before)
+        """
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    code, growth_kib = map(int, result.stdout.split())
+    assert code == 0
+    assert growth_kib < 5 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_row_sums_keep_only_the_last_row():
+    table_peak = _traced_peak(lambda: entringer_table(300))
+    assert _traced_peak(lambda: euler_number(300)) < table_peak / 5
+    assert _traced_peak(lambda: springer_number(150)) < (
+        _traced_peak(lambda: arnold_table(150)) / 5
+    )

@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 
 from zigzag.bijections import omega
+from zigzag.cli import dispatch
 from zigzag.core import (
     InvalidTreeError,
     inorder,
@@ -702,19 +703,20 @@ def test_sweep_mismatch_keeps_its_witness_and_count(monkeypatch):
 _MODULE_MUTANTS = {
     # the previous row accumulated forwards
     "triangles": (
-        "triangles", "entringer_table",
-        ("accumulate(reversed(rows[-1]))", "accumulate(rows[-1])"),
+        "triangles", "_entringer_rows",
+        ("accumulate(reversed(row))", "accumulate(row)"),
         "entringer-families", "alt: n=3 k=2 expected=0 actual=1",
     ),
-    # the Springer sums started one row late; the rows stay right, so only
-    # the row-sum comparison sees it
+    # the Springer sums started one entry late; the rows stay right, so
+    # only the row-sum comparison sees it
     "triangles-arnold-sums": (
-        "triangles", "arnold_table", ("enumerate(rows, 1)", "enumerate(rows, 2)"),
+        "triangles", "_row_sum", ("row[n:]", "row[n + 1:]"),
         "arnold-families", "snake: n=1 row sum expected=0 actual=1",
     ),
-    # the Euler sums read one row on
+    # the Euler sums read one row on: the sum of the next row, which
+    # accumulates this one backwards
     "triangles-entringer-sums": (
-        "triangles", "entringer_table", ("map(sum, rows)", "map(sum, rows[1:])"),
+        "triangles", "_row_sum", ("sum(row)", "sum(accumulate(reversed(row)))"),
         "entringer-families", "alt: n=2 row sum expected=2 actual=1",
     ),
     # the 0 appended to the word instead of prepended
@@ -767,6 +769,32 @@ def test_the_checks_catch_a_pinned_mutant_of_each_module(monkeypatch, name):
     (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
     assert report.status == FAIL
     assert report.counterexample == witness
+
+
+@pytest.mark.parametrize(
+    "name", ["triangles", "triangles-arnold-sums", "triangles-entringer-sums"]
+)
+def test_a_triangle_mutant_changes_the_cli_export_too(monkeypatch, capsys, name):
+    # the CLI streams its rows through the same recurrence and row sums
+    # that the tables collect, so what the checks catch, the export shows
+    module, attr, (old, new), check_id, _ = _MODULE_MUTANTS[name]
+    kind = check_id.split("-")[0]
+
+    def exports():
+        out = []
+        for fmt in ("csv", "text"):
+            assert dispatch(["triangle", kind, "--n", "6", "--format", fmt]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    before = exports()
+    monkeypatch.setattr(
+        getattr(verify, module), attr, _mutant(getattr(verify, module), attr, old, new)
+    )
+    after = exports()
+    assert after != before
+    # the sum mutants leave every entry, so the CSV, alone
+    assert (after[0] == before[0]) == name.endswith("-sums")
 
 
 def _mutant(module, attr: str, old: str, new: str):
