@@ -38,13 +38,19 @@ These five families are materialized and sorted once, so memory grows
 with the family size: E_{n+1} words for simsun at n, for example.  Tree
 families grow by path copying: each new largest label is hung under
 every node with a free child slot, and only the nodes on the path to
-the new leaf are rebuilt, the rest of the tree being shared.  tree-b
-grows the same way on each of the 2^n sign-choice label sets.  Both are
-then sorted by inorder word.  The definitions (``_PREDICATES``)
-filtering :func:`iter_permutations`, or the tests' stream of all signed
-permutations, remain the oracle the tests compare the generators
-against.  Guards keep accidental huge enumerations out; pass
-``force=True`` to override them.  Every size guard in the package, here
+the new leaf are rebuilt, the rest of the tree being shared; one leaf
+node for the new label serves every tree grown at that step.  Growth
+keeps each tree's inorder word beside it: the new label goes just
+before a leaf that takes it as its left child, and just after a unary
+node that takes it as its right one.  tree-b grows the same way on each
+of the 2^n sign-choice label sets.  Both are then sorted by those
+words, and no tree is walked to read one; verify reads the words too
+(``_tree_words``).  The tests keep the builder that sorted the trees by
+their inorder walks as the oracle of the words.  The definitions
+(``_PREDICATES``) filtering :func:`iter_permutations`, or the tests'
+stream of all signed permutations, remain the oracle the tests compare
+the generators against.  Guards keep accidental huge enumerations out;
+pass ``force=True`` to override them.  Every size guard in the package, here
 and in ``verify`` and ``cli``, raises through one helper, ``_guard``,
 with one message format; each cap stays a constant in its module.
 
@@ -89,7 +95,6 @@ from .core import (
     _exact_int,
     ends_with_ascent,
     has_double_descent,
-    inorder,
     pleaf,
     rtl_min_positions,
     subword_smallest,
@@ -426,40 +431,51 @@ def _over_sign_sets(n: int, grow: Callable[[list[int]], Iterable]) -> Iterator:
         yield from grow(sorted(s * v for s, v in zip(signs, range(1, n + 1))))
 
 
-def _grown(t: Tree, v: int) -> Iterator[Tree]:
-    """``t`` with ``v`` hung under each node that has a free slot.
+def _grown(t: Tree, word: Word, v: int, leaf: Tree) -> Iterator[tuple[Word, Tree]]:
+    """``t`` with ``v`` hung under each node that has a free slot, each
+    after its inorder word, grown from ``t``'s ``word``.
 
     ``v`` exceeds every label in ``t``: a leaf takes it as its left
-    child, and a unary node as its right one, which keeps the canonical
-    order.  Only the path to the new leaf is rebuilt; the rest is shared.
+    child, so ``v`` goes just before the leaf in the word, and a unary
+    node as its right one, so ``v`` goes just after the node; this keeps
+    the canonical order.  Only the path to the new leaf is rebuilt; the
+    rest is shared, and so is the new leaf, the node ``leaf`` labeled
+    ``v``.
     """
     if t.left is None:
-        yield Tree(t.label, Tree(v))
+        i = word.index(t.label)
+        yield word[:i] + (v,) + word[i:], Tree(t.label, leaf)
         return
     if t.right is None:
-        yield Tree(t.label, t.left, Tree(v))
-    for left in _grown(t.left, v):
-        yield Tree(t.label, left, t.right)
+        i = word.index(t.label) + 1
+        yield word[:i] + (v,) + word[i:], Tree(t.label, t.left, leaf)
+    for w, left in _grown(t.left, word, v, leaf):
+        yield w, Tree(t.label, left, t.right)
     if t.right is not None:
-        for right in _grown(t.right, v):
-            yield Tree(t.label, t.left, right)
+        for w, right in _grown(t.right, word, v, leaf):
+            yield w, Tree(t.label, t.left, right)
 
 
-def _gen_trees(labels: Sequence[int]) -> list[Tree]:
-    """Unordered list of the increasing 1-2 trees on the sorted ``labels``."""
-    trees = [Tree(labels[0])]
+def _gen_trees(labels: Sequence[int]) -> list[tuple[Word, Tree]]:
+    """Unordered list of the increasing 1-2 trees on the sorted
+    ``labels``, each after its inorder word."""
+    grown = [((labels[0],), Tree(labels[0]))]
     for v in labels[1:]:
-        trees = [g for t in trees for g in _grown(t, v)]
-    return trees
+        leaf = Tree(v)
+        grown = [g for word, t in grown for g in _grown(t, word, v, leaf)]
+    return grown
 
 
 # ---------------------------------------------------------------------------
 # family enumeration
 
 
+# the tree builders sort (inorder word, tree) pairs by word alone
+_word = operator.itemgetter(0)
+
 _BUILDERS = {
-    FamilyTag.TREE: lambda n: sorted(_gen_trees(range(1, n + 1)), key=inorder),
-    FamilyTag.TREE_B: lambda n: sorted(_over_sign_sets(n, _gen_trees), key=inorder),
+    FamilyTag.TREE: lambda n: sorted(_gen_trees(range(1, n + 1)), key=_word),
+    FamilyTag.TREE_B: lambda n: sorted(_over_sign_sets(n, _gen_trees), key=_word),
     FamilyTag.ANDRE: lambda n: sorted(_iter_bottom_up(range(1, n + 1), True)),
     FamilyTag.SIMSUN: lambda n: sorted(_iter_bottom_up(range(1, n + 1), False)),
     FamilyTag.ANDRE_B: lambda n: sorted(
@@ -479,7 +495,13 @@ def _statistic(tag: FamilyTag) -> Callable[..., int]:
     # resolved once per family, for callers that read many objects
     if tag in _TREE_TAGS:
         return pleaf
-    return operator.itemgetter(0 if tag in _FIRST_TAGS else -1)
+    return operator.itemgetter(_stat_at(tag))
+
+
+def _stat_at(tag: FamilyTag) -> int:
+    # where the statistic sits in an object's word: a permutation is its
+    # own word, and a tree's inorder word starts with its pleaf
+    return 0 if tag in _FIRST_TAGS or tag in _TREE_TAGS else -1
 
 
 def _guard(what: str, n: int, cap: int, force: bool) -> None:
@@ -516,10 +538,31 @@ def iter_family(
 
     Permutation families come out in lexicographic order of their entry
     tuples (signed entries in signed order); tree families in
-    lexicographic order of their inorder words.  ``k`` filters on the
-    family's refinement statistic.  ``n`` and ``k`` convert exactly
-    (``operator.index``): a float such as 1.5 raises ``ValueError``.
+    lexicographic order of their inorder words, which growth keeps
+    beside the trees.  ``k`` filters on the family's refinement
+    statistic; a tree's pleaf is the first entry of its word.  ``n`` and
+    ``k`` convert exactly (``operator.index``): a float such as 1.5
+    raises ``ValueError``.
     """
+    tag, n, k = _family_args(tag, n, k, force)
+    if tag in _FIRST_TAGS:
+        yield from _iter_alternating(tag, n, k)
+        return
+    if tag in _TREE_TAGS:
+        for word, t in _BUILDERS[tag](n):
+            if k is None or word[0] == k:
+                yield t
+        return
+    statistic = _statistic(tag)
+    for obj in _BUILDERS[tag](n):
+        if k is None or statistic(obj) == k:
+            yield obj
+
+
+def _family_args(
+    tag: FamilyTag | str, n: int, k: int | None, force: bool
+) -> tuple[FamilyTag, int, int | None]:
+    # iter_family's arguments, converted and checked, past the guard
     tag = FamilyTag(tag)
     n = _exact_int(n, ValueError)
     if k is not None:
@@ -529,13 +572,14 @@ def iter_family(
     cap = TYPE_B_GUARD if tag in _SIGNED_TAGS else TYPE_A_GUARD
     _guard(f"enumeration of {tag.value}", n, cap, force)
     _check_k(tag, n, k)
-    if tag in _FIRST_TAGS:
-        yield from _iter_alternating(tag, n, k)
-        return
-    statistic = _statistic(tag)
-    for obj in _BUILDERS[tag](n):
-        if k is None or statistic(obj) == k:
-            yield obj
+    return tag, n, k
+
+
+def _tree_words(tag: FamilyTag, n: int) -> list[tuple[Word, Tree]]:
+    """The tree family at n as (inorder word, tree) pairs, in the order
+    of :func:`iter_family`, which checks and guards ``n`` as here."""
+    tag, n, _ = _family_args(tag, n, None, False)
+    return _BUILDERS[tag](n)
 
 
 def enumerate_family(

@@ -36,6 +36,16 @@ number with the alternating permutations, the Springer number with the
 snakes.  The pass that counts each of the four families that no
 bijection row targets tests every object with that family's predicate.
 
+The family cache, ``_family``, keeps each family at n as its objects
+and their words.  A permutation is its own word; a tree's word is its
+inorder word, which growth keeps beside the tree, so no check walks a
+tree for a word or a pleaf, the word's first entry.  The words are what
+the tree counts of the two family-count checks and the source statistic
+of the omega rows read, what the psi rows compare their images with,
+already sorted, and what keys the omega half of the conjugation
+diagram.  A tree goes only to a map that takes one: ``omega``,
+``omega_signed``, ``chuang_phi`` and the spine test's ``minimal_path``.
+
 The conjugation diagram compares each signed map with its unsigned map
 conjugated by the order isomorphism onto [n].  The direct route runs on
 every signed object.  The conjugated route looks up the unsigned map's
@@ -43,7 +53,7 @@ result by the object's rank pattern, in a dict that lives for one n of
 one check run, so the unsigned map runs E_n times at n, not 2^n·E_n;
 relabeling the result back and comparing still happen per object.  The
 psi half's key is the word relabeled onto [n].  The omega half's key is
-the rank pattern of the tree's inorder word, and the tree is rebuilt by
+the rank pattern of the tree's cached word, and the tree is rebuilt by
 rank only the first time its pattern appears: inorder is injective on
 increasing binary trees, so the pattern determines the relabeled tree.
 No lookup outlives its run, so a map patched between runs is seen.
@@ -59,6 +69,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from . import bijections, cdindex, families, triangles
@@ -122,8 +133,16 @@ def _report(check_id: str, params: dict, body: Callable[[], dict]) -> CheckRepor
 
 
 @lru_cache(maxsize=None)
-def _family(tag: FamilyTag, n: int) -> tuple:
-    return tuple(families.iter_family(tag, n))
+def _family(tag: FamilyTag, n: int) -> tuple[tuple, tuple]:
+    """The family at n as its objects and their words, both in the order
+    of ``families.iter_family``.  A permutation is its own word; a tree's
+    word is its inorder word, kept from growth, which starts with the
+    tree's pleaf."""
+    if tag not in families._TREE_TAGS:
+        objects = tuple(families.iter_family(tag, n))
+        return objects, objects
+    pairs = families._tree_words(tag, n)
+    return tuple(t for _, t in pairs), tuple(w for w, _ in pairs)
 
 
 def _compare_counts(
@@ -132,18 +151,19 @@ def _compare_counts(
 ) -> Counter[int]:
     """Count the objects of ``tag`` at n - shift by statistic, compare the
     counts with ``expected`` less the shift unless it is None, and return
-    them.  ``member`` names a predicate on ``families``, looked up when
-    the check runs, that the counting pass tests every object with.
+    them.  The statistic is read from each object's word.  ``member``
+    names a predicate on ``families``, looked up when the check runs,
+    that every object is tested with before the count.
     ``total``, unless None, is a triangle's row sum, which the number of
     objects must equal."""
     size = n - shift
-    stat = families._statistic(tag)
-    holds = getattr(families, member) if member else None
-    actual: Counter[int] = Counter()
-    for x in _family(tag, size):
-        if holds is not None and not holds(x):
-            raise _Failure(f"{tag.value} word {perm_to_text(x)} fails {member}")
-        actual[stat(x)] += 1
+    objects, words = _family(tag, size)
+    if member:
+        holds = getattr(families, member)
+        for x in objects:
+            if not holds(x):
+                raise _Failure(f"{tag.value} word {perm_to_text(x)} fails {member}")
+    actual = Counter(map(itemgetter(families._stat_at(tag)), words))
     if expected is not None:
         expected = {k - shift: v for k, v in expected.items()}
         for k in sorted(set(expected) | set(actual)):
@@ -266,12 +286,13 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
     func = getattr(bijections, row.func) if isinstance(row.func, str) else row.func
     member = getattr(families, row.member) if row.member else None
     inverse = getattr(bijections, row.inverse) if row.inverse else None
-    source_stat = families._statistic(row.source)
+    source_at = families._stat_at(row.source)
     trees = families._TREE_TAGS
     # tree images are compared as inorder words, read from checked child
-    # maps or from trees checked as they were linked; inorder is
-    # injective on increasing binary trees, and a tree's pleaf is the
-    # first entry of its word
+    # maps or from trees checked as they were linked, with the target
+    # family's words, which come sorted; inorder is injective on
+    # increasing binary trees, and a tree's pleaf is the first entry of
+    # its word
     to_tree = row.target in trees
     stat_name, at = ("pleaf", 0) if to_tree else ("last entry", -1)
     text = tree_to_literal if row.source in trees else perm_to_text
@@ -281,7 +302,7 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
     for n in range(1, (n_max_b if signed else n_max_a) + 1):
         size = n - shift
         images = []
-        for x in _family(row.source, n):
+        for x, source_word in zip(*_family(row.source, n)):
             y = func(x)
             word = inorder(y) if isinstance(y, Tree) else y
             objects += 1
@@ -291,7 +312,7 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
             else:
                 if member is not None and not member(y):
                     raise _Failure(f"{row.name}({text(x)}) not {row.noun}")
-                if word[at] != source_stat(x) - shift:
+                if word[at] != source_word[source_at] - shift:
                     raise _Failure(f"{row.name} {stat_name} mismatch on {text(x)}")
                 if extra is not None:
                     extra(x, y)
@@ -299,8 +320,7 @@ def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
                 raise _Failure(f"{row.inverse} round trip failed on {text(x)}")
             images.append(word)
         if size:
-            target = _family(row.target, size)
-            if sorted(images) != sorted(map(inorder, target) if to_tree else target):
+            if sorted(images) != list(_family(row.target, size)[1]):
                 raise _Failure(f"{row.name} images at n={n} are not {row.image_set}")
     return {"objects": objects}
 
@@ -396,26 +416,28 @@ def _conjugate(unsigned: Callable, x, word, seen: dict) -> tuple:
 
 # one row per check: its cap, from (n_max_a, n_max_b), then its clauses
 # (stream, holds, witness, size); holds takes an object and the clause's
-# scratch dict at this n.  Names are looked up when a clause runs, so
-# patches and wrappers reach them.  Only the two scans of S_n fix a
-# size: they must see exactly n! permutations at each n
+# scratch dict at this n.  An object of the omega half of the
+# conjugation diagram is a tree with its inorder word.  Names are looked
+# up when a clause runs, so patches and wrappers reach them.  Only the
+# two scans of S_n fix a size: they must see exactly n! permutations at
+# each n
 _OBJECT_CHECKS = {
     # psi_b's replay must end in the grafting's child maps, which are
     # checked as one tree, so equal maps are equal trees
     "psi-equality": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.ALT, n),
+        lambda n: _family(FamilyTag.ALT, n)[0],
         lambda p, _: bijections._replay_maps(p) == _psi_maps(p),
         lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
         None,
     )),
     "chuang-factorization": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.TREE, n),
+        lambda n: _family(FamilyTag.TREE, n)[0],
         lambda t, _: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
         lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
         None,
     )),
     "cd-preservation": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.ANDRE, n),
+        lambda n: _family(FamilyTag.ANDRE, n)[0],
         lambda p, _: cdindex.reduced_variation_andre(p)
         == cdindex.reduced_variation_simsun(bijections.phi(p)),
         lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
@@ -441,15 +463,15 @@ _OBJECT_CHECKS = {
     # on every object, and runs first, so a bad tree raises there; the
     # conjugated route's unsigned map runs once per rank pattern at each n
     "conjugation-diagram": (lambda a, b: b, (
-        lambda n: _family(FamilyTag.ALT_B, n),
+        lambda n: _family(FamilyTag.ALT_B, n)[0],
         lambda p, seen: _psi_word(p) == _conjugate(_psi_word, p, p, seen),
         lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
         None,
     ), (
-        lambda n: _family(FamilyTag.TREE_B, n),
-        lambda t, seen: bijections.omega_signed(t)
-        == _conjugate(bijections.omega, t, inorder(t), seen),
-        lambda t: f"omega conjugation square fails on {tree_to_literal(t)}",
+        lambda n: zip(*_family(FamilyTag.TREE_B, n)),
+        lambda tw, seen: bijections.omega_signed(tw[0])
+        == _conjugate(bijections.omega, *tw, seen),
+        lambda tw: f"omega conjugation square fails on {tree_to_literal(tw[0])}",
         None,
     )),
 }

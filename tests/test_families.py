@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from zigzag import cli, families
+from zigzag import cli, families, verify
 from zigzag.bijections import _link_tree, omega, phi
 from zigzag.core import (
     Tree,
@@ -598,6 +598,57 @@ class TestTreeOracle:
             assert list(iter_family("tree-b", n)) == sorted(relabeled, key=inorder)
 
 
+# The tree builder from before growth kept the inorder words: the trees
+# alone, grown by path copying and sorted by their inorder walks.  Kept
+# as the oracle of the words that growth keeps and sorts by.
+def _old_grown(t, v):
+    if t.left is None:
+        yield Tree(t.label, Tree(v))
+        return
+    if t.right is None:
+        yield Tree(t.label, t.left, Tree(v))
+    for left in _old_grown(t.left, v):
+        yield Tree(t.label, left, t.right)
+    if t.right is not None:
+        for right in _old_grown(t.right, v):
+            yield Tree(t.label, t.left, right)
+
+
+def _old_gen_trees(labels):
+    trees = [Tree(labels[0])]
+    for v in labels[1:]:
+        trees = [g for t in trees for g in _old_grown(t, v)]
+    return trees
+
+
+def _old_tree_family(tag, n):
+    if tag == "tree":
+        return sorted(_old_gen_trees(range(1, n + 1)), key=inorder)
+    return sorted(families._over_sign_sets(n, _old_gen_trees), key=inorder)
+
+
+class TestGrownWords:
+    """The words growth keeps against the inorder walks of the trees."""
+
+    SIZES = [("tree", 8), ("tree-b", 6)]
+
+    @pytest.mark.parametrize("tag, n_max", SIZES)
+    def test_the_builders_match_the_inorder_sort(self, tag, n_max):
+        for n in range(1, n_max + 1):
+            old = _old_tree_family(tag, n)
+            assert list(iter_family(tag, n)) == old
+            ks = range(-n, n + 1) if tag == "tree-b" else range(1, n + 1)
+            for k in filter(None, ks):
+                assert list(iter_family(tag, n, k)) == [t for t in old if pleaf(t) == k]
+
+    @pytest.mark.parametrize("tag, n_max", SIZES)
+    def test_every_cached_word_is_the_inorder_word_of_its_tree(self, tag, n_max):
+        for n in range(1, n_max + 1):
+            trees, words = verify._family(FamilyTag(tag), n)
+            assert trees == tuple(iter_family(tag, n))
+            assert words == tuple(map(inorder, trees))
+
+
 class TestCounts:
     def test_counts_match_entringer(self):
         table = entringer_table(6)
@@ -727,6 +778,21 @@ def test_every_guard_site_raises_the_one_error(capsys, what, cap, call):
     with pytest.raises(GuardExceededError) as info:
         call(cap + 1)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tag, cap", [("tree", 12), ("tree-b", 8)])
+def test_the_tree_words_for_verify_keep_the_family_guard(tag, cap):
+    # verify builds the tree families through _tree_words, not
+    # iter_family, so a forced run past the family caps still refuses them
+    for n, error, message in (
+        (cap + 1, GuardExceededError,
+         f"enumeration of {tag} at n={cap + 1} exceeds the guard (n <= {cap}); "
+         "pass force=True to override"),
+        (0, ValueError, "families start at n = 1"),
+    ):
+        with pytest.raises(error) as info:
+            families._tree_words(FamilyTag(tag), n)
+        assert str(info.value) == message
 
 
 def _calls(path, name, raised=False):

@@ -55,29 +55,6 @@ ORACLES = {
 }
 
 
-# The line-by-line renderings the chunked ones replaced, kept as oracles.
-def csv_lines_by_entry(table):
-    yield "n,k,value"
-    for n, row in enumerate(table.rows, 1):
-        yield from (f"{n},{k},{v}" for k, v in zip(table.row_ks(n), row))
-
-
-def text_lines(table):
-    for n, row in enumerate(table.rows, 1):
-        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}"
-
-
-def json_rows(table):
-    return [
-        {
-            "n": n,
-            "values": [{"k": k, "value": v} for k, v in table.row(n)],
-            "row_sum": table.row_sums[n - 1],
-        }
-        for n in range(1, table.n_max + 1)
-    ]
-
-
 # published triangle of E(n, k) for n <= 7, one row per n
 ENTRINGER_ROWS = {
     1: (1,),
@@ -207,8 +184,9 @@ def test_csv_export():
 
 
 def test_json_rows():
-    rows = json_rows(entringer_table(3))
-    assert rows[2] == {
+    chunks = json_chunks("entringer", entringer_table(3).rows, "zigzag/1")
+    doc = json.loads("".join(chunks))
+    assert doc["rows"][2] == {
         "n": 3,
         "values": [{"k": 1, "value": 0}, {"k": 2, "value": 1}, {"k": 3, "value": 1}],
         "row_sum": 2,
@@ -289,38 +267,36 @@ def test_row_outside_the_triangle_is_a_key_error(kind, n):
         table.row(n)
 
 
+# the sizes every export is compared with the one oracle at
+SIZES = (*range(1, 13), 30, 50)
+
+
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 def test_json_chunks_join_to_json_dumps(kind):
-    for n_max in range(1, 31):
-        table = ORACLES[kind][0](n_max)
-        doc = {"schema": "zigzag/1", "kind": kind, "rows": json_rows(table)}
-        chunks = list(json_chunks(kind, table.rows, "zigzag/1"))
-        assert "".join(chunks) == json.dumps(doc, indent=2)
+    for n_max in SIZES:
+        chunks = list(json_chunks(kind, ORACLES[kind][0](n_max).rows, "zigzag/1"))
+        assert "".join(chunks) + "\n" == _old_rendering(kind, n_max, "json")
         assert len(chunks) == n_max + 2  # the head, one per row, the tail
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 def test_chunks_match_the_line_oracles_row_by_row(kind):
-    for n_max in range(1, 31):
-        table = ORACLES[kind][0](n_max)
-        e = ORACLES[kind][1](n_max)
+    for n_max in SIZES:
+        rows = ORACLES[kind][0](n_max).rows
         rendered = {
-            "csv": (csv_chunks(kind, table.rows), csv_lines_by_entry(table)),
-            "text": (text_chunks(kind, table.rows), text_lines(table)),
-            "boustrophedon": (
-                [f"{line}\n" for line in boustrophedon_lines(kind, table.rows)],
-                _old_boustrophedon(kind, n_max, e),
-            ),
+            "csv": list(csv_chunks(kind, rows)),
+            "text": list(text_chunks(kind, rows)),
+            "boustrophedon": [f"{line}\n" for line in boustrophedon_lines(kind, rows)],
         }
-        for fmt, (chunks, oracle) in rendered.items():
-            chunks = list(chunks)
+        for fmt, chunks in rendered.items():
             assert all(c.endswith("\n") for c in chunks), fmt
-            assert "".join(chunks) == "".join(f"{line}\n" for line in oracle), fmt
+            assert "".join(chunks) == _old_rendering(kind, n_max, fmt), fmt
         # one row per chunk, after the CSV header
-        row_lines = [c.count("\n") for c in csv_chunks(kind, table.rows)]
-        assert row_lines == [1, *(len(table.row_ks(n)) for n in range(1, n_max + 1))]
-        assert len(list(text_chunks(kind, table.rows))) == n_max
-        assert list(csv_lines(kind, table.rows)) == list(csv_lines_by_entry(table))
+        row_lines = [c.count("\n") for c in rendered["csv"]]
+        assert row_lines == [1, *(len(rows[n - 1]) for n in range(1, n_max + 1))]
+        assert len(rendered["text"]) == n_max
+        lines = "".join(f"{line}\n" for line in csv_lines(kind, rows))
+        assert lines == _old_rendering(kind, n_max, "csv")
 
 
 def _old_rendering(kind, n_max, fmt):
@@ -391,7 +367,7 @@ def _old_boustrophedon(kind, n_max, e):
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
 def test_cli_output_matches_the_old_rendering(kind, fmt):
-    for n_max in range(1, 13):
+    for n_max in SIZES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
@@ -429,58 +405,6 @@ def test_large_exports_keep_their_pinned_digest(tmp_path, argv, digest):
     path = tmp_path / "export.out"
     assert dispatch([*argv, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-# The csv, text and json renderers as they read a whole table, before the
-# row streams; the CLI's streamed exports must match them, and the old
-# boustrophedon, byte for byte.
-def table_csv_chunks(table):
-    yield "n,k,value\n"
-    for n, row in enumerate(table.rows, 1):
-        yield "".join(map(f"{n},{{}},{{}}\n".format, table.row_ks(n), row))
-
-
-def table_text_chunks(table):
-    for n, row in enumerate(table.rows, 1):
-        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}\n"
-
-
-def table_json_chunks(table, schema):
-    yield (
-        f'{{\n  "schema": {json.dumps(schema)},\n'
-        f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
-    )
-    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
-    for n, row in enumerate(table.rows, 1):
-        values = ",\n".join(map(entry, table.row_ks(n), row))
-        yield (
-            f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
-            f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'
-        )
-    yield "\n  ]\n}"
-
-
-def table_rendering(kind, n_max, fmt):
-    table = ORACLES[kind][0](n_max)
-    if fmt == "csv":
-        return "".join(table_csv_chunks(table))
-    if fmt == "text":
-        return "".join(table_text_chunks(table))
-    if fmt == "json":
-        return "".join(table_json_chunks(table, "zigzag/1")) + "\n"
-    lines = _old_boustrophedon(kind, n_max, ORACLES[kind][1](n_max))
-    return "".join(f"{line}\n" for line in lines)
-
-
-@pytest.mark.parametrize("kind", sorted(ORACLES))
-@pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
-def test_streamed_cli_output_matches_the_table_renderers(kind, fmt):
-    for n_max in (1, 2, 7, 30, 50):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
-        assert code == 0
-        assert buf.getvalue() == table_rendering(kind, n_max, fmt), (kind, n_max, fmt)
 
 
 def test_a_streamed_export_holds_one_row(tmp_path):

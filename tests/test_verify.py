@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -845,3 +846,57 @@ def test_the_family_counts_catch_a_pinned_mutant_of_a_generator(monkeypatch):
     monkeypatch.setattr(verify.families, "_iter_bottom_up", mutant)
     (report,) = run_checks(["entringer-families"], n_max_a=6, n_max_b=4)
     assert report.counterexample == "andre: n=3 k=2 expected=1 actual=0"
+
+
+def test_the_checks_catch_a_pinned_mutant_of_the_grown_words(monkeypatch):
+    # growth puts a leaf's new child after the leaf in the word; the trees
+    # stay right, so only the checks that read the kept words see it.  The
+    # run gets a cache of its own, as above
+    monkeypatch.setattr(verify, "_family", lru_cache(verify._family.__wrapped__))
+    trees = set(iter_family("tree-b", 4))
+    mutant = _mutant(
+        verify.families, "_grown",
+        "i = word.index(t.label)\n", "i = word.index(t.label) + 1\n",
+    )
+    monkeypatch.setattr(verify.families, "_grown", mutant)
+    assert set(iter_family("tree-b", 4)) == trees
+    assert _failures(run_checks(n_max_a=6, n_max_b=4)) == {
+        "arnold-families": "tree-b: n=2 k=-2 expected=0 actual=2",
+        "entringer-families": "tree: n=2 k=1 expected=0 actual=1",
+        "omega-bijection": "omega last entry mismatch on 1(2)",
+        "omega-signed-bijection": "omega_signed last entry mismatch on -2(-1)",
+        "psi-bijection": "psi images at n=2 are not exactly the trees",
+        "psi-signed-bijection": (
+            "psi_signed images at n=2 are not exactly the signed trees"
+        ),
+    }
+
+
+def test_a_cold_run_reads_the_tree_words_it_keeps(monkeypatch):
+    # the checks read each tree's pleaf and inorder word from the words
+    # growth keeps, so a cold run walks no tree for its pleaf, and reads
+    # inorder only from psi-bijection's trees, which psi_inv takes, and
+    # inside chuang_phi, one map of the factorization it checks
+    monkeypatch.setattr(verify, "_family", lru_cache(verify._family.__wrapped__))
+    walks = Counter()
+
+    def counted(func):
+        def call(t):
+            walks[func.__name__, sys._getframe(1).f_code.co_name] += 1
+            return func(t)
+
+        return call
+
+    walkers = (core.inorder, core.pleaf)
+    for module in (core, verify.families, verify, verify.bijections, verify.cdindex):
+        for name, value in list(vars(module).items()):
+            if any(value is func for func in walkers):
+                monkeypatch.setattr(module, name, counted(value))
+    reports = run_checks(None, 7, 5)
+    assert all(r.status == PASS for r in reports)
+    (psi,) = [r for r in reports if r.check_id == "psi-bijection"]
+    assert psi.counts == {"objects": 358}
+    assert walks == {
+        ("inorder", "_check_bijection"): 358,
+        ("inorder", "chuang_phi"): 554,
+    }
