@@ -407,6 +407,58 @@ def test_large_exports_keep_their_pinned_digest(tmp_path, argv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# The csv, text and json renderers as they read a whole table, before the
+# row streams; the CLI's streamed exports must match them, and the old
+# boustrophedon, byte for byte.
+def table_csv_chunks(table):
+    yield "n,k,value\n"
+    for n, row in enumerate(table.rows, 1):
+        yield "".join(map(f"{n},{{}},{{}}\n".format, table.row_ks(n), row))
+
+
+def table_text_chunks(table):
+    for n, row in enumerate(table.rows, 1):
+        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}\n"
+
+
+def table_json_chunks(table, schema):
+    yield (
+        f'{{\n  "schema": {json.dumps(schema)},\n'
+        f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
+    )
+    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
+    for n, row in enumerate(table.rows, 1):
+        values = ",\n".join(map(entry, table.row_ks(n), row))
+        yield (
+            f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
+            f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'
+        )
+    yield "\n  ]\n}"
+
+
+def table_rendering(kind, n_max, fmt):
+    table = ORACLES[kind][0](n_max)
+    if fmt == "csv":
+        return "".join(table_csv_chunks(table))
+    if fmt == "text":
+        return "".join(table_text_chunks(table))
+    if fmt == "json":
+        return "".join(table_json_chunks(table, "zigzag/1")) + "\n"
+    lines = _old_boustrophedon(kind, n_max, ORACLES[kind][1](n_max))
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
+def test_streamed_cli_output_matches_the_table_renderers(kind, fmt):
+    for n_max in (1, 2, 7, 30, 50):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
+        assert code == 0
+        assert buf.getvalue() == table_rendering(kind, n_max, fmt), (kind, n_max, fmt)
+
+
 def test_a_streamed_export_holds_one_row(tmp_path):
     # a fresh interpreter, so no earlier test's allocations set the peak;
     # the whole 500-row table would add about 40 MiB
