@@ -27,7 +27,9 @@ The maps and their statistic bookkeeping:
   maps, showing the maps after every step to an optional visitor;
   ``psi``, ``psi_signed`` and ``psi_c`` link those maps into a
   :class:`Tree`, and only ``psi_c`` records the decisions in an
-  :class:`AlgoCTrace`.  The checks read the
+  :class:`AlgoCTrace`.  It builds each :class:`AlgoCStep` as
+  ``core._link_tree`` builds a node, through the slots' own setters,
+  without the dataclass constructor's frame.  The checks read the
   maps as checked inorder words instead (``core._linked_inorder``).
   Every map that builds a tree fills child maps and freezes them with
   ``core._link_tree``, which checks every tree invariant as it links,
@@ -37,14 +39,19 @@ The maps and their statistic bookkeeping:
 - ``psi_b``: the same bijection computed independently, by a reduction
   replayed backwards.  Walking the word forward, each step either
   strips the first two entries (when the second is the next smaller
-  remaining label) or swaps the first entry with that label; replaying
-  the steps in reverse on child and parent maps grows the tree.  The
-  replay keys those maps by node ids, each node named by the label it
-  was created with, beside two tables from node to current label and
-  back, so a swap that exchanges two labels is four stores and moves
-  no child link.  The kernel ``_replay_maps`` translates the maps to
-  labels once, at the end, and ``psi_b`` links them.  Both phases are
-  loops, so deep inputs raise no ``RecursionError``.
+  remaining label) or swaps the first entry with that label.  The
+  swaps at one first position form a chain, walked in one inner loop
+  that carries the moving label in a local and writes back only the
+  entries that stay in the word.  Replaying the steps in reverse on
+  child and parent maps grows the tree.  The replay keys its maps by
+  node ids, each node named by the label it was created with, beside
+  two tables from node to current label and back, so a swap that
+  exchanges two labels is four stores and moves no child link.  The
+  input is a permutation of [n], so every map and table is a list
+  indexed by 1..n, with 0 for "none"; the kernel ``_replay_maps``
+  translates the maps to label-keyed dicts once, at the end, and
+  ``psi_b`` links them.  Both phases are loops, so deep inputs raise
+  no ``RecursionError``.
 - ``psi_signed``, ``omega_signed``, ``phi_signed``: the signed-label
   versions.  The first two equal the unsigned maps conjugated by the
   unique order isomorphism onto [n], but neither relabels: the grafting
@@ -63,11 +70,14 @@ The maps and their statistic bookkeeping:
   with ``omega_inv``'s pass.  The pleaf and the next smaller label tell
   which replay step came last (a label exchange, a strip or a sibling
   rotation), and undoing the steps one by one leaves the base tree.
-  Like the replay, the undoing keys its maps by node ids, so an
-  exchange is four stores on the label tables.  It keeps no parent
-  map: the pleaf's parent and grandparent are the last nodes of the
-  minimal path, kept as a list.  The steps then replay backwards on
-  the base word.  Nothing is enumerated and nothing is grafted.
+  Like the replay, the undoing keys its maps by node ids, in lists
+  indexed by 1..n that it fills once from the pass's dicts, so an
+  exchange moves no child link; the exchanges at one pleaf node form
+  a chain, walked in one inner loop that writes that node's label
+  once, at the chain's end.  It keeps no parent map: the pleaf's
+  parent and grandparent are the last nodes of the minimal path, kept
+  as a list.  The steps then replay backwards on the base word.
+  Nothing is enumerated and nothing is grafted.
 """
 
 from __future__ import annotations
@@ -109,6 +119,14 @@ class AlgoCTrace:
             f"i={s.index} a={s.a} b={'-' if s.b is None else s.b} case={s.case}"
             for s in self.steps
         ]
+
+
+# the slots' own setters, which the frozen ``__setattr__`` does not guard;
+# psi_c records its steps through them, as ``core._link_tree`` builds nodes
+_set_index = AlgoCStep.index.__set__
+_set_a = AlgoCStep.a.__set__
+_set_b = AlgoCStep.b.__set__
+_set_case = AlgoCStep.case.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +327,16 @@ def psi_c(p: Sequence[int]) -> tuple[Tree, AlgoCTrace]:
     if not is_alternating(p):
         raise ValueError("psi_c requires an alternating permutation")
     steps: list[AlgoCStep] = []
+    new = object.__new__
 
     def record(i: int, a: int, b: int | None, case: str, *_maps) -> None:
-        steps.append(AlgoCStep(i, a, b, case))
+        # AlgoCStep(i, a, b, case) without its Python frame
+        step = new(AlgoCStep)
+        _set_index(step, i)
+        _set_a(step, a)
+        _set_b(step, b)
+        _set_case(step, case)
+        steps.append(step)
 
     return _link_tree(*_graft_maps(p, record)), AlgoCTrace(tuple(steps))
 
@@ -350,38 +375,49 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
     The replay runs on node ids: a node is named by the label it was
     created with, and ``label`` and ``node`` map ids to current labels
     and back, so a label exchange is four stores and moves no child
-    link.  The maps are translated to labels once, at the end.
+    link.  ``p`` is a permutation of [n], so every table is a list
+    indexed by 1..n, with 0 for "none"; the maps are translated to
+    label-keyed dicts once, at the end.
     """
     n = len(p)
     word = list(p)
-    at = {v: i for i, v in enumerate(word)}
+    at = [0] * (n + 1)  # at[v]: v's position, kept for entries not yet stripped
+    for i, v in enumerate(word):
+        at[v] = i
     below = list(range(-1, n + 1))  # below[v]: next smaller label still present
     above = list(range(1, n + 3))
     steps: list[tuple[bool, int, int]] = []
     s = 0
     while n - s > 2:
+        # one swap chain: the first entry k swaps with j, the next smaller
+        # label, until the second entry is j.  k moves to j's place, which
+        # is past the second entry, and j becomes the first entry; the
+        # first two positions are stripped at the end of the chain and
+        # never read again, so only the moved k is written
         k = word[s]
         j = below[k]
-        if word[s + 1] == j:
-            steps.append((True, j, k))
-            lo, hi = below[j], above[k]
-            above[lo], below[hi] = hi, lo
-            s += 2
-        else:
+        second = word[s + 1]
+        while second != j:
             steps.append((False, j, k))
             q = at[j]
-            word[s], word[q] = j, k
-            at[j], at[k] = s, q
+            word[q] = k
+            at[k] = q
+            k = j
+            j = below[k]
+        steps.append((True, j, k))
+        lo, hi = below[j], above[k]
+        above[lo], below[hi] = hi, lo
+        s += 2
 
     # every label enters the tree once, as a new node named by it, and
     # only labels in the tree are exchanged, so both tables start as the
     # identity
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    parent = [0] * (n + 1)
     root = word[-1]
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    parent: dict[int, int] = {}
     if n - s == 2:
         left[root], parent[word[s]] = word[s], root
     for strip, j, k in reversed(steps):
@@ -390,34 +426,34 @@ def _replay_maps(p: Word) -> tuple[int, dict[int, int], dict[int, int]]:
             m = root
             while label[m] < k:
                 m = left[m]
-            up = parent.get(m)
+            up = parent[m]
             left[j], right[j] = k, m
             parent[k] = parent[m] = j
-            if up is None:
-                root = j
-            else:
+            if up:
                 left[up], parent[j] = j, up
+            else:
+                root = j
             continue
         nj, nk = node[j], node[k]
         if parent[nj] == parent[nk]:
             # j is the leaf left of its sibling k: k becomes j's leaf, k's
             # right child moves under j and its left child takes k's place
             ell = parent[nj]
-            kl, kr = left.pop(nk, None), right.pop(nk, None)
-            left[nj], parent[nk] = nk, nj
-            if kr is not None:
-                right[nj], parent[kr] = kr, nj
-            if kl is None:
-                del right[ell]
-            else:
-                right[ell], parent[kl] = kl, ell
+            kl, kr = left[nk], right[nk]
+            left[nk] = right[nk] = 0
+            left[nj], right[nj], parent[nk] = nk, kr, nj
+            if kr:
+                parent[kr] = nj
+            right[ell] = kl
+            if kl:
+                parent[kl] = ell
         else:
             node[j], node[k] = nk, nj
             label[nj], label[nk] = k, j
     return (
         label[root],
-        {label[u]: label[v] for u, v in left.items()},
-        {label[u]: label[v] for u, v in right.items()},
+        {label[u]: label[v] for u, v in enumerate(left) if v},
+        {label[u]: label[v] for u, v in enumerate(right) if v},
     )
 
 
@@ -434,11 +470,13 @@ def psi_inv(t: Tree) -> Word:
     """The alternating permutation that psi maps to ``t``.
 
     The checked reading of ``t`` splits back into child maps as in
-    :func:`omega_inv`, so no second walk visits the nodes.  Then it
-    undoes :func:`psi_b`'s replay on node ids, as :func:`_replay_maps`
-    runs it, its last step first.  With k the pleaf and j the next
-    smaller label: if j is not k's parent, the step exchanged the labels
-    j and k, which is four stores that move no child link.  Otherwise,
+    :func:`omega_inv`, so no second walk visits the nodes, and those
+    maps become lists indexed by node once.  Then it undoes
+    :func:`psi_b`'s replay on node ids, as :func:`_replay_maps` runs it,
+    its last step first.  With k the pleaf and j the next smaller label:
+    if j is not k's parent, the step exchanged the labels j and k, which
+    moves no child link; a run of such exchanges is one inner loop that
+    writes the pleaf node's label once, at its end.  Otherwise,
     if j has a right child m, and j is the root or its parent's right
     child is missing or larger than m, the step was a strip; otherwise
     it was the sibling rotation.  k's parent and grandparent are read
@@ -452,7 +490,15 @@ def psi_inv(t: Tree) -> Word:
     """
     word = _one_to_n_reading(t, "psi_inv")
     n = len(word)
-    root, left, right = _min_split_maps(word)
+    root, lmap, rmap = _min_split_maps(word)
+    # the labels are 1..n, so the child maps become lists indexed by
+    # node, 0 for "none", as in the replay
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    for u, v in lmap.items():
+        left[u] = v
+    for u, v in rmap.items():
+        right[u] = v
     # each node starts named by its label, as in the replay
     label = list(range(n + 1))  # label[u]: the label node u carries
     node = list(range(n + 1))  # node[v]: the node carrying label v
@@ -463,24 +509,34 @@ def psi_inv(t: Tree) -> Word:
     path = [root]  # the minimal path's nodes, from the root
     while size > 2:
         kn = path[-1]
-        while kn in left:
+        while left[kn]:
             kn = left[kn]
             path.append(kn)
+        pn = path[-2]
+        # one exchange chain: while j is not k's parent, the step
+        # exchanged j and k, so j's node takes k and the pleaf node kn
+        # carries j on; kn's label is written once, at the chain's end
         k = label[kn]
         j = below[k]
         jn = node[j]
-        if path[-2] != jn:
-            node[j], node[k] = kn, jn
-            label[kn], label[jn] = j, k
+        while pn != jn:
             steps.append((False, j, k))
-            continue
-        m = right.get(jn)
-        up = path[-3] if len(path) > 2 else None
-        beside = None if up is None else right.get(up)
-        if m is not None and (beside is None or label[beside] > label[m]):
-            # a strip: j and its leaf k leave, and m takes j's place
-            del left[jn], right[jn]
-            if up is not None:
+            node[k] = jn
+            label[jn] = k
+            k = j
+            j = below[k]
+            jn = node[j]
+        label[kn] = k
+        node[k] = kn
+        m = right[jn]
+        up = path[-3] if len(path) > 2 else 0
+        # right[0] stays 0: a root j has a right child while size > 2,
+        # so no rotation writes it
+        beside = right[up]
+        if m and (not beside or label[beside] > label[m]):
+            # a strip: j and its leaf k leave, and m takes j's place;
+            # nothing reaches the nodes jn and kn again
+            if up:
                 left[up] = m
             path[-2:] = (m,)
             lo, hi = below[j], above[k]
@@ -490,21 +546,19 @@ def psi_inv(t: Tree) -> Word:
         else:
             # the rotation: k becomes j's right sibling again, with the
             # child beside j on its left and j's right child on its right
-            del left[jn]
-            kr = right.pop(jn, None)
+            left[kn], right[kn] = beside, right[jn]
+            left[jn] = right[jn] = 0
             right[up] = kn
-            if beside is not None:
-                left[kn] = beside
-            if kr is not None:
-                right[kn] = kr
             path.pop()
             steps.append((False, j, k))
 
     # replay the steps backwards on the base word, built from its end:
     # a strip puts k, j back in front, a swap exchanges the values j, k
     root = path[0]
-    rev = [label[root], label[left[root]]] if root in left else [label[root]]
-    at = {v: i for i, v in enumerate(rev)}
+    rev = [label[root], label[left[root]]] if left[root] else [label[root]]
+    at = [0] * (n + 1)  # at[v]: v's position in rev
+    for i, v in enumerate(rev):
+        at[v] = i
     for strip, j, k in reversed(steps):
         if strip:
             at[j], at[k] = len(rev), len(rev) + 1

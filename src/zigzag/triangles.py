@@ -218,9 +218,11 @@ def json_chunks(kind: str, rows: Iterable[Row], schema: str) -> Iterator[str]:
         f'{{\n  "schema": {json.dumps(schema)},\n'
         f'  "kind": {json.dumps(kind)},\n  "rows": ['
     )
-    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
     for n, row in enumerate(rows, 1):
-        values = ",\n".join(map(entry, _row_ks(kind, n), row))
+        values = ",\n".join([
+            f'        {{\n          "k": {k},\n          "value": {v}\n        }}'
+            for k, v in zip(_row_ks(kind, n), row)
+        ])
         yield (
             f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
             f'{values}\n      ],\n      "row_sum": {_row_sum(kind, n, row)}\n    }}'

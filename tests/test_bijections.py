@@ -946,7 +946,7 @@ class TestKernelOracles:
         for t in trees:
             assert bijections._min_split_maps(omega(t)) == _tree_maps(t), t
 
-    @pytest.mark.parametrize("n", [20, 40, 80, 400])
+    @pytest.mark.parametrize("n", [20, 40, 80, 400, 401])
     def test_min_split_and_psi_inv_on_sampled_words(self, n):
         for seed in range(5):
             p = _sample_alternating(n, seed)

@@ -153,6 +153,25 @@ def test_map_psi_trace(capsys):
     assert "i=2 a=9 b=- case=C2" in lines
 
 
+def test_map_psi_trace_text_output_is_pinned(capsys):
+    # pinned from psi_c as it stood when each step went through the
+    # dataclass constructor; the other trace tests read the same step
+    # objects on both sides, so only a pin sees how they are built
+    digest = hashlib.sha256()
+    lines = 0
+    for p in iter_family("alt", 7):
+        code, out, _ = run(
+            capsys, "map", "psi", f"--input={perm_to_text(p)}", "--trace"
+        )
+        assert code == 0
+        digest.update(out.encode())
+        lines += out.count("\n")
+    assert lines == 1088
+    assert digest.hexdigest() == (
+        "6e62c77922dc886e7c0dd5d82b24513313b9c1b6cab9572a2e630ff64183b5bb"
+    )
+
+
 @pytest.mark.parametrize(
     "name, literal", [("psi-b", "2143"), ("omega", "1(2,3)"), ("psi-signed", "1")]
 )

@@ -731,6 +731,12 @@ _MODULE_MUTANTS = {
         ("s[mins[t - 1] - 1] + 1", "s[mins[t - 1] - 1]"),
         "phi-bijection", "phi_inv round trip failed on 123",
     ),
+    # psi_b's swap chain writing the moved label's position under the
+    # label that moved to the front
+    "bijections-replay": (
+        "bijections", "_replay_maps", ("at[k] = q", "at[j] = q"),
+        "psi-equality", "psi_b and psi_c disagree on 41523",
+    ),
     # core's tree reader, where bijections reads it, giving the inorder word
     "core": (
         "bijections", "_checked_reverse_inorder", inorder,
