@@ -45,14 +45,14 @@ before a leaf that takes it as its left child, and just after a unary
 node that takes it as its right one.  tree-b grows the same way on each
 of the 2^n sign-choice label sets.  Both are then sorted by those
 words, and no tree is walked to read one; verify reads the words too
-(``_tree_words``).  The tests keep the builder that sorted the trees by
-their inorder walks as the oracle of the words.  The definitions
-(``_PREDICATES``) filtering :func:`iter_permutations`, or the tests'
-stream of all signed permutations, remain the oracle the tests compare
-the generators against.  Guards keep accidental huge enumerations out;
-pass ``force=True`` to override them.  Every size guard in the package, here
-and in ``verify`` and ``cli``, raises through one helper, ``_guard``,
-with one message format; each cap stays a constant in its module.
+(``_tree_words``).  The oracles of the generators are in
+``tests/oracles.py``: the trees read off the canonical inorder words,
+sorted by those words, and the definitions filtering
+:func:`iter_permutations` or the stream of all signed permutations.
+Guards keep accidental huge enumerations out; pass ``force=True`` to
+override them.  Every size guard in the package, here and in ``verify``
+and ``cli``, raises through one helper, ``_guard``, with one message
+format; each cap stays a constant in its module.
 
 :func:`is_andre` and :func:`is_simsun` read the word once, left to
 right, in O(n) time.  They keep the suffix minima on a stack, and a
@@ -61,12 +61,11 @@ minimum u whose own smallest pop is below every entry between the two
 (see ``_stack_scan``).  ``is_andre`` is the same scan on the word with
 an entry smaller than all the others appended.  Both take words of
 distinct entries, signed ones distinct in absolute value, and refuse a
-word that repeats one.  The subword definitions they replace,
-``_andre_by_subwords`` and ``_simsun_by_subwords``, sort the word once
-for every k.  They stay as the oracle the tests compare the scan
-against, and they are what ``_PREDICATES`` filters through, so the
-generator oracle rests neither on the scan nor on the insertion
-argument the generators use.
+word that repeats one.  The subword definitions they replace, which
+sort the word once for every k, are their oracle in
+``tests/oracles.py``, and the generator oracle filters through them, so
+it rests neither on the scan nor on the insertion argument the
+generators use.
 
 :func:`count_hetyei_fast`, the count behind the conjecture sweep, visits
 no word.  Reverse inorder reading (``omega``) is a bijection from trees
@@ -77,9 +76,8 @@ sum of 2^(n - spine) over the trees with pleaf k.  A dynamic program
 sums that by attaching one largest label at a time, with state (pleaf,
 leaves), in O(m^2) big-int operations per step from [m] to [m+1].  It
 keeps its last state and every row it has passed, so a sweep over n
-costs O(n^3) in all.  The enumeration over the generated Andre words,
-``_hetyei_row_by_words``, stays as the oracle the tests compare it
-against for n <= 10.
+costs O(n^3) in all.  Its oracle in ``tests/oracles.py`` weighs the
+generated Andre words one by one, for n <= 10.
 """
 
 from __future__ import annotations
@@ -93,11 +91,9 @@ from .core import (
     Tree,
     Word,
     _exact_int,
-    ends_with_ascent,
     has_double_descent,
     pleaf,
     rtl_min_positions,
-    subword_smallest,
 )
 
 TYPE_A_GUARD = 12
@@ -153,25 +149,6 @@ def is_alternating(p: Word) -> bool:
 def is_snake(p: Word) -> bool:
     """Alternating with a positive first entry."""
     return bool(p) and p[0] > 0 and is_alternating(p)
-
-
-def _andre_by_subwords(p: Word) -> bool:
-    """The definition: every bottom-k subword avoids double descents and
-    ends ascending.  Kept as the oracle :func:`is_andre` is tested against."""
-    for k in range(2, len(p) + 1):
-        w = subword_smallest(p, k)
-        if not ends_with_ascent(w) or has_double_descent(w):
-            return False
-    return True
-
-
-def _simsun_by_subwords(p: Word) -> bool:
-    """The definition: every bottom-k subword avoids double descents.
-    Kept as the oracle :func:`is_simsun` is tested against."""
-    for k in range(3, len(p) + 1):
-        if has_double_descent(subword_smallest(p, k)):
-            return False
-    return True
 
 
 def _stack_scan(p: Word, andre: bool) -> bool:
@@ -325,21 +302,6 @@ def is_signed_simsun(p: Word) -> bool:
     return _forced_signs(p, is_simsun)
 
 
-# the generator oracle filters through the subword definitions, not the
-# stack scan, so that it rests on no argument of its own beyond the
-# definitions
-_PREDICATES = {
-    FamilyTag.ALT: is_alternating,
-    FamilyTag.ALT_B: is_alternating,
-    FamilyTag.SNAKE: is_snake,
-    FamilyTag.ANDRE: _andre_by_subwords,
-    FamilyTag.SIMSUN: _simsun_by_subwords,
-    FamilyTag.ANDRE_B: _andre_by_subwords,
-    FamilyTag.ANDRE_H: lambda p: _forced_signs(p, _andre_by_subwords),
-    FamilyTag.SIMSUN_B: lambda p: _forced_signs(p, _simsun_by_subwords),
-}
-
-
 # ---------------------------------------------------------------------------
 # raw object streams
 
@@ -351,7 +313,7 @@ def iter_permutations(n: int) -> Iterator[Word]:
 
 # ---------------------------------------------------------------------------
 # permutation family generators; each yields what filtering the raw stream
-# through _PREDICATES yields, in the same order
+# through the definitions yields, in the same order
 
 
 def _iter_alternating(tag: FamilyTag, n: int, k: int | None) -> Iterator[Word]:
@@ -488,14 +450,8 @@ _BUILDERS = {
 
 def refinement_statistic(tag: FamilyTag | str, obj) -> int:
     """The statistic a family is refined by: first entry, last entry, or pleaf."""
-    return _statistic(FamilyTag(tag))(obj)
-
-
-def _statistic(tag: FamilyTag) -> Callable[..., int]:
-    # resolved once per family, for callers that read many objects
-    if tag in _TREE_TAGS:
-        return pleaf
-    return operator.itemgetter(_stat_at(tag))
+    tag = FamilyTag(tag)
+    return pleaf(obj) if tag in _TREE_TAGS else obj[_stat_at(tag)]
 
 
 def _stat_at(tag: FamilyTag) -> int:
@@ -553,9 +509,9 @@ def iter_family(
             if k is None or word[0] == k:
                 yield t
         return
-    statistic = _statistic(tag)
+    at = _stat_at(tag)
     for obj in _BUILDERS[tag](n):
-        if k is None or statistic(obj) == k:
+        if k is None or obj[at] == k:
             yield obj
 
 
@@ -612,9 +568,8 @@ def count_hetyei_fast(n: int, k: int) -> int:
     - so the count is the sum, over trees with pleaf k, of 2^(n - spine).
 
     :func:`_hetyei_row` sums that by growing trees, in O(n^3) big-int
-    operations, and keeps every row it passes.  The enumeration over
-    Andre words, ``_hetyei_row_by_words``, is the oracle the tests compare
-    it against for n <= 10.
+    operations, and keeps every row it passes.  The tests compare it with
+    one pass over the Andre words for n <= 10.
 
     >>> [count_hetyei_fast(4, k) for k in range(1, 5)]
     [0, 4, 4, 3]
@@ -678,14 +633,3 @@ class _HetyeiRows:
 
 
 _hetyei_row = _HetyeiRows()
-
-
-def _hetyei_row_by_words(n: int) -> tuple[int, ...]:
-    """Row n of :func:`count_hetyei_fast` from one pass over the Andre words.
-
-    Kept as the oracle :func:`_hetyei_row` is tested against.
-    """
-    row = [0] * (n + 1)
-    for w in _iter_bottom_up(range(1, n + 1), andre=True):
-        row[w[-1]] += 1 << (n - len(rtl_min_positions(w)))
-    return tuple(row)

@@ -32,8 +32,8 @@ table's ``rows`` or from a stream, so an export from a stream holds one
 row at a time.  The boustrophedon rendering centres its lines on the
 widest one, so it holds them all.
 
-The tests keep the entry-by-entry dict form of the recurrences above as
-the oracle for these rows.
+The entry-by-entry dict form of the recurrences above is the oracle for
+these rows, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def springer_number(n: int) -> int:
 # and text stream newline-terminated chunks of one row each; the JSON
 # chunks, one row object each, join to ``json.dumps(..., indent=2)``,
 # which ends without a newline.  The boustrophedon lines are centred on
-# the widest row, so they come as one list.  The tests keep the
-# line-by-line and table-reading forms as oracles for the chunks.
+# the widest row, so they come as one list.  Their oracle is the CLI
+# output as it was written from the dict recurrences, in tests/oracles.py.
 
 
 def csv_chunks(kind: str, rows: Iterable[Row]) -> Iterator[str]:

@@ -499,8 +499,11 @@ def run_checks(
     """Run theorem checks and return one report per check, sorted by id.
 
     The caps convert exactly (``operator.index``): a float such as 2.5
-    raises ``ValueError``.
+    raises ``ValueError``, and so does a bare string for ``selection``,
+    which would otherwise be read as a list of one-letter ids.
     """
+    if isinstance(selection, str):
+        raise ValueError(f"pass the check ids as a list, not the string {selection!r}")
     if selection is None:
         chosen = check_ids()
     else:

@@ -2,11 +2,14 @@ import copy
 import dataclasses
 import hashlib
 import pickle
-import random
-from functools import lru_cache
 
 import pytest
 
+from oracles import (
+    _graft_maps_by_path, _linked_inorder_by_sorting, _phi_inv_by_skip, _psi_b,
+    _psi_signed_by_conjugation, _psi_table, _random_tree, _replay_maps_by_label,
+    _sample_alternating, _shrink_by_skip, _tree_maps,
+)
 from zigzag import bijections, core
 from zigzag.bijections import (
     AlgoCStep,
@@ -29,12 +32,9 @@ from zigzag.core import (
     InvalidTreeError,
     Tree,
     Word,
-    _check_node,
     _linked_inorder,
     inorder,
     minimal_path,
-    node,
-    order_relabel,
     perm_from_text,
     perm_to_text,
     pleaf,
@@ -45,7 +45,6 @@ from zigzag.core import (
     validate_tree,
 )
 from zigzag.families import is_alternating, iter_family
-from zigzag.triangles import entringer_table
 
 RUNNING_TREE = tree_from_literal("1(2(3(7,9)),4(5,6(8)))")
 SIGNED_TREE = tree_from_literal("-8(-4(-3(6,9)),-1(2,5(7)))")
@@ -151,41 +150,6 @@ class TestPhi:
             phi((4, 3, 5, 1, 2))
         with pytest.raises(ValueError):
             phi_inv((3, 2, 1))
-
-
-def _shrink_by_skip(p: Word) -> Word:
-    """``bijections._shrink`` as it stood: the entries off the suffix
-    minima first, then the suffix minima."""
-    n = len(p)
-    if n == 1:
-        return ()
-    absw = tuple(abs(v) for v in p)
-    mins = rtl_min_positions(absw)
-    out: list[int] = [0] * (n - 1)
-    skip = set(mins)
-    for i in range(1, n):
-        if i not in skip:
-            v = p[i - 1]
-            out[i - 1] = v - 1 if v > 0 else v + 1
-    for t in range(1, len(mins)):
-        out[mins[t - 1] - 1] = absw[mins[t] - 1] - 1
-    return tuple(out)
-
-
-def _phi_inv_by_skip(s: Word) -> Word:
-    """The body of ``phi_inv`` as it stood, for a nonempty Simsun word."""
-    n = len(s) + 1
-    mins = rtl_min_positions(s)
-    out: list[int] = [0] * n
-    skip = set(mins)
-    for i in range(1, n):
-        if i not in skip:
-            out[i - 1] = s[i - 1] + 1
-    out[mins[0] - 1] = 1
-    for t in range(1, len(mins)):
-        out[mins[t] - 1] = s[mins[t - 1] - 1] + 1
-    out[n - 1] = s[mins[-1] - 1] + 1
-    return tuple(out)
 
 
 class TestShrinkOracle:
@@ -519,48 +483,6 @@ class TestOneWalkReaders:
             assert str(read.value).startswith("duplicate label")
 
 
-def _linked_inorder_by_sorting(root, left, right):
-    """The word reader before its one walk, kept as its oracle: every
-    node checked from the largest label down, the maps checked as one
-    tree (one edge per map entry, one fewer than nodes, each out of a
-    node), then an inorder walk."""
-    labels = {root, *left.values(), *right.values()}
-    for v in sorted(labels, reverse=True):
-        _check_node(v, left.get(v), right.get(v))
-    if (
-        len(left) + len(right) != len(labels) - 1
-        or not labels.issuperset(left)
-        or not labels.issuperset(right)
-    ):
-        raise InvalidTreeError(f"the child maps are not one tree rooted at {root}")
-    out = []
-    stack = []
-    v = root
-    while True:
-        while v in left:
-            stack.append(v)
-            v = left[v]
-        out.append(v)
-        v = right.get(v)
-        while v is None:
-            if not stack:
-                return tuple(out)
-            v = stack.pop()
-            out.append(v)
-            v = right.get(v)
-
-
-def _tree_maps(t: Tree):
-    left, right, stack = {}, {}, [t]
-    while stack:
-        cur = stack.pop()
-        for kids, child in ((left, cur.left), (right, cur.right)):
-            if child is not None:
-                kids[cur.label] = child.label
-                stack.append(child)
-    return t.label, left, right
-
-
 def _single_faults(root, left, right):
     """The maps with one fault each: a label set to 0, a right child
     without a left one, swapped children, a child linked a second time,
@@ -589,228 +511,6 @@ def _single_faults(root, left, right):
     yield root, {**left, missing: labels[-1]}, right
 
 
-# The recursive psi_b that the iterative one replaced, kept as its oracle.
-
-
-def _subtree(t: Tree, label: int) -> Tree | None:
-    if t.label == label:
-        return t
-    for child in (t.left, t.right):
-        if child is not None:
-            found = _subtree(child, label)
-            if found is not None:
-                return found
-    return None
-
-
-def _parent_label(t: Tree, label: int) -> int | None:
-    for child in (t.left, t.right):
-        if child is not None:
-            if child.label == label:
-                return t.label
-            found = _parent_label(child, label)
-            if found is not None:
-                return found
-    return None
-
-
-def _replace_subtree(t: Tree, at: int, new: Tree) -> Tree:
-    if t.label == at:
-        return new
-    kids = [
-        _replace_subtree(c, at, new) if c is not None and at in tree_labels(c) else c
-        for c in (t.left, t.right)
-    ]
-    return node(t.label, *kids)
-
-
-def _swap_labels(t: Tree, u: int, v: int) -> Tree:
-    mapping = {u: v, v: u}
-
-    def rebuild(cur: Tree) -> Tree:
-        kids = [rebuild(c) for c in (cur.left, cur.right) if c is not None]
-        return node(mapping.get(cur.label, cur.label), *kids)
-
-    return rebuild(t)
-
-
-def _psi_b(p: Word) -> Tree:
-    n = len(p)
-    if n == 1:
-        return Tree(1)
-    if n == 2:
-        return Tree(1, Tree(2))
-    k = p[0]
-    if p[1] == k - 1:
-        reduced = order_relabel(p[2:], range(1, n - 1))
-        small = _psi_b(reduced)
-        target = [*range(1, k - 1), *range(k + 1, n + 1)]
-        grown = order_relabel(small, target)
-        m = min(v for v in minimal_path(grown) if v > k)
-        spliced = node(k - 1, Tree(k), _subtree(grown, m))
-        if m == grown.label:
-            return spliced
-        return _replace_subtree(grown, m, spliced)
-    swapped = tuple(k if v == k - 1 else k - 1 if v == k else v for v in p)
-    t = _psi_b(swapped)
-    if _parent_label(t, k) == _parent_label(t, k - 1):
-        ell = _parent_label(t, k)
-        knode = _subtree(t, k)
-        rebuilt = node(ell, node(k - 1, Tree(k), knode.right), knode.left)
-        return _replace_subtree(t, ell, rebuilt)
-    return _swap_labels(t, k - 1, k)
-
-
-def _psi_table(n: int) -> dict[Tree, Word]:
-    """psi_inv's oracle: every alternating permutation of [n] by its tree,
-    so an inverse is a lookup."""
-    return {psi(p): p for p in iter_family("alt", n, force=True)}
-
-
-@lru_cache(maxsize=None)
-def _entringer(n_max: int):
-    return entringer_table(n_max)
-
-
-def _sample_alternating(n: int, seed: int) -> tuple[int, ...]:
-    """A uniformly random down-up permutation of [n], one entry at a time.
-
-    A down-up word of size s whose first entry has rank k continues,
-    after complementing the rest, as a down-up word of size s - 1 whose
-    first entry has rank at least s + 1 - k.  Each entry is drawn over
-    its allowed ranks with weight E(s, k), so every word is equally
-    likely.
-    """
-    table = _entringer(n)
-    rng = random.Random(seed)
-    remaining = list(range(1, n + 1))
-    flipped = False
-    lo = 1
-    out = []
-    for s in range(n, 0, -1):
-        ks = range(lo, s + 1)
-        x = rng.randrange(sum(table.value(s, k) for k in ks))
-        for k in ks:
-            x -= table.value(s, k)
-            if x < 0:
-                break
-        out.append(remaining.pop(s - k if flipped else k - 1))
-        flipped = not flipped
-        lo = s + 1 - k
-    return tuple(out)
-
-
-def _random_tree(n: int, seed: int) -> Tree:
-    """A random increasing 1-2 tree on [n], grown one label at a time.
-
-    Each new largest label hangs under a free slot chosen at random: a
-    leaf's left slot or a unary node's right one, so no Entringer table
-    is needed at any n.
-    """
-    rng = random.Random(seed)
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    slots = [(left, 1)]
-    for v in range(2, n + 1):
-        kids, u = slots.pop(rng.randrange(len(slots)))
-        kids[u] = v
-        if kids is left:
-            slots.append((right, u))
-        slots.append((left, v))
-    return _link_tree(1, left, right)
-
-
-# The kernels as they stood before the first-above walk and the node-id
-# replay, kept as their oracles.
-
-
-def _graft_maps_by_path(p: Word, visit=None):
-    """The grafting with the whole minimal path listed at every step."""
-    n = len(p)
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    root = p[-1]
-    if n % 2 == 0:
-        left[root] = p[-2]
-    for i in range((n - 1) // 2, 0, -1):
-        x, y = p[2 * i - 2], p[2 * i - 1]
-        path = [root]
-        while path[-1] in left:
-            path.append(left[path[-1]])
-        a = min(v for v in path if v > y)
-        parent = None if a == root else path[path.index(a) - 1]
-        if a < x:
-            chain = [a]
-            while chain[-1] in right and right[chain[-1]] < x:
-                chain.append(right[chain[-1]])
-            b = chain[-1]
-            hang = [left.get(v) for v in chain] + [right.get(b)]
-            spine = [y, *chain, x]
-            for u, v in zip(spine, spine[1:]):
-                left[u] = v
-            left.pop(x, None)
-            right.pop(x, None)
-            for v, s in zip(spine, hang):
-                if s is None:
-                    right.pop(v, None)
-                else:
-                    right[v] = s
-            case, brec = "C1", b
-        else:
-            right[y] = a
-            left[y] = x
-            case, brec = "C2", None
-        if parent is None:
-            root = y
-        else:
-            left[parent] = y
-        if visit is not None:
-            visit(i, a, brec, case, root, left, right)
-    return root, left, right
-
-
-def _graft_maps_by_lists(p: Word, visit=None):
-    """The grafting whose C1 step lists the right chain, the subtrees
-    hanging off it and the new spine, then relinks them."""
-    n = len(p)
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    root = p[-1]
-    if n % 2 == 0:
-        left[root] = p[-2]
-    for i in range((n - 1) // 2, 0, -1):
-        x, y = p[2 * i - 2], p[2 * i - 1]
-        a, parent = root, None
-        while a < y:
-            parent, a = a, left[a]
-        if a < x:
-            chain = [a]
-            while chain[-1] in right and right[chain[-1]] < x:
-                chain.append(right[chain[-1]])
-            b = chain[-1]
-            hang = [left.get(v) for v in chain] + [right.get(b)]
-            spine = [y, *chain, x]
-            for u, v in zip(spine, spine[1:]):
-                left[u] = v
-            for v, s in zip(spine, hang):
-                if s is None:
-                    right.pop(v, None)
-                else:
-                    right[v] = s
-            case, brec = "C1", b
-        else:
-            right[y] = a
-            left[y] = x
-            case, brec = "C2", None
-        if parent is None:
-            root = y
-        else:
-            left[parent] = y
-        if visit is not None:
-            visit(i, a, brec, case, root, left, right)
-    return root, left, right
-
-
 def _graft_states(graft, p: Word):
     """The final maps of one grafting run, and after every step the
     ``AlgoCStep`` that ``psi_c`` records beside a copy of the maps."""
@@ -820,76 +520,6 @@ def _graft_states(graft, p: Word):
         states.append((AlgoCStep(i, a, b, case), root, dict(left), dict(right)))
 
     return graft(p, visit), states
-
-
-def _exchange(left, right, parent, a: int, b: int) -> None:
-    # exchange the labels a and b, neither of them the root; a is a leaf,
-    # so only b's child links move
-    pa, pb = parent[a], parent[b]
-    for u, old, new in ((pa, a, b), (pb, b, a)):
-        kids = left if left[u] == old else right
-        kids[u] = new
-    parent[a], parent[b] = pb, pa
-    for kids in (left, right):
-        if b in kids:
-            c = kids[a] = kids.pop(b)
-            parent[c] = a
-
-
-def _replay_maps_by_label(p: Word):
-    """psi_b's replay on label-keyed maps, exchanging labels by moving
-    child links with ``_exchange``."""
-    n = len(p)
-    word = list(p)
-    at = {v: i for i, v in enumerate(word)}
-    below = list(range(-1, n + 1))
-    above = list(range(1, n + 3))
-    steps = []
-    s = 0
-    while n - s > 2:
-        k = word[s]
-        j = below[k]
-        if word[s + 1] == j:
-            steps.append((True, j, k))
-            lo, hi = below[j], above[k]
-            above[lo], below[hi] = hi, lo
-            s += 2
-        else:
-            steps.append((False, j, k))
-            q = at[j]
-            word[s], word[q] = j, k
-            at[j], at[k] = s, q
-    root = word[-1]
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    if n - s == 2:
-        left[root], parent[word[s]] = word[s], root
-    for strip, j, k in reversed(steps):
-        if strip:
-            m = root
-            while m < k:
-                m = left[m]
-            up = parent.get(m)
-            left[j], right[j] = k, m
-            parent[k] = parent[m] = j
-            if up is None:
-                root = j
-            else:
-                left[up], parent[j] = j, up
-        elif parent[j] == parent[k]:
-            ell = parent[j]
-            kl, kr = left.pop(k, None), right.pop(k, None)
-            left[j], parent[k] = k, j
-            if kr is not None:
-                right[j], parent[kr] = kr, j
-            if kl is None:
-                del right[ell]
-            else:
-                right[ell], parent[kl] = kl, ell
-        else:
-            _exchange(left, right, parent, j, k)
-    return root, left, right
 
 
 def _graft_run(graft, p: Word):
@@ -918,7 +548,7 @@ class TestKernelOracles:
         words += [_sample_alternating(n, seed) for n in (40, 400) for seed in range(20)]
         c1 = 0
         for p in words:
-            expected = _graft_states(_graft_maps_by_lists, p)
+            expected = _graft_states(_graft_maps_by_path, p)
             assert _graft_states(bijections._graft_maps, p) == expected, p
             c1 += sum(step.case == "C1" for step, *_maps in expected[1])
         assert c1 > 10_000
@@ -1034,12 +664,6 @@ class TestChainTables:
     def test_signed_shrink_column(self):
         for source, image in SIGNED_SHRINK_TABLE:
             assert phi_signed(perm_from_text(source)) == perm_from_text(image)
-
-
-def _psi_signed_by_conjugation(p: Word) -> Tree:
-    """psi_signed as first defined: relabel onto [n], graft, relabel back."""
-    tree = psi_c(order_relabel(p, range(1, len(p) + 1)))[0]
-    return order_relabel(tree, sorted(p))
 
 
 class TestSignedMaps:

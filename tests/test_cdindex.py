@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import _reduce_by_loop, _variation_by_index
 from zigzag.bijections import phi
 from zigzag.cdindex import (
     _reduce,
@@ -66,29 +67,6 @@ def test_shrink_map_preserves_reduced_variation():
     for n in range(1, 8):
         for p in iter_family("andre", n):
             assert reduced_variation_andre(p) == reduced_variation_simsun(phi(p))
-
-
-# The letter-by-letter forms that the map and str.replace paths replaced,
-# kept as their oracles.
-
-
-def _variation_by_index(w) -> str:
-    return "".join("a" if w[i] < w[i + 1] else "b" for i in range(len(w) - 1))
-
-
-def _reduce_by_loop(var: str, pair: str) -> str:
-    out = []
-    i = 0
-    while i < len(var):
-        if var[i : i + 2] == pair:
-            out.append("d")
-            i += 2
-        elif var[i] == "a":
-            out.append("c")
-            i += 1
-        else:
-            raise ValueError(f"letter 'b' at position {i + 1} survives reduction")
-    return "".join(out)
 
 
 def _outcome(f, *args):

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import _map_json, _object_json
 from zigzag import verify
 from zigzag.bijections import psi_c
 from zigzag.cli import _MAPS, SCHEMA, _build_parser, dispatch
-from zigzag.core import Tree, perm_to_text, tree_to_json, tree_to_literal
+from zigzag.core import Tree, perm_to_text, tree_to_literal
 from zigzag.families import _SIGNED_TAGS, FamilyTag, iter_family
 
 
@@ -21,13 +22,6 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _object_json(obj):
-    """The JSON value of a word or a tree: the oracle of the renderers."""
-    if isinstance(obj, Tree):
-        return tree_to_json(obj)
-    return list(obj)
 
 
 def test_triangle_csv_contains_cited_row(capsys):
@@ -222,21 +216,6 @@ def test_map_phi_inv_reads_back_the_empty_word_in_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["map"], doc["input"], doc["output"]) == ("phi-inv", [], [1])
-
-
-def _map_json(name, value, result, trace=None) -> str:
-    """The ``map --format json`` document by the indenting encoder."""
-    doc = {
-        "schema": SCHEMA,
-        "map": name,
-        "input": _object_json(value),
-        "output": _object_json(result),
-    }
-    if trace is not None:
-        doc["trace"] = [
-            {"i": s.index, "a": s.a, "b": s.b, "case": s.case} for s in trace.steps
-        ]
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # the family each map takes its inputs from

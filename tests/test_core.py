@@ -9,6 +9,11 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import (
+    _bfs_key, _double_descent_by_index, _json_by_recursion, _literal_by_recursion,
+    _node_by_node, _parse_by_index, _perm_by_final_comparison, _random_tree,
+    _signed_perm_by_final_comparison, _tree_maps,
+)
 from zigzag.core import (
     InvalidPermutationError,
     InvalidTreeError,
@@ -16,9 +21,7 @@ from zigzag.core import (
     TreeParseError,
     _check_distinct,
     _check_node,
-    _exact_ints,
     _linked_inorder,
-    _tokenize_literal,
     _walk,
     ends_with_ascent,
     has_double_descent,
@@ -58,11 +61,6 @@ RUNNING_TREE = "1(2(3(7,9)),4(5,6(8)))"
 SIGNED_TREE = "-8(-4(-3(6,9)),-1(2,5(7)))"
 
 
-def _double_descent_by_index(w) -> bool:
-    """``has_double_descent`` as it stood, one test per index."""
-    return any(w[i] > w[i + 1] > w[i + 2] for i in range(len(w) - 2))
-
-
 # distinct-entry words of moderate size
 words = st.lists(
     st.integers(min_value=-40, max_value=40), unique=True, min_size=1, max_size=12
@@ -71,84 +69,14 @@ words = st.lists(
 
 @st.composite
 def trees(draw, signed=False):
+    # the shared sampler, each free slot picked by hypothesis
     n = draw(st.integers(min_value=1, max_value=9))
-    t = Tree(1)
-    for label in range(2, n + 1):
-        open_slots = [
-            x.label
-            for x in _nodes(t)
-            if x.right is None
-        ]
-        at = draw(st.sampled_from(sorted(open_slots)))
-        t = _attach(t, at, label)
+    t = _random_tree(n, lambda k: draw(st.integers(min_value=0, max_value=k - 1)))
     if signed:
         flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         target = [(-v if f else v) for v, f in zip(range(1, n + 1), flips)]
         t = order_relabel(t, target)
     return t
-
-
-def _nodes(t):
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for c in (cur.left, cur.right):
-            if c is not None:
-                stack.append(c)
-
-
-def _attach(t, at, label):
-    if t.label == at:
-        if t.left is None:
-            return Tree(t.label, Tree(label))
-        return Tree(t.label, t.left, Tree(label))
-    left = _attach(t.left, at, label) if t.left and at in tree_labels(t.left) else t.left
-    right = (
-        _attach(t.right, at, label) if t.right and at in tree_labels(t.right) else t.right
-    )
-    return Tree(t.label, left, right)
-
-
-def _perm_by_final_comparison(values) -> tuple[int, ...]:
-    """``perm_from_sequence`` as it stood, ending in a comparison of the
-    entries with 1..n."""
-    entries = _exact_ints(values, InvalidPermutationError)
-    if not entries:
-        raise InvalidPermutationError("a permutation has length n >= 1")
-    if set(entries).issuperset(range(1, len(entries) + 1)):
-        return entries
-    seen: set[int] = set()
-    for v in entries:
-        if v in seen:
-            raise InvalidPermutationError(f"duplicate value {v}")
-        seen.add(v)
-    if seen != set(range(1, len(entries) + 1)):
-        raise InvalidPermutationError(
-            f"entries must be exactly 1..{len(entries)}, got {sorted(seen)}"
-        )
-    return entries
-
-
-def _signed_perm_by_final_comparison(values) -> tuple[int, ...]:
-    """``signed_perm_from_sequence`` as it stood."""
-    entries = _exact_ints(values, InvalidPermutationError)
-    if not entries:
-        raise InvalidPermutationError("a signed permutation has length n >= 1")
-    if set(map(abs, entries)).issuperset(range(1, len(entries) + 1)):
-        return entries
-    seen: set[int] = set()
-    for v in entries:
-        if v == 0:
-            raise InvalidPermutationError("zero entries are not allowed")
-        if abs(v) in seen:
-            raise InvalidPermutationError(f"duplicate absolute value {abs(v)}")
-        seen.add(abs(v))
-    if seen != set(range(1, len(entries) + 1)):
-        raise InvalidPermutationError(
-            f"absolute values must be exactly 1..{len(entries)}, got {sorted(seen)}"
-        )
-    return entries
 
 
 class TestPermValidation:
@@ -489,19 +417,6 @@ def test_every_tree_entry_point_applies_one_rule(t, literal, maps, message):
         assert str(info.value) == message
 
 
-def _node_by_node(t: Tree) -> None:
-    """``validate_tree`` as it stood: distinct labels, then
-    ``_check_node`` on every node in ``_walk`` order."""
-    nodes = list(_walk(t))
-    _check_distinct(cur.label for cur in nodes)
-    for cur in nodes:
-        _check_node(
-            cur.label,
-            None if cur.left is None else cur.left.label,
-            None if cur.right is None else cur.right.label,
-        )
-
-
 def _rebuilt(cur: Tree | None, at: Tree, make) -> Tree | None:
     # the tree with the node ``at`` replaced by ``make(at)``
     if cur is None:
@@ -839,52 +754,6 @@ def test_tree_methods_read_trees_that_share_no_subtree_whole():
     assert small == unfolded and hash(small) == hash(unfolded)
 
 
-def _parse_by_index(text: str) -> Tree:
-    """``tree_from_literal`` as it stood: a label loop over token indices
-    with a nested loop that closes nodes, and a ``while ... else``."""
-    tokens = _tokenize_literal(text)
-    end = len(tokens)
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    labels: list[int] = []
-    stack: list[tuple[int, dict[int, int]]] = []
-    pos = 0
-    while True:
-        if pos == end:
-            raise TreeParseError("unexpected end of tree literal")
-        tok = tokens[pos]
-        pos += 1
-        try:
-            label = int(tok)
-        except ValueError:
-            raise TreeParseError(f"expected a label, got {tok!r}") from None
-        labels.append(label)
-        if stack:
-            parent, kids = stack[-1]
-            kids[parent] = label
-        if pos < end and tokens[pos] == "(":
-            pos += 1
-            stack.append((label, left))
-            continue
-        while stack:
-            if pos == end:
-                raise TreeParseError("unexpected end of tree literal")
-            tok = tokens[pos]
-            pos += 1
-            if tok == "," and stack[-1][1] is left:
-                stack[-1] = (stack[-1][0], right)
-                break
-            if tok != ")":
-                raise TreeParseError(f"expected ')', got {tok!r}")
-            stack.pop()
-        else:
-            break
-    if pos != end:
-        raise TreeParseError(f"trailing text in tree literal {text!r}")
-    _check_distinct(labels)
-    return _link_tree(labels[0], left, right)
-
-
 def _parsed(parse, text: str):
     try:
         return parse(text)
@@ -907,34 +776,13 @@ def test_parser_matches_the_index_loop_oracle_on_random_text():
     assert parsed > 1_000
 
 
-def _bfs_key(t: Tree) -> tuple[int | None, ...]:
-    """The key ``Tree.__hash__`` hashed as it stood: the labels breadth
-    first, with None for every missing child."""
-    key: list[int | None] = [t.label]
-    order = [t]
-    for cur in order:
-        for child in (cur.left, cur.right):
-            if child is None:
-                key.append(None)
-            else:
-                key.append(child.label)
-                order.append(child)
-    return tuple(key)
-
-
 def test_hash_agrees_with_equality_on_every_construction():
     trees = [t for n in range(1, 7) for t in iter_family("tree", n)]
     trees += [t for n in range(1, 5) for t in iter_family("tree-b", n)]
     for t in trees:
-        nodes = list(_walk(t))
-        linked = _link_tree(
-            t.label,
-            {c.label: c.left.label for c in nodes if c.left is not None},
-            {c.label: c.right.label for c in nodes if c.right is not None},
-        )
         copies = [
             _rebuilt(t, t, lambda c: Tree(c.label, c.left, c.right)),
-            linked,
+            _link_tree(*_tree_maps(t)),
             copy.copy(t),
             copy.deepcopy(t),
             pickle.loads(pickle.dumps(t)),
@@ -1098,36 +946,22 @@ class TestDeepTrees:
         assert tree_from_json(doc) == chain
 
     def test_json_matches_recursive_form(self):
-        def recursive(t):
-            return {
-                "label": t.label,
-                "left": None if t.left is None else recursive(t.left),
-                "right": None if t.right is None else recursive(t.right),
-            }
-
         for tag, n_max in (("tree", 6), ("tree-b", 3)):
             for n in range(1, n_max + 1):
                 for t in iter_family(tag, n):
                     doc = tree_to_json(t)
                     assert json.dumps(doc, indent=2) == json.dumps(
-                        recursive(t), indent=2
+                        _json_by_recursion(t), indent=2
                     )
                     assert tree_from_json(json.loads(json.dumps(doc))) == t
 
     def test_literal_matches_recursive_rendering(self):
-        def rendered(t):
-            if t.left is None:
-                return str(t.label)
-            if t.right is None:
-                return f"{t.label}({rendered(t.left)})"
-            return f"{t.label}({rendered(t.left)},{rendered(t.right)})"
-
         for n in range(1, 7):
             for t in iter_family("tree", n):
-                assert tree_to_literal(t) == rendered(t)
+                assert tree_to_literal(t) == _literal_by_recursion(t)
         for n in range(1, 4):
             for t in iter_family("tree-b", n):
-                assert tree_to_literal(t) == rendered(t)
+                assert tree_to_literal(t) == _literal_by_recursion(t)
 
     @given(trees(signed=True), trees(signed=True))
     def test_equality_is_structural(self, s, t):

@@ -1,27 +1,27 @@
 import ast
 import inspect
 import itertools
-import operator
 import pathlib
 import random
 
 import pytest
 
-from zigzag import cli, families, verify
-from zigzag.bijections import _link_tree, omega, phi
+from oracles import (
+    _PREDICATES, _alternating_by_index, _andre_by_subwords, _filtered,
+    _hetyei_row_by_words, _random_tree, _simsun_by_subwords, _trees_by_inorder,
+    iter_signed_permutations,
+)
+from zigzag import cli, core, families, verify
+from zigzag.bijections import omega, phi
 from zigzag.core import (
     Tree,
     inorder,
-    order_relabel,
     perm_from_text,
     pleaf,
     rtl_min_positions,
     tree_from_literal,
 )
 from zigzag.families import (
-    _PREDICATES,
-    _andre_by_subwords,
-    _simsun_by_subwords,
     FamilyTag,
     GuardExceededError,
     count_family,
@@ -148,51 +148,14 @@ class TestPredicates:
         assert not is_signed_simsun((1, -2, 3))
 
 
-def _alternating_by_index(p):
-    # the per-index definition is_alternating replaced, kept as its oracle
-    return all(
-        p[i] > p[i + 1] if i % 2 == 0 else p[i] < p[i + 1]
-        for i in range(len(p) - 1)
-    )
-
-
-def _bottom_up_ok(p, andre):
-    """The linked-list pass the stack scan replaced, kept as its oracle.
-
-    Before the current maximum is deleted, the live entries form the
-    bottom-k subword.  If the bottom-(k-1) subword is fine, a double
-    descent of the bottom-k one can only start at the maximum, and the
-    word can only stop ending in an ascent if the maximum is second to
-    last.  So it suffices to look at the two live entries after each
-    maximum, kept in a doubly linked list of positions.
-    """
-    n = len(p)
-    after = list(range(1, n + 1))  # next live position; n is past the end
-    before = list(range(-1, n - 1))  # previous live position; -1 is none
-    for i in sorted(range(n), key=p.__getitem__, reverse=True):
-        r = after[i]
-        if r < n:
-            s = after[r]
-            if s < n:
-                if p[r] > p[s]:
-                    return False
-            elif andre:
-                return False
-            before[r] = before[i]
-        if before[i] >= 0:
-            after[before[i]] = r
-    return True
-
-
 class TestFastPredicateOracle:
-    """The stack-scan predicates agree with the subword definitions and
-    with the linked-list pass, and every early exit with the plain scan
-    it skips."""
+    """The stack-scan predicates agree with the subword definitions, and
+    every early exit with the plain scan it skips."""
 
     @staticmethod
     def _agree(p):
-        assert is_andre(p) == _andre_by_subwords(p) == _bottom_up_ok(p, True), p
-        assert is_simsun(p) == _simsun_by_subwords(p) == _bottom_up_ok(p, False), p
+        assert is_andre(p) == _andre_by_subwords(p), p
+        assert is_simsun(p) == _simsun_by_subwords(p), p
         assert is_alternating(p) == _alternating_by_index(p), p
 
     def test_every_permutation_up_to_eight(self):
@@ -205,26 +168,12 @@ class TestFastPredicateOracle:
             for p in iter_signed_permutations(n):
                 self._agree(p)
 
-    @staticmethod
-    def _random_tree(rng, n):
-        # each new largest label goes into a random free child slot
-        left, right, free = {}, {}, [1]
-        for v in range(2, n + 1):
-            at = rng.choice(free)
-            if at in left:
-                right[at] = v
-                free.remove(at)
-            else:
-                left[at] = v
-            free.append(v)
-        return _link_tree(1, left, right)
-
     def test_random_large_words_and_near_misses(self):
         outcomes = set()
         for seed in range(8):
             rng = random.Random(seed)
             n = rng.randint(40, 200)
-            andre = omega(self._random_tree(rng, n))
+            andre = omega(_random_tree(n, seed))
             simsun = phi(andre)
             assert is_andre(andre) and _andre_by_subwords(andre)
             assert is_simsun(simsun) and _simsun_by_subwords(simsun)
@@ -278,7 +227,8 @@ class TestFastPredicateOracle:
         def refuse(*args):
             raise AssertionError("subword_smallest called")
 
-        monkeypatch.setattr(families, "subword_smallest", refuse)
+        monkeypatch.setattr(core, "subword_smallest", refuse)
+        assert not hasattr(families, "subword_smallest")
         assert is_andre((6, 8, 4, 5, 1, 2, 9, 3, 7))
         assert not is_andre((4, 3, 5, 1, 2))
         assert is_simsun((2, 5, 1, 3, 4))
@@ -486,28 +436,6 @@ SIGNED_PERM_TAGS = [
 ]
 
 
-def iter_signed_permutations(n):
-    """All signed permutations of [n], lexicographic in signed entry order.
-
-    All 2^n n! words are built and sorted before the first is yielded.
-    """
-    words = [
-        tuple(map(operator.mul, signs, p))
-        for signs in itertools.product((1, -1), repeat=n)
-        for p in iter_permutations(n)
-    ]
-    return iter(sorted(words))
-
-
-def _filtered(tag, n, k=None):
-    raw = iter_signed_permutations(n) if tag in SIGNED_PERM_TAGS else iter_permutations(n)
-    return [
-        p
-        for p in raw
-        if _PREDICATES[tag](p) and (k is None or refinement_statistic(tag, p) == k)
-    ]
-
-
 class TestGeneratorOracle:
     """The generators yield exactly the filtered streams, order included."""
 
@@ -557,89 +485,32 @@ class TestGeneratorOracle:
 class TestTreeOracle:
     """Cross-check the tree generator against an unrelated construction."""
 
-    @staticmethod
-    def _from_inorder(word):
-        # a word is a canonical inorder reading iff at every split the
-        # minimum is last (single left child) or splits into two nonempty
-        # sides whose minima increase left to right
-        if not word:
-            return None
-        i = word.index(min(word))
-        if i == 0 and len(word) > 1:
-            return None
-        if 0 < i < len(word) - 1 and min(word[:i]) > min(word[i + 1 :]):
-            return None
-        left = TestTreeOracle._from_inorder(word[:i])
-        right = TestTreeOracle._from_inorder(word[i + 1 :])
-        if word[:i] and left is None or word[i + 1 :] and right is None:
-            return None
-        return Tree(word[i], left, right)
-
-    @classmethod
-    def _oracle_trees(cls, n):
-        words = itertools.permutations(range(1, n + 1))
-        trees = [t for t in map(cls._from_inorder, words) if t is not None]
-        return sorted(trees, key=inorder)
-
     def test_trees_match_inorder_words(self):
         for n in range(1, 8):
-            assert list(iter_family("tree", n)) == self._oracle_trees(n)
+            assert list(iter_family("tree", n)) == _trees_by_inorder("tree", n)
 
     def test_signed_trees_match_relabeled_trees(self):
         # every signed tree is a plain tree relabeled in order onto one of
         # the 2^n sign sets
         for n in range(1, 6):
-            trees = self._oracle_trees(n)
-            relabeled = [
-                order_relabel(t, [s * v for s, v in zip(signs, range(1, n + 1))])
-                for signs in itertools.product((1, -1), repeat=n)
-                for t in trees
-            ]
-            assert list(iter_family("tree-b", n)) == sorted(relabeled, key=inorder)
-
-
-# The tree builder from before growth kept the inorder words: the trees
-# alone, grown by path copying and sorted by their inorder walks.  Kept
-# as the oracle of the words that growth keeps and sorts by.
-def _old_grown(t, v):
-    if t.left is None:
-        yield Tree(t.label, Tree(v))
-        return
-    if t.right is None:
-        yield Tree(t.label, t.left, Tree(v))
-    for left in _old_grown(t.left, v):
-        yield Tree(t.label, left, t.right)
-    if t.right is not None:
-        for right in _old_grown(t.right, v):
-            yield Tree(t.label, t.left, right)
-
-
-def _old_gen_trees(labels):
-    trees = [Tree(labels[0])]
-    for v in labels[1:]:
-        trees = [g for t in trees for g in _old_grown(t, v)]
-    return trees
-
-
-def _old_tree_family(tag, n):
-    if tag == "tree":
-        return sorted(_old_gen_trees(range(1, n + 1)), key=inorder)
-    return sorted(families._over_sign_sets(n, _old_gen_trees), key=inorder)
+            assert list(iter_family("tree-b", n)) == _trees_by_inorder("tree-b", n)
 
 
 class TestGrownWords:
-    """The words growth keeps against the inorder walks of the trees."""
+    """The words growth keeps against the trees of the inorder-word
+    definition, sorted by their inorder walks."""
 
     SIZES = [("tree", 8), ("tree-b", 6)]
 
     @pytest.mark.parametrize("tag, n_max", SIZES)
     def test_the_builders_match_the_inorder_sort(self, tag, n_max):
         for n in range(1, n_max + 1):
-            old = _old_tree_family(tag, n)
-            assert list(iter_family(tag, n)) == old
+            expected = _trees_by_inorder(tag, n)
+            assert list(iter_family(tag, n)) == expected
             ks = range(-n, n + 1) if tag == "tree-b" else range(1, n + 1)
             for k in filter(None, ks):
-                assert list(iter_family(tag, n, k)) == [t for t in old if pleaf(t) == k]
+                refined = [t for t in expected if pleaf(t) == k]
+                assert list(iter_family(tag, n, k)) == refined
 
     @pytest.mark.parametrize("tag, n_max", SIZES)
     def test_every_cached_word_is_the_inorder_word_of_its_tree(self, tag, n_max):
@@ -696,10 +567,10 @@ class TestCounts:
 
     def test_hetyei_growth_matches_word_oracle(self):
         for n in range(1, 11):
-            assert families._hetyei_row(n) == families._hetyei_row_by_words(n), n
+            assert families._hetyei_row(n) == _hetyei_row_by_words(n), n
 
     def test_hetyei_growth_resumes_in_any_call_order(self):
-        expected = {n: families._hetyei_row_by_words(n) for n in range(1, 11)}
+        expected = {n: _hetyei_row_by_words(n) for n in range(1, 11)}
         for order in (range(1, 11), range(10, 0, -1), (4, 2, 9, 1, 10, 3)):
             families._hetyei_row.cache_clear()
             try:
@@ -709,7 +580,7 @@ class TestCounts:
                 families._hetyei_row.cache_clear()
 
     def test_hetyei_fast_visits_no_word(self, monkeypatch):
-        expected = {n: families._hetyei_row_by_words(n) for n in range(1, 9)}
+        expected = {n: _hetyei_row_by_words(n) for n in range(1, 9)}
 
         def no_words(*args, **kwargs):
             raise AssertionError("count_hetyei_fast enumerated Andre words")

@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from oracles import _old_rendering, dict_arnold, dict_entringer
 from zigzag.cli import dispatch
 from zigzag.triangles import (
     arnold_rows,
@@ -26,29 +27,7 @@ from zigzag.triangles import (
 )
 
 
-# The entry-by-entry recurrences of the module docstring, kept as the
-# oracle for the prefix-sum rows the tables are built from.
-def dict_entringer(n_max):
-    e = {(1, 1): 1}
-    for n in range(2, n_max + 1):
-        e[(n, 1)] = 0
-        for k in range(2, n + 1):
-            e[(n, k)] = e[(n, k - 1)] + e[(n - 1, n + 1 - k)]
-    return e
-
-
-def dict_arnold(n_max):
-    s = {(1, 1): 1, (1, -1): 1}
-    for n in range(2, n_max + 1):
-        s[(n, -n)] = 0
-        for k in range(-n + 1, 0):
-            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k)]
-        s[(n, 1)] = s[(n, -1)]
-        for k in range(2, n + 1):
-            s[(n, k)] = s[(n, k - 1)] + s[(n - 1, -k + 1)]
-    return s
-
-
+# each triangle's builder and the dict recurrence that is its oracle
 ORACLES = {
     "entringer": (entringer_table, dict_entringer),
     "arnold": (arnold_table, dict_arnold),
@@ -267,6 +246,17 @@ def test_row_outside_the_triangle_is_a_key_error(kind, n):
         table.row(n)
 
 
+# the library's renderers reading a whole table, by format
+TABLE_RENDERERS = {
+    "csv": csv_chunks,
+    "text": text_chunks,
+    "json": lambda kind, rows: [*json_chunks(kind, rows, "zigzag/1"), "\n"],
+    "boustrophedon": lambda kind, rows: map(
+        "{}\n".format, boustrophedon_lines(kind, rows)
+    ),
+}
+
+
 # the sizes every export is compared with the one oracle at
 SIZES = (*range(1, 13), 30, 50)
 
@@ -284,9 +274,8 @@ def test_chunks_match_the_line_oracles_row_by_row(kind):
     for n_max in SIZES:
         rows = ORACLES[kind][0](n_max).rows
         rendered = {
-            "csv": list(csv_chunks(kind, rows)),
-            "text": list(text_chunks(kind, rows)),
-            "boustrophedon": [f"{line}\n" for line in boustrophedon_lines(kind, rows)],
+            fmt: list(TABLE_RENDERERS[fmt](kind, rows))
+            for fmt in ("csv", "text", "boustrophedon")
         }
         for fmt, chunks in rendered.items():
             assert all(c.endswith("\n") for c in chunks), fmt
@@ -297,71 +286,6 @@ def test_chunks_match_the_line_oracles_row_by_row(kind):
         assert len(rendered["text"]) == n_max
         lines = "".join(f"{line}\n" for line in csv_lines(kind, rows))
         assert lines == _old_rendering(kind, n_max, "csv")
-
-
-def _old_rendering(kind, n_max, fmt):
-    """The CLI output before the prefix-sum tables, from the dict oracle."""
-    e = ORACLES[kind][1](n_max)
-
-    def ks(n):
-        if kind == "arnold":
-            return [*range(-n, 0), *range(1, n + 1)]
-        return range(1, n + 1)
-
-    sums = [sum(e[(n, k)] for k in range(1, n + 1)) for n in range(1, n_max + 1)]
-    buf = io.StringIO()
-    if fmt == "csv":
-        print("n,k,value", file=buf)
-        for n in range(1, n_max + 1):
-            for k in ks(n):
-                print(f"{n},{k},{e[(n, k)]}", file=buf)
-    elif fmt == "json":
-        rows = [
-            {
-                "n": n,
-                "values": [{"k": k, "value": e[(n, k)]} for k in ks(n)],
-                "row_sum": sums[n - 1],
-            }
-            for n in range(1, n_max + 1)
-        ]
-        doc = {"schema": "zigzag/1", "kind": kind, "rows": rows}
-        print(json.dumps(doc, indent=2), file=buf)
-    elif fmt == "text":
-        for n in range(1, n_max + 1):
-            cells = " ".join(str(e[(n, k)]) for k in ks(n))
-            print(f"n={n}: {cells} | {sums[n - 1]}", file=buf)
-    else:
-        for line in _old_boustrophedon(kind, n_max, e):
-            print(line, file=buf)
-    return buf.getvalue()
-
-
-def _old_boustrophedon(kind, n_max, e):
-    def centered(rows):
-        width = max(len(r) for r in rows)
-        return [" " * ((width - len(r)) // 2) + r for r in rows]
-
-    if kind == "entringer":
-        rows = []
-        for n in range(1, n_max + 1):
-            ks = range(1, n + 1) if n % 2 == 0 else range(n, 0, -1)
-            arrow = " → " if n % 2 == 0 else " ← "
-            rows.append(arrow.join(str(e[(n, k)]) for k in ks))
-        return centered(rows)
-
-    def half(first_sign):
-        rows = []
-        for n in range(1, n_max + 1):
-            sign = first_sign if n % 2 == 1 else -first_sign
-            if sign < 0:
-                ks = range(-n, 0) if n % 2 == 1 else range(-1, -n - 1, -1)
-            else:
-                ks = range(1, n + 1) if n % 2 == 1 else range(n, 0, -1)
-            arrow = " → " if n % 2 == 1 else " ← "
-            rows.append(arrow.join(str(e[(n, k)]) for k in ks))
-        return centered(rows)
-
-    return half(-1) + [""] + half(1)
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
@@ -407,47 +331,6 @@ def test_large_exports_keep_their_pinned_digest(tmp_path, argv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-# The csv, text and json renderers as they read a whole table, before the
-# row streams; the CLI's streamed exports must match them, and the old
-# boustrophedon, byte for byte.
-def table_csv_chunks(table):
-    yield "n,k,value\n"
-    for n, row in enumerate(table.rows, 1):
-        yield "".join(map(f"{n},{{}},{{}}\n".format, table.row_ks(n), row))
-
-
-def table_text_chunks(table):
-    for n, row in enumerate(table.rows, 1):
-        yield f"n={n}: {' '.join(map(str, row))} | {table.row_sums[n - 1]}\n"
-
-
-def table_json_chunks(table, schema):
-    yield (
-        f'{{\n  "schema": {json.dumps(schema)},\n'
-        f'  "kind": {json.dumps(table.kind)},\n  "rows": ['
-    )
-    entry = '        {{\n          "k": {},\n          "value": {}\n        }}'.format
-    for n, row in enumerate(table.rows, 1):
-        values = ",\n".join(map(entry, table.row_ks(n), row))
-        yield (
-            f'{"," if n > 1 else ""}\n    {{\n      "n": {n},\n      "values": [\n'
-            f'{values}\n      ],\n      "row_sum": {table.row_sums[n - 1]}\n    }}'
-        )
-    yield "\n  ]\n}"
-
-
-def table_rendering(kind, n_max, fmt):
-    table = ORACLES[kind][0](n_max)
-    if fmt == "csv":
-        return "".join(table_csv_chunks(table))
-    if fmt == "text":
-        return "".join(table_text_chunks(table))
-    if fmt == "json":
-        return "".join(table_json_chunks(table, "zigzag/1")) + "\n"
-    lines = _old_boustrophedon(kind, n_max, ORACLES[kind][1](n_max))
-    return "".join(f"{line}\n" for line in lines)
-
-
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
 def test_streamed_cli_output_matches_the_table_renderers(kind, fmt):
@@ -456,7 +339,8 @@ def test_streamed_cli_output_matches_the_table_renderers(kind, fmt):
         with contextlib.redirect_stdout(buf):
             code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
         assert code == 0
-        assert buf.getvalue() == table_rendering(kind, n_max, fmt), (kind, n_max, fmt)
+        expected = "".join(TABLE_RENDERERS[fmt](kind, ORACLES[kind][0](n_max).rows))
+        assert buf.getvalue() == expected, (kind, n_max, fmt)
 
 
 def test_a_streamed_export_holds_one_row(tmp_path):

@@ -68,6 +68,15 @@ def test_unknown_check_ids_are_named_by_repr(selection, message):
     assert str(exc.value) == message
 
 
+def test_a_bare_string_selection_is_refused():
+    # iterated, the string would name its letters as unknown ids
+    with pytest.raises(ValueError) as exc:
+        run_checks("psi-bijection", 3, 2)
+    assert str(exc.value) == (
+        "pass the check ids as a list, not the string 'psi-bijection'"
+    )
+
+
 def test_size_caps_enforced():
     with pytest.raises(GuardExceededError):
         run_checks(["psi-equality"], n_max_a=10, n_max_b=3)
@@ -766,12 +775,7 @@ def test_the_checks_catch_a_pinned_mutant_of_each_module(monkeypatch, name):
     assert report.status == PASS
     target = getattr(verify, module)
     if isinstance(mutant, tuple):
-        old, new = mutant
-        source = inspect.getsource(getattr(target, attr))
-        assert old in source
-        namespace = dict(vars(target))
-        exec(source.replace(old, new, 1), namespace)
-        mutant = namespace[attr]
+        mutant = _mutant(target, attr, *mutant)
     monkeypatch.setattr(target, attr, mutant)
     (report,) = run_checks([check_id], n_max_a=6, n_max_b=4)
     assert report.status == FAIL
