@@ -11,30 +11,22 @@ Every report, of a check or of one row of the sweep, is made by
 exception into a FAIL report whose witness names it, so one broken check
 does not end the run.
 
-The six bijection checks, omega, phi, psi and their signed versions, are
-rows of the table ``_BIJECTIONS`` run by :func:`_check_bijection`.  A row
-maps family F(n) onto G(n - shift); each image is checked for membership
-in G, the statistic carried over less the shift, the row's extra
-invariant and the inverse round trip, and at each n the sorted images
-must be G(n - shift).  The psi checks build no tree they do not need:
-they run the grafting kernel once per word and read its child maps as
-checked inorder words, and inorder is injective on increasing binary
-trees.  Only psi-bijection links a tree, for the ``psi_inv`` round trip,
-and it reads the step invariant from the same grafting pass;
-psi-equality compares ``psi_b``'s replay maps with the checked grafted
-maps.  The six checks that test one object at a time are
-rows of the clause table ``_OBJECT_CHECKS`` run by :func:`_check_objects`,
-which walks n = 1..cap and runs every object of each clause's stream
-through the clause's property; clauses take turns at each n.  The two
-scans of S_n must see exactly n! permutations at each n: their clauses
-carry ``factorial`` as the size of their stream, which the loop that
-tests the permutations counts.  Every test raises its ``_Failure``
-inline, so a witness is built only on failure.  The two
-family-count checks compare each triangle row with counted statistics,
-and each row sum with the count of the family it numbers: the Euler
-number with the alternating permutations, the Springer number with the
-snakes.  The pass that counts each of the four families that no
-bijection row targets tests every object with that family's predicate.
+Every theorem check is run by :func:`_run`, which walks n = 1..cap and,
+at each n, the check's legs in turn, each built when its turn comes.  A
+leg is a stream of objects, a step that tests each one and a close that
+takes their number; both raise ``_Failure`` inline, so a witness is
+built only on failure, at the smallest failing n.  A row of
+``_BIJECTIONS`` is one leg over F(n): its step checks each image for
+membership in G, the statistic carried over less the shift, the row's
+extra invariant and the inverse round trip, and its close compares the
+sorted images with G(n - shift).  The psi rows read each image from one
+grafting pass as a checked inorder word; only psi-bijection links a
+tree, for ``psi_inv``.  A check of ``_LEGS`` tests one property of each
+object, and the two scans of S_n close on a count of n!.  A family-count
+check has one leg per family: its step tests the predicate of a family
+no bijection row targets, and its close compares the counts by
+statistic with a triangle row, and the number of objects with the row
+sum, the Euler or Springer number.
 
 The family cache, ``_family``, keeps each family at n as its objects
 and their words.  A permutation is its own word; a tree's word is its
@@ -47,16 +39,16 @@ diagram.  A tree goes only to a map that takes one: ``omega``,
 ``omega_signed``, ``chuang_phi`` and the spine test's ``minimal_path``.
 
 The conjugation diagram compares each signed map with its unsigned map
-conjugated by the order isomorphism onto [n].  The direct route runs on
-every signed object.  The conjugated route looks up the unsigned map's
-result by the object's rank pattern, in a dict that lives for one n of
-one check run, so the unsigned map runs E_n times at n, not 2^n·E_n;
-relabeling the result back and comparing still happen per object.  The
-psi half's key is the word relabeled onto [n].  The omega half's key is
-the rank pattern of the tree's cached word, and the tree is rebuilt by
-rank only the first time its pattern appears: inorder is injective on
-increasing binary trees, so the pattern determines the relabeled tree.
-No lookup outlives its run, so a map patched between runs is seen.
+conjugated by the order isomorphism onto [n].  The psi half compares two
+independent routes as inorder words: grafting the signed labels
+directly, against relabeling onto [n], grafting and relabeling back.
+The direct route runs on every signed object, and first, so a bad tree
+raises there.  The conjugated route keys the unsigned map's result by
+the object's rank pattern, in a lookup that lives for one n of one run,
+so the unsigned map runs E_n times at n, not 2^n·E_n, and a map patched
+between runs is seen.  The omega half's pattern is that of the tree's
+cached word: inorder is injective on increasing binary trees, so the
+pattern determines the relabeled tree.
 
 Default desk-scale caps: unsigned checks run to n = 8, signed checks to
 n = 6, the conjecture sweep to n = 100.
@@ -70,7 +62,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bijections, cdindex, families, triangles
 from .core import (
@@ -145,129 +137,115 @@ def _family(tag: FamilyTag, n: int) -> tuple[tuple, tuple]:
     return tuple(t for _, t in pairs), tuple(w for w, _ in pairs)
 
 
-def _compare_counts(
-    label: str, tag: FamilyTag, n: int, expected: dict[int, int] | None,
-    shift: int = 0, member: str | None = None, total: int | None = None,
-) -> Counter[int]:
-    """Count the objects of ``tag`` at n - shift by statistic, compare the
-    counts with ``expected`` less the shift unless it is None, and return
-    them.  The statistic is read from each object's word.  ``member``
-    names a predicate on ``families``, looked up when the check runs,
-    that every object is tested with before the count.
-    ``total``, unless None, is a triangle's row sum, which the number of
-    objects must equal."""
-    size = n - shift
-    objects, words = _family(tag, size)
-    if member:
-        holds = getattr(families, member)
-        for x in objects:
-            if not holds(x):
-                raise _Failure(f"{tag.value} word {perm_to_text(x)} fails {member}")
-    actual = Counter(map(itemgetter(families._stat_at(tag)), words))
-    if expected is not None:
-        expected = {k - shift: v for k, v in expected.items()}
-        for k in sorted(set(expected) | set(actual)):
-            e, a = expected.get(k, 0), actual[k]
-            if e != a:
-                raise _Failure(f"{label}: n={size} k={k} expected={e} actual={a}")
-    if total is not None and total != actual.total():
-        raise _Failure(
-            f"{label}: n={size} row sum expected={total} actual={actual.total()}"
-        )
-    return actual
+def _fail(witness: str):
+    raise _Failure(witness)
 
 
-def _check_objects(row: tuple, n_max_a: int, n_max_b: int) -> dict:
-    """Test every object of each clause ``(stream, holds, witness,
-    size)`` of ``row`` for n = 1..cap.  The clauses take turns at each n,
-    so the failure reported is one at the smallest failing n.  ``size``
-    is None, or the number of objects the stream must yield at n, which
-    the loop that tests them counts; only the scans of S_n, whose
-    streams are ``families.iter_permutations``, fix one.  ``holds``
-    takes the object and a scratch dict that lives for one clause at one
-    n of this run; only the conjugation clauses use it."""
-    cap, *clauses = row
+def _run(cap: Callable, legs: Callable, n_max_a: int, n_max_b: int) -> dict:
+    """For n = 1..cap, run each leg ``(stream, step, close)`` of ``legs(n)``:
+    ``step`` takes each object and ``close`` their number, and either may
+    be None.  A leg with no step has a sized stream, which is not walked."""
     objects = 0
     for n in range(1, cap(n_max_a, n_max_b) + 1):
-        for stream, holds, witness, size in clauses:
-            start = objects
-            seen: dict = {}
-            for x in stream(n):
-                objects += 1
-                if not holds(x, seen):
-                    raise _Failure(witness(x))
-            if size is not None and objects - start != size(n):
-                raise _Failure(
-                    f"permutations of [{n}]: {objects - start} scanned, "
-                    f"{size(n)} expected"
-                )
+        for stream, step, close in legs(n):
+            if step is None:
+                count = len(stream)
+            else:
+                count = 0
+                for x in stream:
+                    step(x)
+                    count += 1
+            if close is not None:
+                close(count)
+            objects += count
     return {"objects": objects}
 
 
-# ---------------------------------------------------------------------------
-# individual checks; each returns a counts dict or raises _Failure
+def _count_leg(
+    tag: FamilyTag, n: int, expected: dict[int, int] | None, shift: int = 0,
+    member: str | None = None, total: int | None = None, label: str = "",
+) -> tuple:
+    """The leg over ``tag`` at n - shift.  Its step tests each object with
+    the predicate ``member`` names on ``families``; its close compares the
+    counts by statistic with ``expected`` less the shift, and the number
+    of objects with ``total``.  Each is skipped when its argument is None."""
+    size, label = n - shift, label or tag.value
+    objects, words = _family(tag, size)
+    step = None
+    if member:
+        holds = getattr(families, member)
+        step = lambda x: holds(x) or _fail(
+            f"{tag.value} word {perm_to_text(x)} fails {member}"
+        )
+
+    def close(count: int) -> None:
+        if expected is not None:
+            want = {k - shift: v for k, v in expected.items()}
+            actual = Counter(map(itemgetter(families._stat_at(tag)), words))
+            for k in sorted(set(want) | set(actual)):
+                e, a = want.get(k, 0), actual[k]
+                if e != a:
+                    raise _Failure(f"{label}: n={size} k={k} expected={e} actual={a}")
+        if total is not None and total != count:
+            raise _Failure(f"{label}: n={size} row sum expected={total} actual={count}")
+
+    return objects, step, close
 
 
-def _check_entringer_families(n_max_a: int, n_max_b: int) -> dict:
+def _entringer_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.entringer_table(n_max_a)
-    objects = 0
-    for n in range(1, n_max_a + 1):
+
+    def legs(n: int) -> Iterator[tuple]:
         expected = {k: v for k, v in table.row(n) if v}
         # no bijection row targets alt, so no image set certifies it; its
         # count is the row sum, the Euler number
-        for tag, member, total in (
-            (FamilyTag.ALT, "is_alternating", table.row_sums[n - 1]),
-            (FamilyTag.TREE, None, None),
-            (FamilyTag.ANDRE, None, None),
-        ):
-            counts = _compare_counts(tag.value, tag, n, expected, 0, member, total)
-            objects += counts.total()
+        yield _count_leg(
+            FamilyTag.ALT, n, expected, 0, "is_alternating", table.row_sums[n - 1]
+        )
+        yield _count_leg(FamilyTag.TREE, n, expected)
+        yield _count_leg(FamilyTag.ANDRE, n, expected)
         if n >= 2:
-            counts = _compare_counts("simsun", FamilyTag.SIMSUN, n, expected, 1)
-            objects += counts.total()
-    return {"objects": objects, "rows": n_max_a}
+            yield _count_leg(FamilyTag.SIMSUN, n, expected, 1)
+
+    return {**_run(lambda a, b: a, legs, n_max_a, n_max_b), "rows": n_max_a}
 
 
-def _check_arnold_families(n_max_a: int, n_max_b: int) -> dict:
+def _arnold_families(n_max_a: int, n_max_b: int) -> dict:
     table = triangles.arnold_table(n_max_b)
-    objects = 0
-    for n in range(1, n_max_b + 1):
+
+    def legs(n: int) -> Iterator[tuple]:
         expected = {k: v for k, v in table.row(n) if v}
         positive = {k: v for k, v in expected.items() if k > 0}
         # no bijection row targets alt-b, snake or andre-h, so no image
         # set certifies them; the snakes number the row sum, the Springer
         # number
-        for tag, want, member, total in (
-            (FamilyTag.ALT_B, expected, "is_alternating", None),
-            (FamilyTag.SNAKE, positive, "is_snake", table.row_sums[n - 1]),
-            (FamilyTag.TREE_B, expected, None, None),
-            (FamilyTag.ANDRE_B, expected, None, None),
-        ):
-            counts = _compare_counts(tag.value, tag, n, want, 0, member, total)
-            objects += counts.total()
+        yield _count_leg(FamilyTag.ALT_B, n, expected, 0, "is_alternating")
+        yield _count_leg(
+            FamilyTag.SNAKE, n, positive, 0, "is_snake", table.row_sums[n - 1]
+        )
+        yield _count_leg(FamilyTag.TREE_B, n, expected)
+        yield _count_leg(FamilyTag.ANDRE_B, n, expected)
         # last-entry counts of the signed Simsun family match the
         # forced-sign Andre family one size up, shifted by one
-        tag = FamilyTag.ANDRE_H
-        hetyei = _compare_counts(tag.value, tag, n, None, 0, "is_hetyei_andre")
-        objects += hetyei.total()
+        yield _count_leg(FamilyTag.ANDRE_H, n, None, 0, "is_hetyei_andre")
+        hetyei = Counter(map(itemgetter(-1), _family(FamilyTag.ANDRE_H, n)[1]))
         if n >= 2:
             label = "simsun-b vs andre-h"
-            counts = _compare_counts(label, FamilyTag.SIMSUN_B, n, hetyei, 1)
-            objects += counts.total()
+            yield _count_leg(FamilyTag.SIMSUN_B, n, hetyei, 1, label=label)
         elif hetyei != {1: 1}:
             raise _Failure(f"andre-h: n=1 counts {dict(hetyei)}")
-    return {"objects": objects, "rows": n_max_b}
+
+    return {**_run(lambda a, b: b, legs, n_max_a, n_max_b), "rows": n_max_b}
 
 
 @dataclass(frozen=True)
 class _Bijection:
     """One row of the bijection table; ``name`` is the map in witnesses.
 
-    The map is an attribute name on ``bijections``, looked up when the
-    check runs, or for the psi rows a function here that reads the image
-    from the grafting kernel.  The inverse and predicate are attribute
-    names on ``bijections`` and ``families``, looked up when the check
-    runs.
+    The map is an attribute name on ``bijections``, or for the psi rows a
+    function here that reads the image from the grafting kernel.  The
+    inverse and predicate are attribute names on ``bijections`` and
+    ``families``.  Names are looked up when the row's leg is built.
     """
 
     name: str
@@ -282,47 +260,45 @@ class _Bijection:
     extra: Callable[[object, object], None] | None = None
 
 
-def _check_bijection(row: _Bijection, n_max_a: int, n_max_b: int) -> dict:
+def _bijection_legs(row: _Bijection, n: int) -> Iterator[tuple]:
+    """The one leg of ``row`` at n, over the source family's indices: the
+    step checks each image, and the close compares the sorted images with
+    the target family's words, which come sorted."""
     func = getattr(bijections, row.func) if isinstance(row.func, str) else row.func
     member = getattr(families, row.member) if row.member else None
     inverse = getattr(bijections, row.inverse) if row.inverse else None
     source_at = families._stat_at(row.source)
     trees = families._TREE_TAGS
-    # tree images are compared as inorder words, read from checked child
-    # maps or from trees checked as they were linked, with the target
-    # family's words, which come sorted; inorder is injective on
-    # increasing binary trees, and a tree's pleaf is the first entry of
-    # its word
-    to_tree = row.target in trees
-    stat_name, at = ("pleaf", 0) if to_tree else ("last entry", -1)
+    # a tree image is compared as its inorder word, which starts with its
+    # pleaf; inorder is injective on increasing binary trees
+    stat_name, at = ("pleaf", 0) if row.target in trees else ("last entry", -1)
     text = tree_to_literal if row.source in trees else perm_to_text
-    shift, extra = row.shift, row.extra
-    objects = 0
-    signed = row.source in families._SIGNED_TAGS
-    for n in range(1, (n_max_b if signed else n_max_a) + 1):
-        size = n - shift
-        images = []
-        for x, source_word in zip(*_family(row.source, n)):
-            y = func(x)
-            word = inorder(y) if isinstance(y, Tree) else y
-            objects += 1
-            if size == 0:
-                if y != ():
-                    raise _Failure(f"{row.name} of the singleton must be empty")
-            else:
-                if member is not None and not member(y):
-                    raise _Failure(f"{row.name}({text(x)}) not {row.noun}")
-                if word[at] != source_word[source_at] - shift:
-                    raise _Failure(f"{row.name} {stat_name} mismatch on {text(x)}")
-                if extra is not None:
-                    extra(x, y)
-            if inverse is not None and inverse(y) != x:
-                raise _Failure(f"{row.inverse} round trip failed on {text(x)}")
-            images.append(word)
-        if size:
-            if sorted(images) != list(_family(row.target, size)[1]):
-                raise _Failure(f"{row.name} images at n={n} are not {row.image_set}")
-    return {"objects": objects}
+    size, shift, extra, images = n - row.shift, row.shift, row.extra, []
+    objects, words = _family(row.source, n)
+
+    def step(i: int) -> None:
+        x, source_word = objects[i], words[i]
+        y = func(x)
+        word = inorder(y) if isinstance(y, Tree) else y
+        if size == 0:
+            if y != ():
+                raise _Failure(f"{row.name} of the singleton must be empty")
+        else:
+            if member is not None and not member(y):
+                raise _Failure(f"{row.name}({text(x)}) not {row.noun}")
+            if word[at] != source_word[source_at] - shift:
+                raise _Failure(f"{row.name} {stat_name} mismatch on {text(x)}")
+            if extra is not None:
+                extra(x, y)
+        if inverse is not None and inverse(y) != x:
+            raise _Failure(f"{row.inverse} round trip failed on {text(x)}")
+        images.append(word)
+
+    def close(count: int) -> None:
+        if size and sorted(images) != list(_family(row.target, size)[1]):
+            raise _Failure(f"{row.name} images at n={n} are not {row.image_set}")
+
+    yield range(len(objects)), step, close
 
 
 def _spine_identity(t, w) -> None:
@@ -414,74 +390,81 @@ def _conjugate(unsigned: Callable, x, word, seen: dict) -> tuple:
     return tuple([ranked[v - 1] for v in image])
 
 
-# one row per check: its cap, from (n_max_a, n_max_b), then its clauses
-# (stream, holds, witness, size); holds takes an object and the clause's
-# scratch dict at this n.  An object of the omega half of the
-# conjugation diagram is a tree with its inorder word.  Names are looked
-# up when a clause runs, so patches and wrappers reach them.  Only the
-# two scans of S_n fix a size: they must see exactly n! permutations at
-# each n
-_OBJECT_CHECKS = {
+def _conjugation_legs(n: int) -> Iterator[tuple]:
+    # the two halves of the diagram at n, each with its own lookup; an
+    # object of the omega half is a tree with its inorder word
+    psi_seen, omega_seen = {}, {}
+    yield _family(FamilyTag.ALT_B, n)[0], lambda p: (
+        _psi_word(p) == _conjugate(_psi_word, p, p, psi_seen)
+        or _fail(f"psi conjugation square fails on {perm_to_text(p)}")
+    ), None
+    yield zip(*_family(FamilyTag.TREE_B, n)), lambda tw: (
+        bijections.omega_signed(tw[0])
+        == _conjugate(bijections.omega, *tw, omega_seen)
+        or _fail(f"omega conjugation square fails on {tree_to_literal(tw[0])}")
+    ), None
+
+
+def _scanned(n: int, count: int) -> None:
+    # a scan of S_n must see exactly n! permutations
+    if count != (size := factorial(n)):
+        raise _Failure(f"permutations of [{n}]: {count} scanned, {size} expected")
+
+
+# the checks that are neither bijection rows nor family counts: each
+# one's cap, from (n_max_a, n_max_b), and its legs at n
+_LEGS = {
     # psi_b's replay must end in the grafting's child maps, which are
     # checked as one tree, so equal maps are equal trees
-    "psi-equality": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.ALT, n)[0],
-        lambda p, _: bijections._replay_maps(p) == _psi_maps(p),
-        lambda p: f"psi_b and psi_c disagree on {perm_to_text(p)}",
+    "psi-equality": (lambda a, b: a, lambda n: [(
+        _family(FamilyTag.ALT, n)[0],
+        lambda p: bijections._replay_maps(p) == _psi_maps(p)
+        or _fail(f"psi_b and psi_c disagree on {perm_to_text(p)}"),
         None,
-    )),
-    "chuang-factorization": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.TREE, n)[0],
-        lambda t, _: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t)),
-        lambda t: f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}",
+    )]),
+    "chuang-factorization": (lambda a, b: a, lambda n: [(
+        _family(FamilyTag.TREE, n)[0],
+        lambda t: bijections.chuang_phi(t) == bijections.phi(bijections.omega(t))
+        or _fail(f"direct tree-to-Simsun map disagrees on {tree_to_literal(t)}"),
         None,
-    )),
-    "cd-preservation": (lambda a, b: a, (
-        lambda n: _family(FamilyTag.ANDRE, n)[0],
-        lambda p, _: cdindex.reduced_variation_andre(p)
-        == cdindex.reduced_variation_simsun(bijections.phi(p)),
-        lambda p: f"reduced variation not preserved on {perm_to_text(p)}",
+    )]),
+    "cd-preservation": (lambda a, b: a, lambda n: [(
+        _family(FamilyTag.ANDRE, n)[0],
+        lambda p: cdindex.reduced_variation_andre(p)
+        == cdindex.reduced_variation_simsun(bijections.phi(p))
+        or _fail(f"reduced variation not preserved on {perm_to_text(p)}"),
         None,
-    )),
-    "andre-implies-simsun": (lambda a, b: a, (
-        lambda n: families.iter_permutations(n),
-        lambda p, _: not families.is_andre(p) or families.is_simsun(p),
-        lambda p: f"Andre permutation {perm_to_text(p)} is not Simsun",
-        factorial,
-    )),
+    )]),
+    "andre-implies-simsun": (lambda a, b: a, lambda n: [(
+        families.iter_permutations(n),
+        lambda p: not families.is_andre(p) or families.is_simsun(p)
+        or _fail(f"Andre permutation {perm_to_text(p)} is not Simsun"),
+        partial(_scanned, n),
+    )]),
     # the valley characterization is only asserted up to n = 7
-    "valley-equivalence": (lambda a, b: min(a, 7), (
-        lambda n: families.iter_permutations(n),
-        lambda p, _: families.is_andre(p) == families.is_andre_valley(p),
-        lambda p: f"valley characterization disagrees on {perm_to_text(p)}",
-        factorial,
-    )),
-    # each signed map must equal its conjugated unsigned map, signs
-    # included; the psi half compares two independent routes as inorder
-    # words: grafting the signed labels directly, against relabeling onto
-    # [n], grafting and relabeling the word back.  The direct route runs
-    # on every object, and runs first, so a bad tree raises there; the
-    # conjugated route's unsigned map runs once per rank pattern at each n
-    "conjugation-diagram": (lambda a, b: b, (
-        lambda n: _family(FamilyTag.ALT_B, n)[0],
-        lambda p, seen: _psi_word(p) == _conjugate(_psi_word, p, p, seen),
-        lambda p: f"psi conjugation square fails on {perm_to_text(p)}",
-        None,
-    ), (
-        lambda n: zip(*_family(FamilyTag.TREE_B, n)),
-        lambda tw, seen: bijections.omega_signed(tw[0])
-        == _conjugate(bijections.omega, *tw, seen),
-        lambda tw: f"omega conjugation square fails on {tree_to_literal(tw[0])}",
-        None,
-    )),
+    "valley-equivalence": (lambda a, b: min(a, 7), lambda n: [(
+        families.iter_permutations(n),
+        lambda p: families.is_andre(p) == families.is_andre_valley(p)
+        or _fail(f"valley characterization disagrees on {perm_to_text(p)}"),
+        partial(_scanned, n),
+    )]),
+    "conjugation-diagram": (lambda a, b: b, _conjugation_legs),
 }
 
 
 _CHECKS: dict[str, Callable[[int, int], dict]] = {
-    **{cid: partial(_check_bijection, row) for cid, row in _BIJECTIONS.items()},
-    **{cid: partial(_check_objects, row) for cid, row in _OBJECT_CHECKS.items()},
-    "entringer-families": _check_entringer_families,
-    "arnold-families": _check_arnold_families,
+    **{
+        cid: partial(
+            _run,
+            (lambda a, b: b) if row.source in families._SIGNED_TAGS
+            else (lambda a, b: a),
+            partial(_bijection_legs, row),
+        )
+        for cid, row in _BIJECTIONS.items()
+    },
+    **{cid: partial(_run, *check) for cid, check in _LEGS.items()},
+    "entringer-families": _entringer_families,
+    "arnold-families": _arnold_families,
 }
 
 

@@ -779,9 +779,9 @@ GLUE = {
     "bijections._one_to_n_reading",
     "triangles._row_ks", "triangles._row_sum", "triangles._rows_wanted",
     "triangles._table",
-    "verify._check_arnold_families", "verify._check_bijection",
-    "verify._check_entringer_families", "verify._check_objects",
-    "verify._compare_counts", "verify._family", "verify._psi_image",
-    "verify._psi_maps", "verify._psi_word", "verify._report",
-    "verify._spine_identity", "verify._sweep_row",
+    "verify._arnold_families", "verify._bijection_legs",
+    "verify._conjugation_legs", "verify._count_leg", "verify._entringer_families",
+    "verify._family", "verify._psi_image", "verify._psi_maps", "verify._psi_word",
+    "verify._report", "verify._run", "verify._scanned", "verify._spine_identity",
+    "verify._sweep_row",
 }

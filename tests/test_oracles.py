@@ -48,6 +48,8 @@ def test_every_private_function_a_cold_run_executes_has_an_oracle_or_is_glue(
     }
     assert len(private) > 40
     assert private - oracles.REGISTRY.keys() - oracles.GLUE == set()
+    # and no glue outlives the code that ran it
+    assert oracles.GLUE - private == set()
     assert [n for n in [*oracles.REGISTRY, *oracles.GLUE] if not _in_src(n)] == []
 
 

@@ -376,6 +376,14 @@ _OBJECTS = {
         "phi-bijection": 358, "phi-signed-bijection": 73, "psi-bijection": 358,
         "psi-equality": 358, "psi-signed-bijection": 614, "valley-equivalence": 5913,
     },
+    (8, 6): {
+        "andre-implies-simsun": 46233, "arnold-families": 17617,
+        "cd-preservation": 1743, "chuang-factorization": 1743,
+        "conjugation-diagram": 9036, "entringer-families": 6971,
+        "omega-bijection": 1743, "omega-signed-bijection": 4518,
+        "phi-bijection": 1743, "phi-signed-bijection": 434, "psi-bijection": 1743,
+        "psi-equality": 1743, "psi-signed-bijection": 4518, "valley-equivalence": 5913,
+    },
 }
 
 
@@ -383,7 +391,12 @@ _OBJECTS = {
 def test_every_check_keeps_its_object_count(caps):
     reports = run_checks(n_max_a=caps[0], n_max_b=caps[1])
     assert all(r.status == PASS for r in reports)
-    assert {r.check_id: r.counts["objects"] for r in reports} == _OBJECTS[caps]
+    assert all(r.params == {"n_max_a": caps[0], "n_max_b": caps[1]} for r in reports)
+    # the family-count checks also report how many triangle rows they compared
+    expected = {cid: {"objects": n} for cid, n in _OBJECTS[caps].items()}
+    expected["entringer-families"]["rows"] = caps[0]
+    expected["arnold-families"]["rows"] = caps[1]
+    assert {r.check_id: r.counts for r in reports} == expected
 
 
 def _never(real):
@@ -858,6 +871,37 @@ def test_the_family_counts_catch_a_pinned_mutant_of_a_generator(monkeypatch):
     assert report.counterexample == "andre: n=3 k=2 expected=1 actual=0"
 
 
+@pytest.mark.parametrize(
+    "tag, fault, witness",
+    [
+        (
+            "simsun-b", lambda objects, n: objects[:-1] if n == 2 else objects,
+            "simsun-b vs andre-h: n=2 k=1 expected=2 actual=1",
+        ),
+        (
+            "andre-h", lambda objects, n: objects * 2 if n == 1 else objects,
+            "andre-h: n=1 counts {1: 2}",
+        ),
+    ],
+    ids=["simsun-b-short", "andre-h-doubled"],
+)
+def test_the_forced_sign_counts_give_their_witnesses(monkeypatch, tag, fault, witness):
+    # the signed Simsun counts at n - 1 are compared with the forced-sign
+    # Andre counts at n, shifted by one, and at n = 1 those must be
+    # {1: 1}.  The run gets a cache of its own, as above
+    monkeypatch.setattr(verify, "_family", lru_cache(verify._family.__wrapped__))
+    real = verify.families.iter_family
+
+    def iter_family(t, n, *rest):
+        objects = list(real(t, n, *rest))
+        return iter(fault(objects, n) if t == tag else objects)
+
+    monkeypatch.setattr(verify.families, "iter_family", iter_family)
+    (report,) = run_checks(["arnold-families"], n_max_a=1, n_max_b=3)
+    assert report.status == FAIL
+    assert report.counterexample == witness
+
+
 def test_the_checks_catch_a_pinned_mutant_of_the_grown_words(monkeypatch):
     # growth puts a leaf's new child after the leaf in the word; the trees
     # stay right, so only the checks that read the kept words see it.  The
@@ -907,6 +951,6 @@ def test_a_cold_run_reads_the_tree_words_it_keeps(monkeypatch):
     (psi,) = [r for r in reports if r.check_id == "psi-bijection"]
     assert psi.counts == {"objects": 358}
     assert walks == {
-        ("inorder", "_check_bijection"): 358,
+        ("inorder", "step"): 358,
         ("inorder", "chuang_phi"): 554,
     }
