@@ -3,9 +3,11 @@
 Each oracle's docstring names the ``zigzag`` function it stands beside
 and what it follows: the definition, or the pass it replaced as it
 stood.  ``REGISTRY`` maps each fast path (``module.qualname``) to its
-oracle, and ``GLUE`` names the private functions that replace no slower
-pass; ``test_oracles.py`` checks both.  pytest imports this module to
-collect doctests, so it builds no table at import.
+oracle and the cases it is compared on, each a named stream of
+``STREAMS`` and, where the signatures differ, how each side takes an
+input; ``test_oracles.py`` runs every case.  ``GLUE`` names the private
+functions that replace no slower pass.  pytest imports this module to
+collect doctests, so it builds no table or stream at import.
 """
 
 from __future__ import annotations
@@ -15,22 +17,24 @@ import itertools
 import json
 import operator
 import random
+from collections.abc import Callable, Iterator
 from functools import lru_cache
+from typing import NamedTuple
 
 from zigzag import core, families
-from zigzag.bijections import psi, psi_c
-from zigzag.cli import SCHEMA
+from zigzag.bijections import AlgoCStep, _graft_maps, omega, psi, psi_c
+from zigzag.cli import _MAPS, SCHEMA, _build_parser
 from zigzag.core import (
     InvalidPermutationError, InvalidTreeError, Tree, TreeParseError, Word,
     _check_distinct, _check_node, _exact_ints, _link_tree, _tokenize_literal, _walk,
     ends_with_ascent, has_double_descent, inorder, minimal_path, node, order_relabel,
-    rtl_min_positions, tree_labels, tree_to_json,
+    perm_to_text, rtl_min_positions, tree_labels, tree_to_json, tree_to_literal,
 )
 from zigzag.families import (
     FamilyTag, is_alternating, is_snake, iter_family, iter_permutations,
     refinement_statistic,
 )
-from zigzag.triangles import entringer_table
+from zigzag.triangles import arnold_rows, entringer_rows, entringer_table
 
 # core
 
@@ -196,6 +200,47 @@ def _bfs_key(t: Tree) -> tuple[int | None, ...]:
                 key.append(child.label)
                 order.append(child)
     return tuple(key)
+
+
+def _rebuilt(cur: Tree | None, at: Tree, make) -> Tree | None:
+    # the tree with the node ``at`` replaced by ``make(at)``
+    if cur is None:
+        return None
+    if cur is at:
+        return make(cur)
+    return Tree(cur.label, _rebuilt(cur.left, at, make), _rebuilt(cur.right, at, make))
+
+
+def _tree_faults(t: Tree):
+    """Copies of ``t`` built with ``Tree(...)``, each with one fault at
+    one node: its label set to 0, its label swapped with a child's (a
+    child below its parent), a right child without a left one, or its
+    two children swapped."""
+    for at in _walk(t):
+        yield _rebuilt(t, at, lambda c: Tree(0, c.left, c.right))
+        if at.left is None:
+            continue
+        yield _rebuilt(
+            t, at,
+            lambda c: Tree(c.left.label, Tree(c.label, c.left.left, c.left.right), c.right),
+        )
+        if at.right is None:
+            yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.left))
+            continue
+        yield _rebuilt(
+            t, at,
+            lambda c: Tree(c.right.label, c.left, Tree(c.label, c.right.left, c.right.right)),
+        )
+        yield _rebuilt(t, at, lambda c: Tree(c.label, c.right, c.left))
+        yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.right))
+
+
+def _label_copies(t: Tree) -> list[Tree]:
+    """Copies of ``t`` with one node's label copied onto another node."""
+    return [
+        _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
+        for a, b in itertools.permutations(list(_walk(t)), 2)
+    ]
 
 
 # families
@@ -526,6 +571,7 @@ def _psi_b(p: Word) -> Tree:
     return _swap_labels(t, k - 1, k)
 
 
+@lru_cache(maxsize=None)
 def _psi_table(n: int) -> dict[Tree, Word]:
     """bijections.psi_inv as it stood: look each tree up among psi's images."""
     return {psi(p): p for p in iter_family("alt", n, force=True)}
@@ -535,6 +581,28 @@ def _psi_signed_by_conjugation(p: Word) -> Tree:
     """bijections.psi_signed by definition: relabel onto [n], graft, relabel back."""
     tree = psi_c(order_relabel(p, range(1, len(p) + 1)))[0]
     return order_relabel(tree, sorted(p))
+
+
+def _graft_states(graft, p: Word):
+    """The final maps of one grafting run, and after every step the
+    ``AlgoCStep`` that ``psi_c`` records beside a copy of the maps."""
+    states = []
+
+    def visit(i, a, b, case, root, left, right):
+        states.append((AlgoCStep(i, a, b, case), root, dict(left), dict(right)))
+
+    return graft(p, visit), states
+
+
+def _graft_run(graft, p: Word):
+    """The final maps, and every step's decisions and root, of one
+    grafting run."""
+    steps = []
+
+    def visit(i, a, b, case, root, _left, _right):
+        steps.append((i, a, b, case, root))
+
+    return graft(p, visit), steps
 
 
 # cdindex
@@ -652,6 +720,22 @@ def _old_boustrophedon(kind, n_max, e):
     return half(-1) + [""] + half(1)
 
 
+# the family each CLI map takes its inputs from
+_MAP_SOURCES = {
+    "omega": "tree",
+    "omega-inv": "andre",
+    "phi": "andre",
+    "phi-inv": "simsun",
+    "psi": "alt",
+    "psi-b": "alt",
+    "psi-inv": "tree",
+    "psi-signed": "alt-b",
+    "omega-signed": "tree-b",
+    "phi-signed": "andre-h",
+    "chuang-phi": "tree",
+}
+
+
 def _object_json(obj):
     """cli's JSON renderers as the value cli._object_json gave json.dumps."""
     if isinstance(obj, Tree):
@@ -724,48 +808,328 @@ def _random_tree(n: int, seed) -> Tree:
     return _link_tree(1, left, right)
 
 
-# each fast path, as module.qualname, and its one oracle; the library's own
-# order_relabel is the oracle of verify._conjugate's rank table
+# the shared input streams, each as its size and builder; ``stream``
+# builds one on first use and keeps it
+
+
+def _upto(tag: str, n_max: int, n_min: int = 1) -> list:
+    return [x for n in range(n_min, n_max + 1) for x in iter_family(tag, n)]
+
+
+def _args(sizes, *refined) -> list[tuple]:
+    # iter_family's arguments: every n to each tag's n_max, then some k
+    return [(tag, n) for tag, n_max in sizes for n in range(1, n_max + 1)] + [*refined]
+
+
+def _small_trees():
+    # every tree to n = 5 and signed tree to n = 4, each followed by its
+    # copies with one fault and with one label copied onto another node
+    for t in [*_upto("tree", 5), *_upto("tree-b", 4)]:
+        yield from (t, *_tree_faults(t), *_label_copies(t))
+
+
+def _grafting_states():
+    # the maps of each grafting run when it ends and after every step
+    for p in [*_upto("alt", 7), *_upto("alt-b", 5)]:
+        final, states = _graft_states(_graft_maps, p)
+        yield from (final, *(maps for _step, *maps in states))
+
+
+def _texts():
+    # strings of the literal grammar's tokens, most of them refused
+    rng = random.Random(20)
+    tokens = ["1", "2", "3", "4", "5", "-1", "0", "(", ")", ",", " "]
+    for _ in range(10_000):
+        yield "".join(rng.choices(tokens, k=rng.randint(1, 14)))
+    yield from map(tree_to_literal, stream("tree-faults"))
+
+
+def _ab_strings():
+    # every a/b string to length 10, then random longer ones; each pair
+    words = ["".join(w) for k in range(11) for w in itertools.product("ab", repeat=k)]
+    rng = random.Random(5)
+    words += [
+        "".join(rng.choice("aab") for _ in range(rng.randrange(11, 60)))
+        for _ in range(500)
+    ]
+    return [(var, pair) for var in words for pair in ("ba", "ab")]
+
+
+def _map_args():
+    # each CLI map on its source family to n = 5, psi with its trace, and
+    # the empty Simsun word both ways
+    for name, tag in _MAP_SOURCES.items():
+        yield from ((name, obj) for obj in _upto(tag, 5))
+    yield from (("psi", p, "--trace") for p in _upto("alt", 5))
+    yield from (("phi", (1,)), ("phi-inv", ()))
+
+
+# the sizes every triangle export is compared with the one oracle at
+TRIANGLE_SIZES = (*range(1, 13), 30, 50)
+
+STREAMS = {
+    "short-ints": (2_801, lambda: (
+        v for k in range(5) for v in itertools.product(range(-1, 6), repeat=k)
+    )),
+    "perms": (46_234, lambda: (p for n in range(9) for p in iter_permutations(n))),
+    "signed-perms": (4_282, lambda: (
+        p for n in range(1, 6) for p in iter_signed_permutations(n)
+    )),
+    "alt": (9_679, lambda: _upto("alt", 9)),
+    "alt-10": (50_521, lambda: _upto("alt", 10, 10)),
+    "alt-b": (4_518, lambda: _upto("alt-b", 6)),
+    "andre": (9_679, lambda: _upto("andre", 9)),
+    "andre-h": (434, lambda: _upto("andre-h", 6)),
+    "simsun": (60_199, lambda: _upto("simsun", 9)),
+    "tree": (1_743, lambda: _upto("tree", 8)),
+    "tree-b": (614, lambda: _upto("tree-b", 5)),
+    # unsigned only: hash(-1) == hash(-2), so two signed trees may share one
+    "tree-pairs": (4_008, lambda: (
+        pair
+        for n in range(1, 7)
+        for pair in itertools.product(iter_family("tree", n), repeat=2)
+    )),
+    "tree-faults": (2_792, _small_trees),
+    "grafting-states": (3_069, _grafting_states),
+    "literals": (12_792, _texts),
+    "sampled": (15, lambda: (
+        _sample_alternating(n, seed)
+        for n in (40, 41, 200, 400, 401)
+        for seed in range(3)
+    )),
+    "random-trees": (100, lambda: (
+        _random_tree(n, seed) for n in (40, 200) for seed in range(50)
+    )),
+    "ab-strings": (5_094, _ab_strings),
+    "alternating-args": (22, lambda: _args(
+        (("alt", 8), ("alt-b", 5), ("snake", 5)),
+        ("alt", 6, 4), ("alt-b", 4, -2), ("snake", 4, 3), ("snake", 4, -2),
+    )),
+    "bottom-up-args": (24, lambda: _args(
+        (("andre", 8), ("simsun", 8), ("andre-b", 5)),
+        ("andre", 6, 6), ("simsun", 6, 1), ("andre-b", 4, -1),
+    )),
+    "forced-sign-args": (13, lambda: _args(
+        (("andre-h", 5), ("simsun-b", 5)),
+        ("andre-h", 5, 5), ("andre-h", 5, -5), ("simsun-b", 4, 2),
+    )),
+    "tree-args": (12, lambda: _args((("tree", 7), ("tree-b", 5)))),
+    "hetyei-sizes": (10, lambda: range(1, 11)),
+    "triangle-sizes": (14, lambda: TRIANGLE_SIZES),
+    "triangle-args": (28, lambda: itertools.product(
+        ("entringer", "arnold"), TRIANGLE_SIZES
+    )),
+    "map-args": (1_588, _map_args),
+}
+
+
+@lru_cache(maxsize=None)
+def stream(name: str) -> tuple:
+    """The inputs ``name`` stands for, built once."""
+    return tuple(STREAMS[name][1]())
+
+
+# the comparison: the outcomes of the two sides are equal on every input
+
+
+class Raised(NamedTuple):
+    """What a call raised: the error's type and message."""
+
+    type: type
+    message: str
+
+
+def outcome(call: Callable, *args):
+    """The value of ``call(*args)``, read to its end if it is an iterator,
+    or the ``Raised`` of a ``ValueError``; any other error propagates."""
+    try:
+        value = call(*args)
+        return list(value) if isinstance(value, Iterator) else value
+    except ValueError as exc:
+        return Raised(type(exc), str(exc))
+
+
+def _call(f, x):
+    return f(x)
+
+
+class Case(NamedTuple):
+    """A view of a fast path that a bare stream name does not give: how
+    each side takes an input x.  ``fast(f, x)`` calls the fast path f,
+    and ``oracle(g, x)`` the oracle g, the same way unless given."""
+
+    stream: str
+    fast: Callable = _call
+    oracle: Callable | None = None
+
+
+def cases(name: str) -> list[Case]:
+    """The cases of a ``REGISTRY`` entry, each a ``Case``."""
+    return [Case(c) if isinstance(c, str) else c for c in REGISTRY[name][1:]]
+
+
+def _star(f, x):
+    return f(*x)
+
+
+def _listed(f, x):
+    # the word as given and as a list
+    return f(x), f(list(x))
+
+
+def _of_reading(f, t):
+    return f(omega(t))
+
+
+def _of_maps(f, t):
+    return f(*_tree_maps(t))
+
+
+def _top_level(f, x):
+    return f(x, "")
+
+
+def _as_json(f, x):
+    return json.dumps(f(x), indent=2)
+
+
+def _streamed(_f, args):
+    # the generator named runs inside iter_family, which sorts and filters
+    return list(iter_family(*args))
+
+
+def _rendered(fmt: str) -> Case:
+    # a renderer's text of the rows that the row stream yields
+    def render(f, x):
+        kind, n_max = x
+        rows = (entringer_rows if kind == "entringer" else arnold_rows)(n_max)
+        if fmt == "json":
+            return "".join(f(kind, rows, SCHEMA)) + "\n"
+        lines = f(kind, rows)
+        return "".join(map("{}\n".format, lines) if fmt == "boustrophedon" else lines)
+
+    return Case("triangle-args", render, lambda g, x: g(*x, fmt))
+
+
+def _map_via_cli(f, x):
+    name, obj, *trace = x
+    text = tree_to_literal(obj) if isinstance(obj, Tree) else perm_to_text(obj)
+    argv = ["map", name, f"--input={text}", "--format", "json", *trace]
+    return "".join(f(_build_parser().parse_args(argv))[1])
+
+
+def _map_by_encoder(g, x):
+    name, obj, *trace = x
+    return g(name, obj, *(psi_c(obj) if trace else [_MAPS[name][0](obj)]))
+
+
+def _relabeled_down(f, t):
+    # the tree that verify._conjugate hands its unsigned kernel
+    seen = []
+    f(lambda down: seen.append(down) or omega(down), t, inorder(t), {})
+    return seen
+
+
+def _dict_rows(g, n_max):
+    # a dict triangle's rows, k ascending, as the row streams yield them
+    e = g(n_max)
+    return [tuple(e[k] for k in sorted(e) if k[0] == n) for n in range(1, n_max + 1)]
+
+
+# each fast path, as module.qualname: its one oracle, then its cases, a
+# bare stream name where both sides take the input alone; the library's
+# own order_relabel is the oracle of verify._conjugate's rank table
 REGISTRY = {
-    "core.perm_from_sequence": _perm_by_final_comparison,
-    "core.signed_perm_from_sequence": _signed_perm_by_final_comparison,
-    "core.has_double_descent": _double_descent_by_index,
-    "core._checked_reverse_inorder": _node_by_node,
-    "core._linked_inorder": _linked_inorder_by_sorting,
-    "core.tree_from_literal": _parse_by_index,
-    "core.tree_to_literal": _literal_by_recursion,
-    "core.tree_to_json": _json_by_recursion,
-    "core.Tree.__hash__": _bfs_key,
-    "families.is_alternating": _alternating_by_index,
-    "families._stack_scan": _subwords_ok,
-    "families.is_andre": _andre_by_subwords,
-    "families.is_simsun": _simsun_by_subwords,
-    "families._iter_alternating": _filtered,
-    "families._iter_bottom_up": _filtered,
-    "families._free_signs": _filtered,
-    "families._gen_trees": _trees_by_inorder,
-    "families._grown": _trees_by_inorder,
-    "families._HetyeiRows.__call__": _hetyei_row_by_words,
-    "bijections._shrink": _shrink_by_skip,
-    "bijections.phi_inv": _phi_inv_by_skip,
-    "bijections._min_split_maps": _tree_maps,
-    "bijections._graft_maps": _graft_maps_by_path,
-    "bijections._replay_maps": _replay_maps_by_label,
-    "bijections.psi_b": _psi_b,
-    "bijections.psi_inv": _psi_table,
-    "bijections.psi_signed": _psi_signed_by_conjugation,
-    "cdindex.variation": _variation_by_index,
-    "cdindex._reduce": _reduce_by_loop,
-    "triangles._entringer_rows": dict_entringer,
-    "triangles._arnold_rows": dict_arnold,
-    "triangles.csv_chunks": _old_rendering,
-    "triangles.text_chunks": _old_rendering,
-    "triangles.json_chunks": _old_rendering,
-    "triangles.boustrophedon_lines": _old_rendering,
-    "cli._perm_json_text": _object_json,
-    "cli._tree_json_text": _object_json,
-    "cli._cmd_map": _map_json,
-    "verify._conjugate": order_relabel,
+    "core.perm_from_sequence": (_perm_by_final_comparison, "short-ints"),
+    "core.signed_perm_from_sequence": (_signed_perm_by_final_comparison, "short-ints"),
+    "core.has_double_descent": (
+        _double_descent_by_index, Case("perms", _listed), Case("signed-perms", _listed),
+    ),
+    # the checked walk's word is dropped: its oracle returns nothing
+    "core._checked_reverse_inorder": (
+        _node_by_node, Case("tree-faults", lambda f, t: f(t) and None, _call),
+    ),
+    "core._linked_inorder": (
+        _linked_inorder_by_sorting,
+        Case("tree", _of_maps),
+        Case("tree-b", _of_maps),
+        Case("grafting-states", _star),
+    ),
+    "core.tree_from_literal": (_parse_by_index, "literals"),
+    "core.tree_to_literal": (_literal_by_recursion, "tree", "tree-b"),
+    "core.tree_to_json": (
+        _json_by_recursion, Case("tree", _as_json), Case("tree-b", _as_json),
+    ),
+    "core.Tree.__hash__": (
+        _bfs_key, Case("tree-pairs", lambda f, pair: f(pair[0]) == f(pair[1])),
+    ),
+    "families.is_alternating": (_alternating_by_index, "perms", "signed-perms"),
+    # is_andre and is_simsun read every permutation through the scan
+    "families._stack_scan": (
+        _subwords_ok, Case("signed-perms", lambda f, p: (f(p, False), f(p, True))),
+    ),
+    "families.is_andre": (_andre_by_subwords, "perms", "signed-perms"),
+    "families.is_simsun": (_simsun_by_subwords, "perms", "signed-perms"),
+    "families._iter_alternating": (
+        _filtered, Case("alternating-args", _streamed, _star),
+    ),
+    "families._iter_bottom_up": (_filtered, Case("bottom-up-args", _streamed, _star)),
+    "families._free_signs": (_filtered, Case("forced-sign-args", _streamed, _star)),
+    "families._gen_trees": (_trees_by_inorder, Case("tree-args", _streamed, _star)),
+    "families._grown": (_trees_by_inorder, Case("tree-args", _streamed, _star)),
+    "families._HetyeiRows.__call__": (
+        _hetyei_row_by_words,
+        Case("hetyei-sizes", lambda f, n: f(families._hetyei_row, n), _call),
+    ),
+    "bijections._shrink": (
+        _shrink_by_skip, "andre", "andre-h", Case("random-trees", _of_reading),
+    ),
+    "bijections.phi_inv": (
+        _phi_inv_by_skip,
+        "simsun",
+        Case("random-trees", lambda f, t: f(_shrink_by_skip(omega(t)))),
+    ),
+    "bijections._min_split_maps": (
+        _tree_maps,
+        Case("tree", _of_reading, _call),
+        Case("tree-b", _of_reading, _call),
+        Case("random-trees", _of_reading, _call),
+    ),
+    "bijections._graft_maps": (
+        _graft_maps_by_path,
+        Case("alt", _graft_states),
+        Case("alt-10", _graft_run),
+        Case("alt-b", _graft_states),
+        Case("sampled", _graft_states),
+    ),
+    "bijections._replay_maps": (_replay_maps_by_label, "alt", "alt-10", "sampled"),
+    "bijections.psi_b": (_psi_b, "alt"),
+    "bijections.psi_inv": (
+        _psi_table, Case("tree", _call, lambda g, t: g(len(inorder(t)))[t]),
+    ),
+    "bijections.psi_signed": (_psi_signed_by_conjugation, "alt-b"),
+    "cdindex.variation": (
+        _variation_by_index, "andre", Case("simsun", lambda f, s: f((0, *s))),
+    ),
+    "cdindex._reduce": (_reduce_by_loop, Case("ab-strings", _star)),
+    "triangles._entringer_rows": (
+        dict_entringer, Case("triangle-sizes", _call, _dict_rows),
+    ),
+    "triangles._arnold_rows": (dict_arnold, Case("triangle-sizes", _call, _dict_rows)),
+    "triangles.csv_chunks": (_old_rendering, _rendered("csv")),
+    "triangles.text_chunks": (_old_rendering, _rendered("text")),
+    "triangles.json_chunks": (_old_rendering, _rendered("json")),
+    "triangles.boustrophedon_lines": (_old_rendering, _rendered("boustrophedon")),
+    "cli._perm_json_text": (_object_json, Case("signed-perms", _top_level, _as_json)),
+    "cli._tree_json_text": (
+        _object_json,
+        Case("tree", _top_level, _as_json),
+        Case("tree-b", _top_level, _as_json),
+    ),
+    "cli._cmd_map": (_map_json, Case("map-args", _map_via_cli, _map_by_encoder)),
+    "verify._conjugate": (order_relabel, Case(
+        "tree-b", _relabeled_down, lambda g, t: [g(t, range(1, len(inorder(t)) + 1))]
+    )),
 }
 
 # private functions that replace no slower pass: argument checks, guards,

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
-    _bfs_key, _double_descent_by_index, _json_by_recursion, _literal_by_recursion,
-    _node_by_node, _parse_by_index, _perm_by_final_comparison, _random_tree,
-    _signed_perm_by_final_comparison, _tree_maps,
+    _bfs_key, _double_descent_by_index, _json_by_recursion, _label_copies,
+    _literal_by_recursion, _node_by_node, _parse_by_index, _perm_by_final_comparison,
+    _random_tree, _rebuilt, _signed_perm_by_final_comparison, _tree_faults, _tree_maps,
+    outcome, stream,
 )
 from zigzag.core import (
     InvalidPermutationError,
@@ -109,20 +110,13 @@ class TestPermValidation:
             assert str(info.value) == message
 
     def test_messages_match_the_final_comparison_oracle(self):
-        def outcome(call, values):
-            try:
-                return call(values)
-            except InvalidPermutationError as exc:
-                return str(exc)
-
-        for size in range(5):
-            for values in itertools.product(range(-1, 6), repeat=size):
-                assert outcome(perm_from_sequence, values) == outcome(
-                    _perm_by_final_comparison, values
-                ), values
-                assert outcome(signed_perm_from_sequence, values) == outcome(
-                    _signed_perm_by_final_comparison, values
-                ), values
+        for values in stream("short-ints"):
+            assert outcome(perm_from_sequence, values) == outcome(
+                _perm_by_final_comparison, values
+            ), values
+            assert outcome(signed_perm_from_sequence, values) == outcome(
+                _signed_perm_by_final_comparison, values
+            ), values
 
     # each of these once truncated its floats and answered for other input
     @pytest.mark.parametrize(
@@ -208,24 +202,14 @@ class TestWordStatistics:
         assert has_double_descent(w) == _double_descent_by_index(w)
 
     def test_double_descent_matches_definition_exhaustively(self):
-        # every word of [n] to n = 8, every signed word to n = 5, as
-        # tuples and as lists, and the lengths below three
-        signed = (
-            tuple(s * v for s, v in zip(signs, p))
-            for n in range(1, 6)
-            for p in itertools.permutations(range(1, n + 1))
-            for signs in itertools.product((1, -1), repeat=n)
-        )
-        unsigned = (
-            p for n in range(1, 9) for p in itertools.permutations(range(1, n + 1))
-        )
-        short = [(), (1,), (2, 1), (1, 2), (-1, -2), (-2, 1)]
+        # every word of [n] to n = 8, the empty one too, and every signed
+        # word to n = 5, as tuples and as lists
         checked = 0
-        for w in itertools.chain(unsigned, signed, short):
+        for w in itertools.chain(stream("perms"), stream("signed-perms")):
             expected = _double_descent_by_index(w)
             assert has_double_descent(w) == has_double_descent(list(w)) == expected, w
             checked += 1
-        assert checked == 46233 + 4282 + 6
+        assert checked == 46234 + 4282
 
     @given(words, st.integers(min_value=1, max_value=12))
     def test_subword_is_order_preserving_selection(self, w, k):
@@ -417,39 +401,6 @@ def test_every_tree_entry_point_applies_one_rule(t, literal, maps, message):
         assert str(info.value) == message
 
 
-def _rebuilt(cur: Tree | None, at: Tree, make) -> Tree | None:
-    # the tree with the node ``at`` replaced by ``make(at)``
-    if cur is None:
-        return None
-    if cur is at:
-        return make(cur)
-    return Tree(cur.label, _rebuilt(cur.left, at, make), _rebuilt(cur.right, at, make))
-
-
-def _tree_faults(t: Tree):
-    """Copies of ``t`` built with ``Tree(...)``, each with one fault at
-    one node: its label set to 0, its label swapped with a child's (a
-    child below its parent), a right child without a left one, or its
-    two children swapped."""
-    for at in _walk(t):
-        yield _rebuilt(t, at, lambda c: Tree(0, c.left, c.right))
-        if at.left is None:
-            continue
-        yield _rebuilt(
-            t, at,
-            lambda c: Tree(c.left.label, Tree(c.label, c.left.left, c.left.right), c.right),
-        )
-        if at.right is None:
-            yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.left))
-            continue
-        yield _rebuilt(
-            t, at,
-            lambda c: Tree(c.right.label, c.left, Tree(c.label, c.right.left, c.right.right)),
-        )
-        yield _rebuilt(t, at, lambda c: Tree(c.label, c.right, c.left))
-        yield _rebuilt(t, at, lambda c: Tree(c.label, None, c.right))
-
-
 @pytest.mark.parametrize(
     "tag, n_max", [("tree", 5), ("tree-b", 4)], ids=["unsigned", "signed"]
 )
@@ -621,11 +572,7 @@ def test_every_tree_reader_names_what_validate_tree_names(tag, n_max, count):
     faulty = 0
     for n in range(1, n_max + 1):
         for t in iter_family(tag, n):
-            copies = [
-                _rebuilt(t, b, lambda c: Tree(a.label, c.left, c.right))
-                for a, b in itertools.permutations(list(_walk(t)), 2)
-            ]
-            for bad in [*_tree_faults(t), *copies]:
+            for bad in [*_tree_faults(t), *_label_copies(t)]:
                 with pytest.raises(InvalidTreeError) as oracle:
                     _node_by_node(bad)
                 for read in (validate_tree, omega, psi_inv, chuang_phi):
@@ -754,13 +701,6 @@ def test_tree_methods_read_trees_that_share_no_subtree_whole():
     assert small == unfolded and hash(small) == hash(unfolded)
 
 
-def _parsed(parse, text: str):
-    try:
-        return parse(text)
-    except InvalidTreeError as exc:
-        return type(exc), str(exc)
-
-
 def test_parser_matches_the_index_loop_oracle_on_random_text():
     rng = random.Random(20)
     alphabet = ["1", "2", "3", "4", "5", "-1", "0", "(", ")", ",", " "]
@@ -770,8 +710,8 @@ def test_parser_matches_the_index_loop_oracle_on_random_text():
     texts += [tree_to_literal(t) for n in range(1, 6) for t in iter_family("tree", n)]
     parsed = 0
     for text in texts:
-        got = _parsed(tree_from_literal, text)
-        assert got == _parsed(_parse_by_index, text), text
+        got = outcome(tree_from_literal, text)
+        assert got == outcome(_parse_by_index, text), text
         parsed += isinstance(got, Tree)
     assert parsed > 1_000
 

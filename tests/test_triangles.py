@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import _old_rendering, dict_arnold, dict_entringer
+from oracles import TRIANGLE_SIZES, _old_rendering, dict_arnold, dict_entringer
 from zigzag.cli import dispatch
 from zigzag.triangles import (
     arnold_rows,
@@ -257,13 +257,9 @@ TABLE_RENDERERS = {
 }
 
 
-# the sizes every export is compared with the one oracle at
-SIZES = (*range(1, 13), 30, 50)
-
-
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 def test_json_chunks_join_to_json_dumps(kind):
-    for n_max in SIZES:
+    for n_max in TRIANGLE_SIZES:
         chunks = list(json_chunks(kind, ORACLES[kind][0](n_max).rows, "zigzag/1"))
         assert "".join(chunks) + "\n" == _old_rendering(kind, n_max, "json")
         assert len(chunks) == n_max + 2  # the head, one per row, the tail
@@ -271,7 +267,7 @@ def test_json_chunks_join_to_json_dumps(kind):
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 def test_chunks_match_the_line_oracles_row_by_row(kind):
-    for n_max in SIZES:
+    for n_max in TRIANGLE_SIZES:
         rows = ORACLES[kind][0](n_max).rows
         rendered = {
             fmt: list(TABLE_RENDERERS[fmt](kind, rows))
@@ -291,7 +287,7 @@ def test_chunks_match_the_line_oracles_row_by_row(kind):
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "boustrophedon"])
 def test_cli_output_matches_the_old_rendering(kind, fmt):
-    for n_max in SIZES:
+    for n_max in TRIANGLE_SIZES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = dispatch(["triangle", kind, "--n", str(n_max), "--format", fmt])
