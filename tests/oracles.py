@@ -5,8 +5,9 @@ and what it follows: the definition, or the pass it replaced as it
 stood.  ``REGISTRY`` maps each fast path (``module.qualname``) to its
 oracle and the cases it is compared on, each a named stream of
 ``STREAMS`` and, where the signatures differ, how each side takes an
-input; ``test_oracles.py`` runs every case.  ``GLUE`` names the private
-functions that replace no slower pass.  pytest imports this module to
+input; ``test_oracles.py`` runs every case.  ``BY_HAND`` names the
+hand-written test that compares each entry without a case, and ``GLUE``
+the private functions that replace no slower pass.  pytest imports this module to
 collect doctests, so it builds no table or stream at import.
 """
 
@@ -22,19 +23,19 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from zigzag import core, families
-from zigzag.bijections import AlgoCStep, _graft_maps, omega, psi, psi_c
-from zigzag.cli import _MAPS, SCHEMA, _build_parser
+from zigzag.bijections import omega, psi, psi_c
+from zigzag.cli import SCHEMA
 from zigzag.core import (
     InvalidPermutationError, InvalidTreeError, Tree, TreeParseError, Word,
     _check_distinct, _check_node, _exact_ints, _link_tree, _tokenize_literal, _walk,
     ends_with_ascent, has_double_descent, inorder, minimal_path, node, order_relabel,
-    perm_to_text, rtl_min_positions, tree_labels, tree_to_json, tree_to_literal,
+    rtl_min_positions, tree_labels, tree_to_json, tree_to_literal,
 )
 from zigzag.families import (
     FamilyTag, is_alternating, is_snake, iter_family, iter_permutations,
     refinement_statistic,
 )
-from zigzag.triangles import arnold_rows, entringer_rows, entringer_table
+from zigzag.triangles import entringer_table
 
 # core
 
@@ -571,7 +572,6 @@ def _psi_b(p: Word) -> Tree:
     return _swap_labels(t, k - 1, k)
 
 
-@lru_cache(maxsize=None)
 def _psi_table(n: int) -> dict[Tree, Word]:
     """bijections.psi_inv as it stood: look each tree up among psi's images."""
     return {psi(p): p for p in iter_family("alt", n, force=True)}
@@ -581,28 +581,6 @@ def _psi_signed_by_conjugation(p: Word) -> Tree:
     """bijections.psi_signed by definition: relabel onto [n], graft, relabel back."""
     tree = psi_c(order_relabel(p, range(1, len(p) + 1)))[0]
     return order_relabel(tree, sorted(p))
-
-
-def _graft_states(graft, p: Word):
-    """The final maps of one grafting run, and after every step the
-    ``AlgoCStep`` that ``psi_c`` records beside a copy of the maps."""
-    states = []
-
-    def visit(i, a, b, case, root, left, right):
-        states.append((AlgoCStep(i, a, b, case), root, dict(left), dict(right)))
-
-    return graft(p, visit), states
-
-
-def _graft_run(graft, p: Word):
-    """The final maps, and every step's decisions and root, of one
-    grafting run."""
-    steps = []
-
-    def visit(i, a, b, case, root, _left, _right):
-        steps.append((i, a, b, case, root))
-
-    return graft(p, visit), steps
 
 
 # cdindex
@@ -720,22 +698,6 @@ def _old_boustrophedon(kind, n_max, e):
     return half(-1) + [""] + half(1)
 
 
-# the family each CLI map takes its inputs from
-_MAP_SOURCES = {
-    "omega": "tree",
-    "omega-inv": "andre",
-    "phi": "andre",
-    "phi-inv": "simsun",
-    "psi": "alt",
-    "psi-b": "alt",
-    "psi-inv": "tree",
-    "psi-signed": "alt-b",
-    "omega-signed": "tree-b",
-    "phi-signed": "andre-h",
-    "chuang-phi": "tree",
-}
-
-
 def _object_json(obj):
     """cli's JSON renderers as the value cli._object_json gave json.dumps."""
     if isinstance(obj, Tree):
@@ -812,13 +774,8 @@ def _random_tree(n: int, seed) -> Tree:
 # builds one on first use and keeps it
 
 
-def _upto(tag: str, n_max: int, n_min: int = 1) -> list:
-    return [x for n in range(n_min, n_max + 1) for x in iter_family(tag, n)]
-
-
-def _args(sizes, *refined) -> list[tuple]:
-    # iter_family's arguments: every n to each tag's n_max, then some k
-    return [(tag, n) for tag, n_max in sizes for n in range(1, n_max + 1)] + [*refined]
+def _upto(tag: str, n_max: int) -> list:
+    return [x for n in range(1, n_max + 1) for x in iter_family(tag, n)]
 
 
 def _small_trees():
@@ -828,56 +785,14 @@ def _small_trees():
         yield from (t, *_tree_faults(t), *_label_copies(t))
 
 
-def _grafting_states():
-    # the maps of each grafting run when it ends and after every step
-    for p in [*_upto("alt", 7), *_upto("alt-b", 5)]:
-        final, states = _graft_states(_graft_maps, p)
-        yield from (final, *(maps for _step, *maps in states))
-
-
-def _texts():
-    # strings of the literal grammar's tokens, most of them refused
-    rng = random.Random(20)
-    tokens = ["1", "2", "3", "4", "5", "-1", "0", "(", ")", ",", " "]
-    for _ in range(10_000):
-        yield "".join(rng.choices(tokens, k=rng.randint(1, 14)))
-    yield from map(tree_to_literal, stream("tree-faults"))
-
-
-def _ab_strings():
-    # every a/b string to length 10, then random longer ones; each pair
-    words = ["".join(w) for k in range(11) for w in itertools.product("ab", repeat=k)]
-    rng = random.Random(5)
-    words += [
-        "".join(rng.choice("aab") for _ in range(rng.randrange(11, 60)))
-        for _ in range(500)
-    ]
-    return [(var, pair) for var in words for pair in ("ba", "ab")]
-
-
-def _map_args():
-    # each CLI map on its source family to n = 5, psi with its trace, and
-    # the empty Simsun word both ways
-    for name, tag in _MAP_SOURCES.items():
-        yield from ((name, obj) for obj in _upto(tag, 5))
-    yield from (("psi", p, "--trace") for p in _upto("alt", 5))
-    yield from (("phi", (1,)), ("phi-inv", ()))
-
-
 # the sizes every triangle export is compared with the one oracle at
 TRIANGLE_SIZES = (*range(1, 13), 30, 50)
 
 STREAMS = {
-    "short-ints": (2_801, lambda: (
-        v for k in range(5) for v in itertools.product(range(-1, 6), repeat=k)
-    )),
-    "perms": (46_234, lambda: (p for n in range(9) for p in iter_permutations(n))),
     "signed-perms": (4_282, lambda: (
         p for n in range(1, 6) for p in iter_signed_permutations(n)
     )),
     "alt": (9_679, lambda: _upto("alt", 9)),
-    "alt-10": (50_521, lambda: _upto("alt", 10, 10)),
-    "alt-b": (4_518, lambda: _upto("alt-b", 6)),
     "andre": (9_679, lambda: _upto("andre", 9)),
     "andre-h": (434, lambda: _upto("andre-h", 6)),
     "simsun": (60_199, lambda: _upto("simsun", 9)),
@@ -890,36 +805,10 @@ STREAMS = {
         for pair in itertools.product(iter_family("tree", n), repeat=2)
     )),
     "tree-faults": (2_792, _small_trees),
-    "grafting-states": (3_069, _grafting_states),
-    "literals": (12_792, _texts),
-    "sampled": (15, lambda: (
-        _sample_alternating(n, seed)
-        for n in (40, 41, 200, 400, 401)
-        for seed in range(3)
-    )),
     "random-trees": (100, lambda: (
         _random_tree(n, seed) for n in (40, 200) for seed in range(50)
     )),
-    "ab-strings": (5_094, _ab_strings),
-    "alternating-args": (22, lambda: _args(
-        (("alt", 8), ("alt-b", 5), ("snake", 5)),
-        ("alt", 6, 4), ("alt-b", 4, -2), ("snake", 4, 3), ("snake", 4, -2),
-    )),
-    "bottom-up-args": (24, lambda: _args(
-        (("andre", 8), ("simsun", 8), ("andre-b", 5)),
-        ("andre", 6, 6), ("simsun", 6, 1), ("andre-b", 4, -1),
-    )),
-    "forced-sign-args": (13, lambda: _args(
-        (("andre-h", 5), ("simsun-b", 5)),
-        ("andre-h", 5, 5), ("andre-h", 5, -5), ("simsun-b", 4, 2),
-    )),
-    "tree-args": (12, lambda: _args((("tree", 7), ("tree-b", 5)))),
-    "hetyei-sizes": (10, lambda: range(1, 11)),
     "triangle-sizes": (14, lambda: TRIANGLE_SIZES),
-    "triangle-args": (28, lambda: itertools.product(
-        ("entringer", "arnold"), TRIANGLE_SIZES
-    )),
-    "map-args": (1_588, _map_args),
 }
 
 
@@ -968,13 +857,8 @@ def cases(name: str) -> list[Case]:
     return [Case(c) if isinstance(c, str) else c for c in REGISTRY[name][1:]]
 
 
-def _star(f, x):
-    return f(*x)
-
-
-def _listed(f, x):
-    # the word as given and as a list
-    return f(x), f(list(x))
+def _of_literal(f, t):
+    return f(tree_to_literal(t))
 
 
 def _of_reading(f, t):
@@ -993,43 +877,6 @@ def _as_json(f, x):
     return json.dumps(f(x), indent=2)
 
 
-def _streamed(_f, args):
-    # the generator named runs inside iter_family, which sorts and filters
-    return list(iter_family(*args))
-
-
-def _rendered(fmt: str) -> Case:
-    # a renderer's text of the rows that the row stream yields
-    def render(f, x):
-        kind, n_max = x
-        rows = (entringer_rows if kind == "entringer" else arnold_rows)(n_max)
-        if fmt == "json":
-            return "".join(f(kind, rows, SCHEMA)) + "\n"
-        lines = f(kind, rows)
-        return "".join(map("{}\n".format, lines) if fmt == "boustrophedon" else lines)
-
-    return Case("triangle-args", render, lambda g, x: g(*x, fmt))
-
-
-def _map_via_cli(f, x):
-    name, obj, *trace = x
-    text = tree_to_literal(obj) if isinstance(obj, Tree) else perm_to_text(obj)
-    argv = ["map", name, f"--input={text}", "--format", "json", *trace]
-    return "".join(f(_build_parser().parse_args(argv))[1])
-
-
-def _map_by_encoder(g, x):
-    name, obj, *trace = x
-    return g(name, obj, *(psi_c(obj) if trace else [_MAPS[name][0](obj)]))
-
-
-def _relabeled_down(f, t):
-    # the tree that verify._conjugate hands its unsigned kernel
-    seen = []
-    f(lambda down: seen.append(down) or omega(down), t, inorder(t), {})
-    return seen
-
-
 def _dict_rows(g, n_max):
     # a dict triangle's rows, k ascending, as the row streams yield them
     e = g(n_max)
@@ -1037,99 +884,109 @@ def _dict_rows(g, n_max):
 
 
 # each fast path, as module.qualname: its one oracle, then its cases, a
-# bare stream name where both sides take the input alone; the library's
-# own order_relabel is the oracle of verify._conjugate's rank table
+# bare stream name where both sides take the input alone; an entry with
+# no case is compared by the hand-written test that ``BY_HAND`` names
 REGISTRY = {
-    "core.perm_from_sequence": (_perm_by_final_comparison, "short-ints"),
-    "core.signed_perm_from_sequence": (_signed_perm_by_final_comparison, "short-ints"),
-    "core.has_double_descent": (
-        _double_descent_by_index, Case("perms", _listed), Case("signed-perms", _listed),
-    ),
+    "core.perm_from_sequence": (_perm_by_final_comparison,),
+    "core.signed_perm_from_sequence": (_signed_perm_by_final_comparison,),
+    "core.has_double_descent": (_double_descent_by_index,),
     # the checked walk's word is dropped: its oracle returns nothing
     "core._checked_reverse_inorder": (
         _node_by_node, Case("tree-faults", lambda f, t: f(t) and None, _call),
     ),
     "core._linked_inorder": (
-        _linked_inorder_by_sorting,
-        Case("tree", _of_maps),
-        Case("tree-b", _of_maps),
-        Case("grafting-states", _star),
+        _linked_inorder_by_sorting, Case("tree", _of_maps), Case("tree-b", _of_maps),
     ),
-    "core.tree_from_literal": (_parse_by_index, "literals"),
-    "core.tree_to_literal": (_literal_by_recursion, "tree", "tree-b"),
+    "core.tree_from_literal": (_parse_by_index, Case("tree-faults", _of_literal)),
+    "core.tree_to_literal": (_literal_by_recursion,),
     "core.tree_to_json": (
         _json_by_recursion, Case("tree", _as_json), Case("tree-b", _as_json),
     ),
     "core.Tree.__hash__": (
         _bfs_key, Case("tree-pairs", lambda f, pair: f(pair[0]) == f(pair[1])),
     ),
-    "families.is_alternating": (_alternating_by_index, "perms", "signed-perms"),
+    "families.is_alternating": (_alternating_by_index,),
     # is_andre and is_simsun read every permutation through the scan
     "families._stack_scan": (
         _subwords_ok, Case("signed-perms", lambda f, p: (f(p, False), f(p, True))),
     ),
-    "families.is_andre": (_andre_by_subwords, "perms", "signed-perms"),
-    "families.is_simsun": (_simsun_by_subwords, "perms", "signed-perms"),
-    "families._iter_alternating": (
-        _filtered, Case("alternating-args", _streamed, _star),
-    ),
-    "families._iter_bottom_up": (_filtered, Case("bottom-up-args", _streamed, _star)),
-    "families._free_signs": (_filtered, Case("forced-sign-args", _streamed, _star)),
-    "families._gen_trees": (_trees_by_inorder, Case("tree-args", _streamed, _star)),
-    "families._grown": (_trees_by_inorder, Case("tree-args", _streamed, _star)),
-    "families._HetyeiRows.__call__": (
-        _hetyei_row_by_words,
-        Case("hetyei-sizes", lambda f, n: f(families._hetyei_row, n), _call),
-    ),
-    "bijections._shrink": (
-        _shrink_by_skip, "andre", "andre-h", Case("random-trees", _of_reading),
-    ),
-    "bijections.phi_inv": (
-        _phi_inv_by_skip,
-        "simsun",
-        Case("random-trees", lambda f, t: f(_shrink_by_skip(omega(t)))),
-    ),
-    "bijections._min_split_maps": (
-        _tree_maps,
-        Case("tree", _of_reading, _call),
-        Case("tree-b", _of_reading, _call),
-        Case("random-trees", _of_reading, _call),
-    ),
-    "bijections._graft_maps": (
-        _graft_maps_by_path,
-        Case("alt", _graft_states),
-        Case("alt-10", _graft_run),
-        Case("alt-b", _graft_states),
-        Case("sampled", _graft_states),
-    ),
-    "bijections._replay_maps": (_replay_maps_by_label, "alt", "alt-10", "sampled"),
+    "families.is_andre": (_andre_by_subwords,),
+    "families.is_simsun": (_simsun_by_subwords,),
+    "families._iter_alternating": (_filtered,),
+    "families._iter_bottom_up": (_filtered,),
+    "families._free_signs": (_filtered,),
+    "families._gen_trees": (_trees_by_inorder,),
+    "families._grown": (_trees_by_inorder,),
+    "families._HetyeiRows.__call__": (_hetyei_row_by_words,),
+    "bijections._shrink": (_shrink_by_skip, "andre", "andre-h"),
+    "bijections.phi_inv": (_phi_inv_by_skip, "simsun"),
+    "bijections._min_split_maps": (_tree_maps, Case("random-trees", _of_reading, _call)),
+    "bijections._graft_maps": (_graft_maps_by_path,),
+    "bijections._replay_maps": (_replay_maps_by_label,),
     "bijections.psi_b": (_psi_b, "alt"),
-    "bijections.psi_inv": (
-        _psi_table, Case("tree", _call, lambda g, t: g(len(inorder(t)))[t]),
-    ),
-    "bijections.psi_signed": (_psi_signed_by_conjugation, "alt-b"),
+    "bijections.psi_inv": (_psi_table,),
+    "bijections.psi_signed": (_psi_signed_by_conjugation,),
     "cdindex.variation": (
         _variation_by_index, "andre", Case("simsun", lambda f, s: f((0, *s))),
     ),
-    "cdindex._reduce": (_reduce_by_loop, Case("ab-strings", _star)),
+    "cdindex._reduce": (_reduce_by_loop,),
     "triangles._entringer_rows": (
         dict_entringer, Case("triangle-sizes", _call, _dict_rows),
     ),
     "triangles._arnold_rows": (dict_arnold, Case("triangle-sizes", _call, _dict_rows)),
-    "triangles.csv_chunks": (_old_rendering, _rendered("csv")),
-    "triangles.text_chunks": (_old_rendering, _rendered("text")),
-    "triangles.json_chunks": (_old_rendering, _rendered("json")),
-    "triangles.boustrophedon_lines": (_old_rendering, _rendered("boustrophedon")),
+    "triangles.csv_chunks": (_old_rendering,),
+    "triangles.text_chunks": (_old_rendering,),
+    "triangles.json_chunks": (_old_rendering,),
+    "triangles.boustrophedon_lines": (_old_rendering,),
     "cli._perm_json_text": (_object_json, Case("signed-perms", _top_level, _as_json)),
     "cli._tree_json_text": (
         _object_json,
         Case("tree", _top_level, _as_json),
         Case("tree-b", _top_level, _as_json),
     ),
-    "cli._cmd_map": (_map_json, Case("map-args", _map_via_cli, _map_by_encoder)),
-    "verify._conjugate": (order_relabel, Case(
-        "tree-b", _relabeled_down, lambda g, t: [g(t, range(1, len(inorder(t)) + 1))]
-    )),
+    "cli._cmd_map": (_map_json,),
+    # the library's own order_relabel is the oracle of the rank table
+    "verify._conjugate": (order_relabel,),
+}
+
+# the hand-written tests that still compare entries with no case, each
+# as module.qualname with the entries it compares; an entry takes cases
+# here when its test goes
+BY_HAND = {
+    "test_core.TestPermValidation.test_messages_match_the_final_comparison_oracle":
+        ("core.perm_from_sequence", "core.signed_perm_from_sequence"),
+    "test_core.TestWordStatistics.test_double_descent_matches_definition_exhaustively":
+        ("core.has_double_descent",),
+    "test_core.TestDeepTrees.test_literal_matches_recursive_rendering":
+        ("core.tree_to_literal",),
+    "test_families.TestFastPredicateOracle.test_every_permutation_up_to_eight":
+        ("families.is_alternating", "families.is_andre", "families.is_simsun"),
+    "test_families.TestGeneratorOracle.test_unsigned_matches_filter":
+        ("families._iter_alternating", "families._iter_bottom_up"),
+    "test_families.TestGeneratorOracle.test_signed_matches_filter":
+        ("families._free_signs",),
+    "test_families.TestGrownWords.test_the_builders_match_the_inorder_sort":
+        ("families._gen_trees", "families._grown"),
+    "test_families.TestCounts.test_hetyei_growth_matches_word_oracle":
+        ("families._HetyeiRows.__call__",),
+    "test_bijections.TestKernelOracles.test_grafting_matches_the_path_list_oracle_exhaustively":
+        ("bijections._graft_maps",),
+    "test_bijections.TestKernelOracles.test_replay_matches_the_label_oracle_exhaustively":
+        ("bijections._replay_maps",),
+    "test_bijections.TestPsi.test_inverse_matches_the_table_oracle_through_n8":
+        ("bijections.psi_inv",),
+    "test_bijections.TestSignedMaps.test_psi_signed_matches_conjugation_exhaustively":
+        ("bijections.psi_signed",),
+    "test_cdindex.test_reduce_matches_the_loop_on_any_letters":
+        ("cdindex._reduce",),
+    "test_triangles.test_chunks_match_the_line_oracles_row_by_row":
+        ("triangles.csv_chunks", "triangles.text_chunks", "triangles.boustrophedon_lines"),
+    "test_triangles.test_json_chunks_join_to_json_dumps":
+        ("triangles.json_chunks",),
+    "test_cli.test_map_json_matches_the_indenting_encoder":
+        ("cli._cmd_map",),
+    "test_verify.test_conjugation_relabels_trees_as_order_relabel_does":
+        ("verify._conjugate",),
 }
 
 # private functions that replace no slower pass: argument checks, guards,

@@ -6,9 +6,9 @@ import pickle
 import pytest
 
 from oracles import (
-    _graft_maps_by_path, _graft_run, _graft_states, _linked_inorder_by_sorting,
-    _phi_inv_by_skip, _psi_signed_by_conjugation, _psi_table, _random_tree,
-    _replay_maps_by_label, _sample_alternating, _shrink_by_skip, _tree_maps, stream,
+    _graft_maps_by_path, _linked_inorder_by_sorting, _phi_inv_by_skip,
+    _psi_signed_by_conjugation, _psi_table, _random_tree, _replay_maps_by_label,
+    _sample_alternating, _shrink_by_skip, _tree_maps,
 )
 from zigzag import bijections, core
 from zigzag.bijections import (
@@ -31,6 +31,7 @@ from zigzag.cli import dispatch
 from zigzag.core import (
     InvalidTreeError,
     Tree,
+    Word,
     _linked_inorder,
     inorder,
     minimal_path,
@@ -113,10 +114,11 @@ class TestOmega:
 
     def test_suffix_minima_are_the_spine_exhaustive(self):
         # the identity count_hetyei_fast rests on, from the trees themselves
-        for t in stream("tree"):
-            w = omega(t)
-            assert w[-1] == pleaf(t)
-            assert len(rtl_min_positions(w)) == len(minimal_path(t)), t
+        for n in range(1, 9):
+            for t in iter_family("tree", n):
+                w = omega(t)
+                assert w[-1] == pleaf(t)
+                assert len(rtl_min_positions(w)) == len(minimal_path(t)), t
 
 
 class TestPhi:
@@ -224,8 +226,9 @@ class TestPsi:
         assert psi_inv(tree_from_literal("1(2)")) == (2, 1)
 
     def test_inverse_round_trip_exhaustive(self):
-        for p in stream("alt"):
-            assert psi_inv(psi(p)) == p
+        for n in range(1, 10):
+            for p in iter_family("alt", n):
+                assert psi_inv(psi(p)) == p
 
     def test_inverse_runs_past_the_enumeration_guard(self):
         # psi_inv enumerates nothing, so n = 13 needs no override
@@ -378,6 +381,17 @@ class TestOneWalkReaders:
             for n in range(1, n_max + 1):
                 yield from iter_family(tag, n)
 
+    @staticmethod
+    def _grafting_states():
+        # every state of every grafting run, the final one included
+        for tag, n_max in (("alt", 7), ("alt-b", 5)):
+            for n in range(1, n_max + 1):
+                for p in iter_family(tag, n):
+                    final, states = _graft_states(bijections._graft_maps, p)
+                    yield final
+                    for _step, *maps in states:
+                        yield maps
+
     def test_readers_match_their_oracles_on_every_tree(self):
         trees = 0
         for t in self._trees():
@@ -389,7 +403,7 @@ class TestOneWalkReaders:
 
     def test_word_reader_matches_its_oracle_on_every_grafting_state(self):
         states = 0
-        for maps in stream("grafting-states"):
+        for maps in self._grafting_states():
             assert _linked_inorder(*maps) == _linked_inorder_by_sorting(*maps)
             states += 1
         assert states == 3069
@@ -406,7 +420,7 @@ class TestOneWalkReaders:
         for t in self._trees():
             _linked_inorder(*_tree_maps(t))
             validate_tree(t)
-        for maps in stream("grafting-states"):
+        for maps in self._grafting_states():
             _linked_inorder(*maps)
         assert calls == []
         # a fault goes to the namer of its form, once, and no tree is built
@@ -485,15 +499,40 @@ def _single_faults(root, left, right):
     yield root, {**left, missing: labels[-1]}, right
 
 
+def _graft_states(graft, p: Word):
+    """The final maps of one grafting run, and after every step the
+    ``AlgoCStep`` that ``psi_c`` records beside a copy of the maps."""
+    states = []
+
+    def visit(i, a, b, case, root, left, right):
+        states.append((AlgoCStep(i, a, b, case), root, dict(left), dict(right)))
+
+    return graft(p, visit), states
+
+
+def _graft_run(graft, p: Word):
+    """The final maps, and every step's decisions and root, of one
+    grafting run."""
+    steps = []
+
+    def visit(i, a, b, case, root, _left, _right):
+        steps.append((i, a, b, case, root))
+
+    return graft(p, visit), steps
+
+
 class TestKernelOracles:
     def test_grafting_matches_the_path_list_oracle_exhaustively(self):
-        for p in [*stream("alt"), *stream("alt-10"), *stream("alt-b")]:
+        words = [p for n in range(1, 11) for p in iter_family("alt", n)]
+        words += [p for n in range(1, 7) for p in iter_family("alt-b", n)]
+        for p in words:
             assert _graft_run(bijections._graft_maps, p) == _graft_run(
                 _graft_maps_by_path, p
             ), p
 
     def test_grafting_matches_the_list_oracle_after_every_step(self):
-        words = [*stream("alt"), *stream("alt-b")]
+        words = [p for n in range(1, 10) for p in iter_family("alt", n)]
+        words += [p for n in range(1, 7) for p in iter_family("alt-b", n)]
         words += [_sample_alternating(n, seed) for n in (40, 400) for seed in range(20)]
         c1 = 0
         for p in words:
@@ -503,8 +542,9 @@ class TestKernelOracles:
         assert c1 > 10_000
 
     def test_replay_matches_the_label_oracle_exhaustively(self):
-        for p in [*stream("alt"), *stream("alt-10")]:
-            assert bijections._replay_maps(p) == _replay_maps_by_label(p), p
+        for n in range(1, 11):
+            for p in iter_family("alt", n):
+                assert bijections._replay_maps(p) == _replay_maps_by_label(p), p
 
     @pytest.mark.parametrize("n", [40, 41, 200, 401])
     def test_kernels_match_their_oracles_on_sampled_words(self, n):
@@ -518,7 +558,8 @@ class TestKernelOracles:
     def test_min_split_matches_the_walk_fill_exhaustively(self):
         # omega_inv and psi_inv split a reading back into the child maps
         # that psi_inv once filled by walking the tree, as _tree_maps does
-        trees = [*stream("tree"), *stream("tree-b")]
+        trees = [t for n in range(1, 9) for t in iter_family("tree", n)]
+        trees += [t for n in range(1, 6) for t in iter_family("tree-b", n)]
         assert len(trees) == 2357
         for t in trees:
             assert bijections._min_split_maps(omega(t)) == _tree_maps(t), t
@@ -610,8 +651,12 @@ class TestChainTables:
 
 class TestSignedMaps:
     def test_psi_signed_matches_conjugation_exhaustively(self):
-        for p in stream("alt-b"):
-            assert psi_signed(p) == _psi_signed_by_conjugation(p), p
+        count = 0
+        for n in range(1, 7):
+            for p in iter_family("alt-b", n):
+                assert psi_signed(p) == _psi_signed_by_conjugation(p), p
+                count += 1
+        assert count == 4518
 
     def test_psi_signed_grafts_without_the_unsigned_maps(self, monkeypatch):
         perms = [p for n in range(1, 6) for p in iter_family("alt-b", n)]

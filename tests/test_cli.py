@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import _MAP_SOURCES, _map_json, _object_json
+from oracles import _map_json, _object_json
 from zigzag import verify
 from zigzag.bijections import psi_c
 from zigzag.cli import _MAPS, SCHEMA, _build_parser, dispatch
@@ -216,6 +216,22 @@ def test_map_phi_inv_reads_back_the_empty_word_in_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["map"], doc["input"], doc["output"]) == ("phi-inv", [], [1])
+
+
+# the family each map takes its inputs from
+_MAP_SOURCES = {
+    "omega": "tree",
+    "omega-inv": "andre",
+    "phi": "andre",
+    "phi-inv": "simsun",
+    "psi": "alt",
+    "psi-b": "alt",
+    "psi-inv": "tree",
+    "psi-signed": "alt-b",
+    "omega-signed": "tree-b",
+    "phi-signed": "andre-h",
+    "chuang-phi": "tree",
+}
 
 
 @pytest.mark.parametrize("name", sorted(_MAPS))

@@ -9,7 +9,7 @@ import pytest
 from oracles import (
     _PREDICATES, _alternating_by_index, _andre_by_subwords, _filtered,
     _hetyei_row_by_words, _random_tree, _simsun_by_subwords, _trees_by_inorder,
-    iter_signed_permutations, stream,
+    iter_signed_permutations,
 )
 from zigzag import cli, core, families, verify
 from zigzag.bijections import omega, phi
@@ -159,12 +159,14 @@ class TestFastPredicateOracle:
         assert is_alternating(p) == _alternating_by_index(p), p
 
     def test_every_permutation_up_to_eight(self):
-        for p in stream("perms"):
-            self._agree(p)
+        for n in range(0, 9):
+            for p in iter_permutations(n):
+                self._agree(p)
 
     def test_every_signed_permutation_up_to_five(self):
-        for p in stream("signed-perms"):
-            self._agree(p)
+        for n in range(1, 6):
+            for p in iter_signed_permutations(n):
+                self._agree(p)
 
     def test_random_large_words_and_near_misses(self):
         outcomes = set()
@@ -188,8 +190,9 @@ class TestFastPredicateOracle:
 
     def test_andre_is_simsun_with_a_smallest_entry_appended(self):
         # the flush of the scan treats the word so
-        for p in stream("perms"):
-            assert is_andre(p) == is_simsun((*p, 0)), p
+        for n in range(0, 9):
+            for p in iter_permutations(n):
+                assert is_andre(p) == is_simsun((*p, 0)), p
 
     def test_alternation_of_lists_and_short_words(self):
         for p in ([], [5], [2, 1], [1, 2], [3, 1, 2], [3, 1, 0], [2, 1, 4, 3, 5]):

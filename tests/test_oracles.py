@@ -90,13 +90,24 @@ def test_every_private_function_a_cold_run_executes_has_an_oracle_or_is_glue(
     assert [n for n in [*oracles.REGISTRY, *oracles.GLUE] if not _in_src(n)] == []
 
 
-def test_every_entry_has_cases_and_every_stream_is_read():
+def test_every_entry_has_cases_or_a_hand_test_and_every_stream_is_read():
+    by_hand = [name for names in oracles.BY_HAND.values() for name in names]
+    assert len(set(by_hand)) == len(by_hand)
+    assert set(by_hand) - oracles.REGISTRY.keys() == set()
     read = []
     for name in oracles.REGISTRY:
         streams = [case.stream for case in oracles.cases(name)]
-        assert streams, f"{name} names no case"
+        if name in by_hand:
+            assert not streams, f"{name} is compared by hand and by cases"
+        else:
+            assert streams, f"{name} names no case"
         assert len(set(streams)) == len(streams), f"{name} reads a stream twice"
         read += streams
+    for test in oracles.BY_HAND:
+        module, *path = test.split(".")
+        obj = importlib.import_module(module)
+        for part in path:
+            obj = getattr(obj, part)
     assert set(read) - oracles.STREAMS.keys() == set(), "a case names an unknown stream"
     assert oracles.STREAMS.keys() - set(read) == set(), "no entry reads these streams"
 
